@@ -1,8 +1,9 @@
 /**
  * @file
  * Figure 14: Mobius scalability — throughput training the 15B model
- * with 2..8 GPUs, microbatch size 1, batch size = #GPUs, half the
- * GPUs per CPU root complex.
+ * with 2..16 GPUs, microbatch size 1, batch size = #GPUs, half the
+ * GPUs per CPU root complex. The paper stops at 8 GPUs; 9..16 extend
+ * the sweep to an 8+8 server.
  *
  * Expected shape: measured throughput meets or exceeds perfect
  * linear scaling (per-GPU stage count falls as GPUs are added), with
@@ -22,7 +23,7 @@ main(int argc, char **argv)
     std::printf("%6s %12s %16s %18s\n", "GPUs", "step time",
                 "samples/s", "vs linear from 2");
     double base = 0.0;
-    for (int gpus = 2; gpus <= 8; ++gpus) {
+    for (int gpus = 2; gpus <= 16; ++gpus) {
         Server server =
             makeCommodityServer({gpus / 2, gpus - gpus / 2});
         auto r = bench::runMobius(gpt15b(), server, 1, gpus);

@@ -100,7 +100,7 @@ BM_CrossMappingSearch(benchmark::State &state)
         benchmark::DoNotOptimize(r.mapping.contention);
     }
 }
-BENCHMARK(BM_CrossMappingSearch)->Arg(4)->Arg(8);
+BENCHMARK(BM_CrossMappingSearch)->Arg(4)->Arg(8)->Arg(16);
 
 void
 BM_TensorMatmul(benchmark::State &state)

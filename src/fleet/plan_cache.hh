@@ -3,14 +3,14 @@
  * Single-flight memoization of planning results for fleet runs.
  *
  * At fleet scale the dominant per-job cost is *planning*: the MIP
- * partition search plus the cross-mapping permutation sweep take
- * 10-100ms wall per (model, topology) pair, an order of magnitude
- * more than simulating the step itself (PR 6 made the simulator that
- * fast). A homogeneous fleet of 200 jobs would re-solve the same
- * plan 200 times. planMobius() is a pure function of its inputs, so
- * the fleet memoizes it: jobs are keyed by a canonical string of
- * every planner-relevant input (fleet/job.hh jobPlanKey()) and the
- * solve runs once per distinct key.
+ * partition search takes ~9 ms wall per (model, topology) pair
+ * (GPT-3B on a 2+2 box, where cross mapping adds ~11 us), about
+ * three times the cost of simulating the step itself. A homogeneous
+ * fleet of 200 jobs would re-solve the same plan 200 times.
+ * planMobius() is a pure function of its inputs, so the fleet
+ * memoizes it: jobs are keyed by a canonical string of every
+ * planner-relevant input (fleet/job.hh jobPlanKey()) and the solve
+ * runs once per distinct key.
  *
  * The cache is *single-flight*: concurrent get()s for the same key
  * (parallel job pump workers simulating identical jobs) block on one

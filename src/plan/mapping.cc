@@ -1,7 +1,7 @@
 #include "plan/mapping.hh"
 
-#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <numeric>
 
 #include "base/logging.hh"
@@ -72,22 +72,60 @@ crossMapping(const Topology &topo, int num_stages)
     using clock = std::chrono::steady_clock;
     auto t0 = clock::now();
 
+    const int n = topo.numGpus();
+    if (n == 0)
+        panic("crossMapping: topology has no GPUs");
     auto shared = sharedTable(topo);
-    std::vector<int> order(static_cast<std::size_t>(topo.numGpus()));
-    std::iota(order.begin(), order.end(), 0);
+
+    // shared() is the root-complex group size or 0, so Eq. 13 depends
+    // only on the sequence of group labels along the order: two orders
+    // with one label sequence add the same terms in the same order and
+    // score bit-identically. Each sequence is scored once, as its
+    // canonical order: the lexicographically smallest one, which takes
+    // each group's GPUs in ascending order.
+    //
+    // group[g] is the lowest GPU sharing g's root complex and rank[g]
+    // the number of GPUs of that group below g.
+    std::vector<int> group(static_cast<std::size_t>(n), 0);
+    std::vector<int> rank(group.size());
+    std::vector<int> placed(group.size(), 0);
+    for (int g = 0; g < n; ++g) {
+        while (shared[group[g]][g] == 0)
+            ++group[g];
+        rank[g] = placed[group[g]]++;
+    }
+    placed.assign(placed.size(), 0);
 
     MappingResult result;
+    std::vector<int> order(static_cast<std::size_t>(n));
     double best = std::numeric_limits<double>::infinity();
-    // Permutations are generated in lexicographic order, so ties
-    // resolve to the lexicographically smallest order: deterministic.
-    do {
-        ++result.evaluated;
-        double d = degree(shared, order, num_stages);
-        if (d < best - 1e-12) {
-            best = d;
-            result.mapping.gpuOrder = order;
+    // Depth first, each position tries the groups' lowest unused GPUs
+    // in ascending order, so canonical orders come out in
+    // lexicographic order. Any other order repeats the score of a
+    // lexicographically smaller canonical one and so could never pass
+    // the strict test below: the result equals that of scoring all n!
+    // orders, with ties going to the lexicographically smallest.
+    auto visit = [&](auto &self, int pos) -> void {
+        if (pos == n) {
+            ++result.evaluated;
+            double d = degree(shared, order, num_stages);
+            if (d < best - 1e-12) {
+                best = d;
+                result.mapping.gpuOrder = order;
+            }
+            return;
         }
-    } while (std::next_permutation(order.begin(), order.end()));
+        for (int g = 0; g < n; ++g) {
+            // Only a group's lowest unused GPU may come next.
+            if (placed[group[g]] != rank[g])
+                continue;
+            order[pos] = g;
+            ++placed[group[g]];
+            self(self, pos + 1);
+            --placed[group[g]];
+        }
+    };
+    visit(visit, 0);
 
     result.mapping.contention = best;
     result.searchSeconds =

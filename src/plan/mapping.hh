@@ -4,8 +4,10 @@
  *
  * Stages are assigned round-robin over a GPU *order*; the order is
  * what distinguishes sequential mapping (identity) from cross mapping
- * (the order minimising the contention degree of Eq. 12/13, found by
- * exhaustive search over GPU permutations).
+ * (the order minimising the contention degree of Eq. 12/13). Eq. 13
+ * depends only on the sequence of root-complex labels along an order,
+ * so cross mapping searches exhaustively over those label sequences,
+ * one canonical order each, rather than over all GPU permutations.
  */
 
 #ifndef MOBIUS_PLAN_MAPPING_HH
@@ -54,10 +56,17 @@ struct MappingResult
 {
     Mapping mapping;            //!< the chosen order
     double searchSeconds = 0.0; //!< wall-clock spent searching
-    int evaluated = 0;          //!< permutations scored
+    int evaluated = 0;          //!< canonical orders scored
 };
 
-/** §3.3 cross mapping: the permutation with minimal Eq. 13 score. */
+/**
+ * §3.3 cross mapping: the GPU order with minimal Eq. 13 score, ties
+ * going to the lexicographically smallest order. Scores one canonical
+ * order per distinct root-complex label sequence (each group's GPUs
+ * in ascending order), N!/(n1!·n2!·...) for groups of n1, n2, ...
+ * GPUs; the result is bit-identical to scoring all N! permutations.
+ * panic() on a topology without GPUs.
+ */
 MappingResult crossMapping(const Topology &topo, int num_stages);
 
 } // namespace mobius

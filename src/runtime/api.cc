@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "base/logging.hh"
+#include "obs/prof.hh"
 #include "simcore/trace.hh"
 
 namespace mobius
@@ -25,22 +26,20 @@ Workload::Workload(const GptConfig &cfg, const Server &server,
         *model_, server.topo.gpuSpec(0), train_);
 }
 
-MobiusPlan
-planMobius(const Server &server, const CostModel &cost,
-           const PlanOptions &opts)
+namespace
 {
-    MobiusPlan plan;
-    const int n = server.topo.numGpus();
 
-    // 1. Profile (layer similarity keeps this flat across depths).
-    ProfileResult prof = profileModel(cost, opts.profiler);
-    plan.profilingSeconds = prof.profilingTime;
-    plan.profiledLayers = prof.profiledLayers;
-
-    // 2. Partition via the chosen algorithm under the Eq. 3-11
-    //    objective.
+/**
+ * planMobius() step 2: partition with opts.partition under the
+ * Eq. 3-11 objective; fatal() when no feasible partition is found.
+ */
+PartitionResult
+partitionStages(const Server &server, const CostModel &cost,
+                const PlanOptions &opts)
+{
+    MOBIUS_PROF_ZONE("plan.partition");
     PipelineEnv env;
-    env.numGpus = n;
+    env.numGpus = server.topo.numGpus();
     env.gpuMemBytes = server.topo.gpuSpec(0).memBytes;
     env.avgBandwidth =
         opts.avgBandwidth > 0 ? opts.avgBandwidth : kPcie3x16Bw;
@@ -85,11 +84,34 @@ planMobius(const Server &server, const CostModel &cost,
         fatal("%s partition infeasible: %s", name,
               part.estimate.infeasibleReason.c_str());
     }
+    return part;
+}
+
+} // namespace
+
+MobiusPlan
+planMobius(const Server &server, const CostModel &cost,
+           const PlanOptions &opts)
+{
+    MobiusPlan plan;
+
+    // 1. Profile (layer similarity keeps this flat across depths).
+    {
+        MOBIUS_PROF_ZONE("plan.profile");
+        ProfileResult prof = profileModel(cost, opts.profiler);
+        plan.profilingSeconds = prof.profilingTime;
+        plan.profiledLayers = prof.profiledLayers;
+    }
+
+    // 2. Partition via the chosen algorithm under the Eq. 3-11
+    //    objective.
+    PartitionResult part = partitionStages(server, cost, opts);
     plan.partition = std::move(part.partition);
     plan.estimate = std::move(part.estimate);
     plan.solveSeconds = part.solveSeconds;
 
     // 3. Map stages to GPUs.
+    MOBIUS_PROF_ZONE("plan.mapping");
     if (opts.mapping == MappingAlgo::Cross) {
         MappingResult cross =
             crossMapping(server.topo, plan.stageCount());

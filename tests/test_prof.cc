@@ -3,8 +3,8 @@
  * Host self-profiler tests (obs/prof.hh): exact nested self-time
  * accounting under deterministic clocks, byte-identical merged
  * output across JobPump thread widths, allocation-free zones when
- * disabled (and in the enabled steady state), and the prof.* metrics
- * export.
+ * disabled (and in the enabled steady state), the prof.* metrics
+ * export, and one zone per planMobius() phase.
  */
 
 #include <atomic>
@@ -16,6 +16,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
+#include "runtime/api.hh"
 #include "simcore/job_pump.hh"
 
 // Global allocation counter for the allocation-free-zone tests.
@@ -238,6 +239,29 @@ TEST(Prof, EnabledSteadyStateAllocatesNothing)
     for (int i = 0; i < 1000; ++i)
         zoneOnce();
     EXPECT_EQ(g_new_calls.load(std::memory_order_relaxed), before);
+}
+
+TEST(Prof, PlanMobiusZonesEachPlannerPhaseOnce)
+{
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt8b(), server);
+    ProfSandbox sandbox;
+    planMobius(server, work.cost());
+    prof::setEnabled(false);
+    prof::Snapshot snap = prof::snapshot();
+
+    // The three phases run one after another, each a root zone.
+    for (const char *phase :
+         {"plan.profile", "plan.partition", "plan.mapping"}) {
+        int rows = 0;
+        for (const prof::ZoneStats &z : snap.zones) {
+            if (z.path != phase)
+                continue;
+            ++rows;
+            EXPECT_EQ(z.count, 1u) << phase;
+        }
+        EXPECT_EQ(rows, 1) << phase;
+    }
 }
 
 TEST(Prof, MetricsExportCarriesZonesAndRollups)
