@@ -20,12 +20,12 @@ namespace
 
 double
 runWith(const Server &server, const Workload &work,
-        const Partition &p, const Mapping &m,
-        MobiusExecutorConfig cfg)
+        const MobiusPlan &plan, MobiusExecutorConfig cfg)
 {
-    RunContext ctx(server);
-    MobiusExecutor exec(ctx, work.cost(), p, m, cfg);
-    return exec.run().stepTime;
+    StepRunOptions opts;
+    opts.exec.mobius = cfg;
+    return runStep(System::Mobius, server, work.cost(), &plan, opts)
+        .stats.stepTime;
 }
 
 } // namespace
@@ -41,12 +41,12 @@ main(int argc, char **argv)
         std::printf("%8s %12s %16s\n", "stages", "step time",
                     "layers/stage");
         for (int stages : {43, 22, 15, 11, 8, 6, 5}) {
-            Partition p = uniformPartition(
-                work.cost().numLayers(), stages);
-            Mapping m =
-                crossMapping(server.topo, stages).mapping;
+            MobiusPlan plan;
+            plan.partition =
+                uniformPartition(work.cost().numLayers(), stages);
+            plan.mapping = crossMapping(server.topo, stages).mapping;
             try {
-                double t = runWith(server, work, p, m, {});
+                double t = runWith(server, work, plan, {});
                 std::printf("%8d %11.2fs %16.1f\n", stages, t,
                             43.0 / stages);
             } catch (const FatalError &) {
@@ -64,14 +64,15 @@ main(int argc, char **argv)
               std::vector<int>{4}}) {
             Server server = makeCommodityServer(groups);
             Workload work(gpt15b(), server, 4);
-            Partition p = uniformPartition(
-                work.cost().numLayers(), 11);
-            Mapping m = crossMapping(server.topo, 11).mapping;
+            MobiusPlan plan;
+            plan.partition =
+                uniformPartition(work.cost().numLayers(), 11);
+            plan.mapping = crossMapping(server.topo, 11).mapping;
             double t[3];
             for (int la = 0; la < 3; ++la) {
                 MobiusExecutorConfig cfg;
                 cfg.prefetchLookahead = la;
-                t[la] = runWith(server, work, p, m, cfg);
+                t[la] = runWith(server, work, plan, cfg);
             }
             std::printf("%-24s %9.2fs %9.2fs %9.2fs\n",
                         server.name.c_str(), t[0], t[1], t[2]);
@@ -99,8 +100,7 @@ main(int argc, char **argv)
               Tier{"SATA SSD (0.5 GB/s)", 0.5e9}}) {
             MobiusExecutorConfig cfg;
             cfg.weightSourceRateCap = tier.cap;
-            double t = runWith(server, work, plan.partition,
-                               plan.mapping, cfg);
+            double t = runWith(server, work, plan, cfg);
             std::printf("%-26s %11.2fs\n", tier.name, t);
         }
         std::printf("(the paper's §3.1 rationale for DRAM-only "
@@ -117,10 +117,8 @@ main(int argc, char **argv)
         reload.keepResidentTail = false;
         std::printf("keep tail resident: %.2fs, reload at "
                     "boundary: %.2fs\n",
-                    runWith(server, work, plan.partition,
-                            plan.mapping, keep),
-                    runWith(server, work, plan.partition,
-                            plan.mapping, reload));
+                    runWith(server, work, plan, keep),
+                    runWith(server, work, plan, reload));
     }
 
     bench::section(
@@ -136,7 +134,7 @@ main(int argc, char **argv)
             try {
                 MobiusPlan plan = planMobius(server, cost);
                 StepStats s =
-                    runMobiusStep(server, cost, plan);
+                    runStep(System::Mobius, server, cost, &plan).stats;
                 std::printf("checkpointing %-5s step %.2fs "
                             "(bwd/fwd compute ratio %.0f%%)\n",
                             ckpt ? "on" : "off", s.stepTime,
@@ -153,9 +151,11 @@ main(int argc, char **argv)
         Server server = makeCommodityServer({2, 2});
         Workload work(gpt15b(), server);
         for (bool sync : {true, false}) {
-            ZeroExecutorConfig cfg;
-            cfg.layerSync = sync;
-            StepStats s = runZeroStep(server, work.cost(), cfg);
+            StepRunOptions opts;
+            opts.exec.zero.layerSync = sync;
+            StepStats s = runStep(System::DeepSpeed, server,
+                                  work.cost(), nullptr, opts)
+                              .stats;
             std::printf("layer sync %-5s step %.2fs\n",
                         sync ? "on" : "off", s.stepTime);
         }

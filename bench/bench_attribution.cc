@@ -58,35 +58,22 @@ struct AttribResult
     StepAttribution attrib;
 };
 
-/** Run one Mobius step on an explicit partition + mapping. */
+/**
+ * Run one step of @p system (Mobius on @p plan, which may carry a
+ * hand-picked mapping) and attribute it.
+ */
 AttribResult
-runMobiusAttrib(const GptConfig &cfg, const Server &server,
-                const Partition &part, const Mapping &map,
-                const std::string &mapping_name)
+runAttrib(System system, const GptConfig &cfg, const Server &server,
+          const MobiusPlan *plan = nullptr,
+          const std::string &mapping_name = "")
 {
     Workload work(cfg, server);
     RunContext ctx(server);
-    MobiusExecutor exec(ctx, work.cost(), part, map);
     AttribResult r;
-    r.system = "mobius";
+    r.system = systemName(system);
     r.mapping = mapping_name;
     r.model = cfg.name;
-    r.stats = exec.run();
-    r.attrib = attributeStep(ctx.trace());
-    return r;
-}
-
-/** Run one ZeRO-3 + heterogeneous-memory baseline step. */
-AttribResult
-runZeroAttrib(const GptConfig &cfg, const Server &server)
-{
-    Workload work(cfg, server);
-    RunContext ctx(server);
-    ZeroHeteroExecutor exec(ctx, work.cost());
-    AttribResult r;
-    r.system = "deepspeed";
-    r.model = cfg.name;
-    r.stats = exec.run();
+    r.stats = runStep(ctx, system, work.cost(), plan);
     r.attrib = attributeStep(ctx.trace());
     return r;
 }
@@ -162,19 +149,19 @@ main(int argc, char **argv)
         for (const GptConfig &cfg : models) {
             // One partition, two mappings: the Eq. 12-13 claim is
             // about GPU placement, so hold the stage split fixed.
+            // planMobius() maps by cross mapping by default.
             Workload work(cfg, server);
             MobiusPlan plan = planMobius(server, work.cost());
-            const int stages = plan.stageCount();
-            Mapping seq =
-                sequentialMapping(server.topo, stages);
-            Mapping cross =
-                crossMapping(server.topo, stages).mapping;
+            MobiusPlan seq = plan;
+            seq.mapping =
+                sequentialMapping(server.topo, plan.stageCount());
 
-            AttribResult rSeq = runMobiusAttrib(
-                cfg, server, plan.partition, seq, "seq");
-            AttribResult rCross = runMobiusAttrib(
-                cfg, server, plan.partition, cross, "cross");
-            AttribResult rZero = runZeroAttrib(cfg, server);
+            AttribResult rSeq =
+                runAttrib(System::Mobius, cfg, server, &seq, "seq");
+            AttribResult rCross = runAttrib(System::Mobius, cfg,
+                                            server, &plan, "cross");
+            AttribResult rZero =
+                runAttrib(System::DeepSpeed, cfg, server);
             printRow(rSeq);
             printRow(rCross);
             printRow(rZero);

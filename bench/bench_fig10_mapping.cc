@@ -34,11 +34,11 @@ main(int argc, char **argv)
             seq.mapping = MappingAlgo::Sequential;
             PlanOptions cross;
             cross.mapping = MappingAlgo::Cross;
-            double ts = bench::runMobius(c.cfg, server, mbs, -1,
-                                         seq)
+            double ts = bench::run(System::Mobius, c.cfg, server,
+                                   mbs, -1, seq)
                             .stats.stepTime;
-            double tc = bench::runMobius(c.cfg, server, mbs, -1,
-                                         cross)
+            double tc = bench::run(System::Mobius, c.cfg, server,
+                                   mbs, -1, cross)
                             .stats.stepTime;
             std::printf("%4d %13.2fs %13.2fs %13.3f\n", mbs, ts,
                         tc, tc / ts);

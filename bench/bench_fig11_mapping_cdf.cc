@@ -33,9 +33,11 @@ main(int argc, char **argv)
             PlanOptions cross;
             cross.mapping = MappingAlgo::Cross;
             auto rs =
-                bench::runMobius(c.cfg, server, mbs, -1, seq);
+                bench::run(System::Mobius, c.cfg, server, mbs, -1,
+                           seq);
             auto rc =
-                bench::runMobius(c.cfg, server, mbs, -1, cross);
+                bench::run(System::Mobius, c.cfg, server, mbs, -1,
+                           cross);
             std::printf(" mbs = %d\n", mbs);
             bench::printCdf("  sequential",
                             rs.stats.traffic.samples());

@@ -26,7 +26,8 @@ main(int argc, char **argv)
     for (int gpus = 2; gpus <= 16; ++gpus) {
         Server server =
             makeCommodityServer({gpus / 2, gpus - gpus / 2});
-        auto r = bench::runMobius(gpt15b(), server, 1, gpus);
+        auto r =
+            bench::run(System::Mobius, gpt15b(), server, 1, gpus);
         double throughput = gpus / r.stats.stepTime;
         if (gpus == 2)
             base = throughput / 2.0;

@@ -42,7 +42,7 @@ main(int argc, char **argv)
     };
     PlanCache cache;
     auto run = [&](const GptConfig &cfg, bool on_dc,
-                   JobSystem system) {
+                   System system) {
         JobSpec spec;
         spec.model = cfg;
         spec.system = system;
@@ -58,10 +58,10 @@ main(int argc, char **argv)
     std::vector<std::vector<Cell>> cells;
     for (const auto &cfg : {gpt8b(), gpt15b()}) {
         std::vector<Cell> row{
-            run(cfg, true, JobSystem::DeepSpeed),
-            run(cfg, false, JobSystem::DeepSpeed),
-            run(cfg, true, JobSystem::Mobius),
-            run(cfg, false, JobSystem::Mobius)};
+            run(cfg, true, System::DeepSpeed),
+            run(cfg, false, System::DeepSpeed),
+            run(cfg, true, System::Mobius),
+            run(cfg, false, System::Mobius)};
         std::printf("%-10s %13.2fs %11.2fs %13.2fs %11.2fs\n",
                     cfg.name.c_str(), row[0].t, row[1].t, row[2].t,
                     row[3].t);

@@ -24,7 +24,7 @@ namespace
 
 /** Step stats of one DC fleet job (they carry the traffic CDF). */
 StepStats
-runDcJob(const GptConfig &cfg, JobSystem system, PlanCache &cache)
+runDcJob(const GptConfig &cfg, System system, PlanCache &cache)
 {
     JobSpec spec;
     spec.model = cfg;
@@ -45,8 +45,8 @@ main(int argc, char **argv)
     PlanCache cache;
     for (const auto &cfg : {gpt8b(), gpt15b()}) {
         std::printf("\n--- %s ---\n", cfg.name.c_str());
-        StepStats ds = runDcJob(cfg, JobSystem::DeepSpeed, cache);
-        StepStats mob = runDcJob(cfg, JobSystem::Mobius, cache);
+        StepStats ds = runDcJob(cfg, System::DeepSpeed, cache);
+        StepStats mob = runDcJob(cfg, System::Mobius, cache);
         auto ds_host = bench::hostSamples(ds);
         auto mob_host = bench::hostSamples(mob);
         bench::printCdf("DeepSpeed (host flows)", ds_host);

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     bench::section(
         "Figure 2: DeepSpeed bandwidth CDF, 15B on 4x3090-Ti (2+2)");
     Server server = makeCommodityServer({2, 2});
-    auto r = bench::runDeepSpeed(gpt15b(), server);
+    auto r = bench::run(System::DeepSpeed, gpt15b(), server);
 
     BandwidthCdf cdf(r.stats.traffic.samples());
     std::printf("%10s %10s\n", "GB/s", "CDF");

@@ -37,12 +37,11 @@ main(int argc, char **argv)
         for (const auto &topo : topos) {
             Server server =
                 makeCommodityServer(parseTopoGroups(topo));
-            auto gpipe = bench::runPipeline(
-                cfg, server, PipelineSchedule::GPipe);
-            auto dspipe = bench::runPipeline(
-                cfg, server, PipelineSchedule::OneFOneB);
-            auto ds = bench::runDeepSpeed(cfg, server);
-            auto mob = bench::runMobius(cfg, server);
+            auto gpipe = bench::runOrOom(System::GPipe, cfg, server);
+            auto dspipe =
+                bench::runOrOom(System::DsPipeline, cfg, server);
+            auto ds = bench::run(System::DeepSpeed, cfg, server);
+            auto mob = bench::run(System::Mobius, cfg, server);
             double speedup =
                 ds.stats.stepTime / mob.stats.stepTime;
             std::printf("%-10s %10s %14s %12s %10s %8.2fx\n",

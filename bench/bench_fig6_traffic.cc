@@ -24,8 +24,8 @@ main(int argc, char **argv)
     for (const auto &cfg : {gpt8b(), gpt15b(), gpt51b()}) {
         Workload work(cfg, server);
         Bytes p32 = work.model().totalParamBytesFp32();
-        auto ds = bench::runDeepSpeed(cfg, server);
-        auto mob = bench::runMobius(cfg, server);
+        auto ds = bench::run(System::DeepSpeed, cfg, server);
+        auto mob = bench::run(System::Mobius, cfg, server);
         std::printf("%-10s %14s %14s %14s %8.2fx %8.2fx\n",
                     cfg.name.c_str(), formatBytes(p32).c_str(),
                     formatBytes(ds.stats.traffic.totalBytes())
@@ -37,7 +37,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\nMobius traffic breakdown (15B):\n");
-    auto mob = bench::runMobius(gpt15b(), server);
+    auto mob = bench::run(System::Mobius, gpt15b(), server);
     for (auto kind :
          {TrafficKind::Parameter, TrafficKind::Activation,
           TrafficKind::ActivationGrad, TrafficKind::Gradient}) {

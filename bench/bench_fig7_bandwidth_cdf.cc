@@ -22,8 +22,8 @@ main(int argc, char **argv)
         for (const std::string topo : {"4", "2+2", "1+3"}) {
             Server server =
                 makeCommodityServer(parseTopoGroups(topo));
-            auto ds = bench::runDeepSpeed(cfg, server);
-            auto mob = bench::runMobius(cfg, server);
+            auto ds = bench::run(System::DeepSpeed, cfg, server);
+            auto mob = bench::run(System::Mobius, cfg, server);
             bench::printCdf("DeepSpeed Topo " + topo,
                             ds.stats.traffic.samples());
             bench::printCdf("Mobius    Topo " + topo,

@@ -24,8 +24,8 @@ main(int argc, char **argv)
         for (const std::string topo : {"4", "2+2", "1+3"}) {
             Server server =
                 makeCommodityServer(parseTopoGroups(topo));
-            auto ds = bench::runDeepSpeed(cfg, server);
-            auto mob = bench::runMobius(cfg, server);
+            auto ds = bench::run(System::DeepSpeed, cfg, server);
+            auto mob = bench::run(System::Mobius, cfg, server);
             double d = ds.stats.exposedCommFraction();
             double m = mob.stats.exposedCommFraction();
             std::printf("%-10s %-10s %11.1f%% %11.1f%% %11.1f%%\n",

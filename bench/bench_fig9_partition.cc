@@ -35,8 +35,8 @@ main(int argc, char **argv)
             auto run = [&](PartitionAlgo algo) {
                 PlanOptions opts;
                 opts.partition = algo;
-                return bench::runMobius(c.cfg, server, mbs, -1,
-                                        opts)
+                return bench::run(System::Mobius, c.cfg, server,
+                                  mbs, -1, opts)
                     .stats.stepTime;
             };
             double mip = run(PartitionAlgo::Mip);

@@ -129,7 +129,7 @@ timedRun(FleetSim &sim)
  *  cache, and section 4 inspects sims after their run. */
 std::unique_ptr<FleetSim>
 makeHomogeneous(int jobs, int threads, bool plan_cache,
-                JobSystem system, FleetTraceConfig trace = {})
+                System system, FleetTraceConfig trace = {})
 {
     FleetOptions opts;
     opts.servers = commodityFleet(4);
@@ -150,7 +150,7 @@ makeHomogeneous(int jobs, int threads, bool plan_cache,
 /** Build, fill, and run the section-1 homogeneous fleet. */
 FleetRun
 runHomogeneous(int jobs, int threads, bool plan_cache,
-               JobSystem system)
+               System system)
 {
     auto sim = makeHomogeneous(jobs, threads, plan_cache, system);
     return timedRun(*sim);
@@ -256,7 +256,7 @@ main(int argc, char **argv)
                               jobs));
 
         FleetRun uncached = runHomogeneous(
-            jobs, 1, false, JobSystem::Mobius);
+            jobs, 1, false, System::Mobius);
         std::printf("\n  uncached serial: %6.2fs wall, %6.2fs cpu "
                     "(%5.1f jobs/sec)\n",
                     uncached.wall, uncached.cpu,
@@ -267,7 +267,7 @@ main(int argc, char **argv)
         if (!no_cache) {
             for (int w : widths) {
                 cached.push_back(runHomogeneous(
-                    jobs, w, true, JobSystem::Mobius));
+                    jobs, w, true, System::Mobius));
                 const FleetRun &r = cached.back();
                 std::printf("  cached %2d-thread: %6.2fs wall, "
                             "%6.2fs cpu (%5.1f jobs/sec, hit rate "
@@ -324,8 +324,8 @@ main(int argc, char **argv)
         bench::runParallel(2, threads, "fleets", [&](int i) {
             mix[static_cast<std::size_t>(i)] = runHomogeneous(
                 mix_jobs, 1, true,
-                i == 0 ? JobSystem::Mobius
-                       : JobSystem::DeepSpeed);
+                i == 0 ? System::Mobius
+                       : System::DeepSpeed);
         });
         const FleetMetrics &fm = mix[0].m;
         const FleetMetrics &fz = mix[1].m;
@@ -380,14 +380,14 @@ main(int argc, char **argv)
         std::unique_ptr<FleetSim> traced_homo;
         for (int rep = 0; rep < 2; ++rep) {
             auto sim = makeHomogeneous(jobs, 1, true,
-                                       JobSystem::Mobius);
+                                       System::Mobius);
             FleetRun r = timedRun(*sim);
             base_cpu = std::min(base_cpu, r.cpu);
             base_m = r.m;
         }
         for (int rep = 0; rep < 2; ++rep) {
             traced_homo = makeHomogeneous(jobs, 1, true,
-                                          JobSystem::Mobius, tcfg);
+                                          System::Mobius, tcfg);
             FleetRun r = timedRun(*traced_homo);
             traced_cpu = std::min(traced_cpu, r.cpu);
             traced_m = r.m;

@@ -30,13 +30,12 @@ main(int argc, char **argv)
                     "Mobius", "TensorParallel", "TP/Mobius",
                     "Mobius traffic", "TP traffic");
         for (int mbs : {1, 2, 4, 8}) {
-            Workload work(cfg, server, mbs);
-            MobiusPlan plan = planMobius(server, work.cost());
             StepStats mob =
-                runMobiusStep(server, work.cost(), plan);
+                bench::run(System::Mobius, cfg, server, mbs).stats;
             try {
                 StepStats tp =
-                    runTensorParallelStep(server, work.cost());
+                    bench::run(System::TensorParallel, cfg, server, mbs)
+                        .stats;
                 std::printf(
                     "%4d %11.2fs %15.2fs %12.2f %14s %14s\n", mbs,
                     mob.stepTime, tp.stepTime,
@@ -51,15 +50,14 @@ main(int argc, char **argv)
     }
 
     std::printf("\nScale limit:\n");
-    Workload w51(gpt51b(), server);
     try {
-        runTensorParallelStep(server, w51.cost());
+        bench::run(System::TensorParallel, gpt51b(), server);
         std::printf("  51B TP: ran (unexpected)\n");
     } catch (const FatalError &e) {
         std::printf("  51B TP: OOM (%s)\n", e.what());
     }
-    MobiusPlan plan51 = planMobius(server, w51.cost());
     std::printf("  51B Mobius: %.2f s per step\n",
-                runMobiusStep(server, w51.cost(), plan51).stepTime);
+                bench::run(System::Mobius, gpt51b(), server)
+                    .stats.stepTime);
     return 0;
 }

@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,30 +124,25 @@ pipelineOrderHolds(TraceRecorder &trace, int stages, int mbs)
 }
 
 /**
- * Run one step of @p system ("mobius" | "deepspeed") under @p plan
- * (may be empty for a clean run). The Mobius plan is computed once
- * by the caller and held fixed so the sweep isolates the fault
- * model, not the planner's reaction to it.
+ * Run one step of @p system under @p faults (may be empty for a
+ * clean run). Mobius executes @p plan, computed once by the caller
+ * and held fixed so the sweep isolates the fault model, not the
+ * planner's reaction to it, and its trace is checked for Eq. 8-11.
  */
 FaultedStep
-runStep(const std::string &system, const Server &server,
-        const Workload &work, const MobiusPlan &plan,
-        const FaultPlan &faults, std::uint64_t seed)
+faultedStep(System system, const Server &server, const Workload &work,
+            const MobiusPlan *plan, const FaultPlan &faults,
+            std::uint64_t seed)
 {
-    RunContext ctx(server, {}, 0.0, nullptr, {},
-                   faults.empty() ? nullptr : &faults, seed);
+    RunContext ctx(server,
+                   {.faults = faults.empty() ? nullptr : &faults,
+                    .faultSeed = seed});
     FaultedStep r;
-    if (system == "mobius") {
-        MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                            plan.mapping);
-        r.stepTime = exec.run().stepTime;
+    r.stepTime = runStep(ctx, system, work.cost(), plan).stepTime;
+    if (plan)
         r.orderOk = pipelineOrderHolds(
-            ctx.trace(), plan.stageCount(),
+            ctx.trace(), plan->stageCount(),
             work.cost().cfg().numMicrobatches);
-    } else {
-        ZeroHeteroExecutor exec(ctx, work.cost());
-        r.stepTime = exec.run().stepTime;
-    }
     if (ctx.faults())
         r.counters = ctx.faults()->counters();
     return r;
@@ -167,7 +163,7 @@ struct GoodputCurve
 {
     std::string model;
     std::string topo;
-    std::string system;
+    System system = System::Mobius;
     double cleanStepTime = 0.0;
     bool orderOk = true;
     std::vector<GoodputPoint> points;
@@ -175,8 +171,7 @@ struct GoodputCurve
 
 GoodputCurve
 runGoodputCurve(const GptConfig &cfg, const std::vector<int> &groups,
-                const std::string &topo_name,
-                const std::string &system)
+                const std::string &topo_name, System system)
 {
     GoodputCurve r;
     r.model = cfg.name;
@@ -185,12 +180,13 @@ runGoodputCurve(const GptConfig &cfg, const std::vector<int> &groups,
 
     Server server = makeCommodityServer(groups);
     Workload work(cfg, server);
-    MobiusPlan plan;
-    if (system == "mobius")
+    std::optional<MobiusPlan> plan;
+    if (system == System::Mobius)
         plan = planMobius(server, work.cost());
+    const MobiusPlan *fixed = plan ? &*plan : nullptr;
 
     FaultedStep clean =
-        runStep(system, server, work, plan, {}, kFaultSeed);
+        faultedStep(system, server, work, fixed, {}, kFaultSeed);
     r.cleanStepTime = clean.stepTime;
     r.orderOk = clean.orderOk;
 
@@ -205,8 +201,8 @@ runGoodputCurve(const GptConfig &cfg, const std::vector<int> &groups,
             fp.xfailProb = rate;
             fp.retryBudget = kRetryBudget;
             fp.retryBackoff = kRetryBackoff;
-            FaultedStep s = runStep(system, server, work, plan, fp,
-                                    kFaultSeed);
+            FaultedStep s = faultedStep(system, server, work, fixed,
+                                        fp, kFaultSeed);
             p.stepTime = s.stepTime;
             p.goodput = clean.stepTime / s.stepTime;
             p.failures = s.counters.failures;
@@ -249,8 +245,8 @@ runRecoveryCurve(const GptConfig &cfg, const std::vector<int> &groups,
         fp.checkpointCost = clean_step * 0.005;
         fp.restartCost = clean_step * 0.02;
         fp.crashes.push_back({1, clean_step * 0.37});
-        FaultedStep s = runStep("mobius", server, work, plan, fp,
-                                kFaultSeed);
+        FaultedStep s = faultedStep(System::Mobius, server, work,
+                                    &plan, fp, kFaultSeed);
         RecoveryPoint p;
         p.interval = fp.checkpointInterval;
         p.stepTime = s.stepTime;
@@ -266,7 +262,7 @@ void
 printGoodputCurve(const GoodputCurve &r)
 {
     std::printf("\n  %s / %s / %s: clean %.3fs, order %s\n",
-                r.model.c_str(), r.topo.c_str(), r.system.c_str(),
+                r.model.c_str(), r.topo.c_str(), systemName(r.system),
                 r.cleanStepTime,
                 r.orderOk ? "ok" : "VIOLATED");
     std::printf("    %8s %10s %8s %9s %8s\n", "rate", "step", "goodput",
@@ -283,7 +279,7 @@ goodputCurveJson(const GoodputCurve &r)
 {
     std::string json = "{\"model\":\"" + r.model + "\"";
     json += ",\"topo\":\"" + r.topo + "\"";
-    json += ",\"system\":\"" + r.system + "\"";
+    json += strfmt(",\"system\":\"%s\"", systemName(r.system));
     json += strfmt(",\"clean_step_time\":%.17g", r.cleanStepTime);
     json += ",\"order_ok\":";
     json += r.orderOk ? "true" : "false";
@@ -336,11 +332,11 @@ main(int argc, char **argv)
         struct Job
         {
             Config config;
-            std::string system;
+            System system;
         };
         std::vector<Job> jobs;
         for (const Config &c : configs)
-            for (const char *system : {"mobius", "deepspeed"})
+            for (System system : {System::Mobius, System::DeepSpeed})
                 jobs.push_back({c, system});
 
         std::vector<GoodputCurve> curves(jobs.size());
@@ -359,7 +355,7 @@ main(int argc, char **argv)
         const GoodputCurve *mob = nullptr, *zero = nullptr;
         for (const GoodputCurve &r : curves) {
             if (r.model == gpt8b().name && r.topo == "2+2") {
-                (r.system == "mobius" ? mob : zero) = &r;
+                (r.system == System::Mobius ? mob : zero) = &r;
             }
         }
         bool goodput_ok = mob && zero;
@@ -378,7 +374,7 @@ main(int argc, char **argv)
         // every faulted Mobius trace.
         bool order_ok = true;
         for (const GoodputCurve &r : curves)
-            if (r.system == "mobius")
+            if (r.system == System::Mobius)
                 order_ok = order_ok && r.orderOk;
 
         // Gate 3: a fixed fault seed is bit-identical across
@@ -393,10 +389,10 @@ main(int argc, char **argv)
             fp.xfailProb = 0.02;
             fp.retryBudget = kRetryBudget;
             fp.retryBackoff = kRetryBackoff;
-            FaultedStep a = runStep("mobius", server, work, plan,
-                                    fp, kFaultSeed);
-            FaultedStep b = runStep("mobius", server, work, plan,
-                                    fp, kFaultSeed);
+            FaultedStep a = faultedStep(System::Mobius, server, work,
+                                        &plan, fp, kFaultSeed);
+            FaultedStep b = faultedStep(System::Mobius, server, work,
+                                        &plan, fp, kFaultSeed);
             deterministic = a.stepTime == b.stepTime &&
                 a.counters.failures == b.counters.failures &&
                 a.counters.retries == b.counters.retries &&

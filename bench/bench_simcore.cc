@@ -225,13 +225,12 @@ runFairShare(bool cross_check)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    TransferEngineConfig xcfg;
-    xcfg.fairShareCrossCheck = cross_check;
-    RunContext ctx(server, xcfg);
-    MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                        plan.mapping);
+    RunContextOptions opts;
+    opts.xfer.fairShareCrossCheck = cross_check;
+    RunContext ctx(server, opts);
     FairShareRun r;
-    r.stepTime = exec.run().stepTime;
+    r.stepTime =
+        runStep(ctx, System::Mobius, work.cost(), &plan).stepTime;
     r.activity = ctx.xfer().fairShareActivity();
     return r;
 }
@@ -249,11 +248,8 @@ profStep()
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    RunContext ctx(server, {});
-    MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                        plan.mapping);
-    exec.run();
-    return spanFingerprint(ctx.trace());
+    return runStep(System::Mobius, server, work.cost(), &plan)
+        .spanHash;
 }
 
 /** Per-replica fingerprint compared across thread counts. */
@@ -299,13 +295,15 @@ runBatch(int replicas, int threads, const MobiusPlan &plan)
             fp.xfailProb = 0.01;
             fp.retryBudget = 10;
             fp.retryBackoff = 1e-4;
-            RunContext ctx(server, {}, 0.0, nullptr, {}, &fp,
-                           1000 + static_cast<std::uint64_t>(i));
-            MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                                plan.mapping);
+            RunContext ctx(
+                server,
+                {.faults = &fp,
+                 .faultSeed = 1000 + static_cast<std::uint64_t>(i)});
             ReplicaOut &out =
                 b.outs[static_cast<std::size_t>(i)];
-            out.stepTime = exec.run().stepTime;
+            out.stepTime =
+                runStep(ctx, System::Mobius, work.cost(), &plan)
+                    .stepTime;
             out.spans = ctx.trace().spanCount();
             out.failures = ctx.faults()->counters().failures;
         },

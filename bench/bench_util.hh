@@ -12,6 +12,7 @@
 #include <cstring>
 #include <ctime>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,38 +163,29 @@ struct RunResult
     std::string oomReason;
 };
 
-/** Run Mobius end to end (plan + execute). */
+/** Run @p system end to end: plan (Mobius only, with @p opts), then
+ *  execute one step. */
 inline RunResult
-runMobius(const GptConfig &cfg, const Server &server,
-          int microbatch = -1, int num_microbatches = -1,
-          PlanOptions opts = {})
+run(System system, const GptConfig &cfg, const Server &server,
+    int microbatch = -1, int num_microbatches = -1,
+    const PlanOptions &opts = {})
 {
     Workload work(cfg, server, microbatch, num_microbatches);
-    MobiusPlan plan = planMobius(server, work.cost(), opts);
-    return RunResult{runMobiusStep(server, work.cost(), plan),
-                     false, ""};
+    std::optional<MobiusPlan> plan;
+    if (system == System::Mobius)
+        plan = planMobius(server, work.cost(), opts);
+    return RunResult{
+        runStep(system, server, work.cost(), plan ? &*plan : nullptr)
+            .stats,
+        false, ""};
 }
 
-/** Run the DeepSpeed (ZeRO-3 + heterogeneous memory) baseline. */
+/** run(), with a FatalError (Fig. 5's OOM) as a marked result. */
 inline RunResult
-runDeepSpeed(const GptConfig &cfg, const Server &server,
-             int microbatch = -1, int num_microbatches = -1)
+runOrOom(System system, const GptConfig &cfg, const Server &server)
 {
-    Workload work(cfg, server, microbatch, num_microbatches);
-    return RunResult{runZeroStep(server, work.cost()), false, ""};
-}
-
-/** Run GPipe / DeepSpeed-pipeline; OOM becomes a marked result. */
-inline RunResult
-runPipeline(const GptConfig &cfg, const Server &server,
-            PipelineSchedule schedule, int microbatch = -1,
-            int num_microbatches = -1)
-{
-    Workload work(cfg, server, microbatch, num_microbatches);
     try {
-        return RunResult{
-            runPipelineStep(server, work.cost(), schedule), false,
-            ""};
+        return run(system, cfg, server);
     } catch (const FatalError &e) {
         return RunResult{{}, true, e.what()};
     }

@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ struct CurveResult
 {
     std::string model;
     std::string topo;
-    std::string system; //!< "mobius" | "deepspeed"
+    System system = System::Mobius;
     double baseStepTime = 0.0;
     WhatIfSweep sweep;  //!< every point carries exact + drift
 
@@ -97,7 +98,7 @@ rcSweepSpec()
 
 CurveResult
 runCurve(const GptConfig &cfg, const std::vector<int> &groups,
-         const std::string &topo_name, const std::string &system)
+         const std::string &topo_name, System system)
 {
     CurveResult r;
     r.model = cfg.name;
@@ -106,8 +107,8 @@ runCurve(const GptConfig &cfg, const std::vector<int> &groups,
 
     Server server = makeCommodityServer(groups);
     Workload work(cfg, server);
-    MobiusPlan plan;
-    if (system == "mobius")
+    std::optional<MobiusPlan> plan;
+    if (system == System::Mobius)
         plan = planMobius(server, work.cost());
 
     // The plan is computed once on the baseline server and held
@@ -116,19 +117,13 @@ runCurve(const GptConfig &cfg, const std::vector<int> &groups,
     auto stepOn = [&](const Server &srv,
                       const RunPerturbation &rp,
                       SpanDag *dag_out) {
-        RunContext ctx(srv, {}, 0.0, nullptr, rp);
-        StepStats stats;
-        if (system == "mobius") {
-            MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                                plan.mapping);
-            stats = exec.run();
-        } else {
-            ZeroHeteroExecutor exec(ctx, work.cost());
-            stats = exec.run();
-        }
+        RunContext ctx(srv, {.perturb = rp});
+        double t = runStep(ctx, system, work.cost(),
+                           plan ? &*plan : nullptr)
+                       .stepTime;
         if (dag_out)
             *dag_out = buildSpanDag(ctx.trace());
-        return stats.stepTime;
+        return t;
     };
 
     SpanDag dag;
@@ -148,7 +143,7 @@ printCurve(const CurveResult &r)
 {
     std::printf("\n  %s / %s / %s: base %.3fs, sensitivity %.3f, "
                 "max drift %.2f%%\n",
-                r.model.c_str(), r.topo.c_str(), r.system.c_str(),
+                r.model.c_str(), r.topo.c_str(), systemName(r.system),
                 r.baseStepTime, r.sweep.sensitivity(),
                 100 * r.maxDrift());
     std::printf("    %7s %12s %12s %8s\n", "factor", "predicted",
@@ -165,7 +160,7 @@ curveJson(const CurveResult &r)
 {
     std::string json = "{\"model\":\"" + r.model + "\"";
     json += ",\"topo\":\"" + r.topo + "\"";
-    json += ",\"system\":\"" + r.system + "\"";
+    json += strfmt(",\"system\":\"%s\"", systemName(r.system));
     json += strfmt(",\"base_step_time\":%.17g", r.baseStepTime);
     json += strfmt(",\"max_drift\":%.17g", r.maxDrift());
     json += ",\"sweep\":" + whatIfSweepJson(r.sweep);
@@ -208,11 +203,11 @@ main(int argc, char **argv)
         struct Job
         {
             Config config;
-            std::string system;
+            System system;
         };
         std::vector<Job> jobs;
         for (const Config &c : configs)
-            for (const char *system : {"mobius", "deepspeed"})
+            for (System system : {System::Mobius, System::DeepSpeed})
                 jobs.push_back({c, system});
 
         std::vector<CurveResult> curves(jobs.size());
@@ -250,7 +245,7 @@ main(int argc, char **argv)
         double sens_mobius = 0.0, sens_zero = 0.0;
         for (const CurveResult &r : curves) {
             if (r.model == gpt8b().name && r.topo == "2+2") {
-                if (r.system == "mobius")
+                if (r.system == System::Mobius)
                     sens_mobius = r.sweep.sensitivity();
                 else
                     sens_zero = r.sweep.sensitivity();

@@ -81,7 +81,8 @@ main(int argc, char **argv)
         try {
             MobiusPlan plan = planMobius(server, work.cost(), opts);
             StepStats run =
-                runMobiusStep(server, work.cost(), plan);
+                runStep(System::Mobius, server, work.cost(), &plan)
+                    .stats;
             std::printf("%-14s %3d stages  est %6.2fs  "
                         "executed %6.2fs\n",
                         a.name, plan.stageCount(),

@@ -49,8 +49,10 @@ main()
                 plan.mappingSeconds);
 
     // 4. Execute one training step on the event-driven simulator.
-    StepStats mobius = runMobiusStep(server, work.cost(), plan);
-    StepStats deepspeed = runZeroStep(server, work.cost());
+    StepStats mobius =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
+    StepStats deepspeed =
+        runStep(System::DeepSpeed, server, work.cost()).stats;
 
     Bytes p32 = work.model().totalParamBytesFp32();
     std::printf("\n%-12s %12s %14s %18s\n", "system", "step time",

@@ -31,14 +31,12 @@ main(int argc, char **argv)
     // partition (Figure 4 uses S = 8, N = 4, M = 4).
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server, 2);
-    Partition partition =
-        uniformPartition(work.cost().numLayers(), stages);
-    Mapping mapping =
-        crossMapping(server.topo, stages).mapping;
+    MobiusPlan plan;
+    plan.partition = uniformPartition(work.cost().numLayers(), stages);
+    plan.mapping = crossMapping(server.topo, stages).mapping;
 
     RunContext ctx(server);
-    MobiusExecutor exec(ctx, work.cost(), partition, mapping);
-    StepStats stats = exec.run();
+    StepStats stats = runStep(ctx, System::Mobius, work.cost(), &plan);
 
     std::printf("Mobius step on %s: %d stages over %d GPUs, "
                 "%d microbatches -> %.2f s\n\n",

@@ -49,17 +49,20 @@ main(int argc, char **argv)
         Server server = makeCommodityServer(groups);
         Workload work(cfg, server);
 
-        StepStats ds = runZeroStep(server, work.cost());
+        StepStats ds =
+            runStep(System::DeepSpeed, server, work.cost()).stats;
 
         PlanOptions seq;
         seq.mapping = MappingAlgo::Sequential;
         MobiusPlan seq_plan = planMobius(server, work.cost(), seq);
         StepStats mob_seq =
-            runMobiusStep(server, work.cost(), seq_plan);
+            runStep(System::Mobius, server, work.cost(), &seq_plan)
+                .stats;
 
         MobiusPlan cross_plan = planMobius(server, work.cost());
         StepStats mob_cross =
-            runMobiusStep(server, work.cost(), cross_plan);
+            runStep(System::Mobius, server, work.cost(), &cross_plan)
+                .stats;
 
         std::string name;
         for (std::size_t i = 0; i < groups.size(); ++i) {

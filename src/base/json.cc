@@ -1,5 +1,6 @@
 #include "base/json.hh"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace mobius::json
@@ -297,13 +298,25 @@ parse(const std::string &text)
 }
 
 std::string
-escape(const std::string &s)
+escape(std::string_view s)
 {
     std::string out;
+    out.reserve(s.size() + 2);
     for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
     }
     return out;
 }

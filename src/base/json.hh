@@ -16,6 +16,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,8 +74,11 @@ struct JsonValue
 /** Parse @p text; throws JsonError on malformed input. */
 JsonValue parse(const std::string &text);
 
-/** Escape @p s for embedding inside a JSON string literal. */
-std::string escape(const std::string &s);
+/**
+ * Escape @p s for embedding inside a JSON string literal: quote and
+ * backslash, \\n and \\t, and \\u00XX for other bytes below 0x20.
+ */
+std::string escape(std::string_view s);
 
 } // namespace mobius::json
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 
 #include <sstream>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "simcore/arrival.hh"
@@ -27,26 +27,6 @@ orDefaultServers(std::vector<FleetServerDesc> servers)
     if (servers.empty())
         servers.push_back(FleetServerDesc{});
     return servers;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnv64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv64(h, bits);
 }
 
 } // namespace
@@ -70,6 +50,10 @@ FleetSim::submit(JobSpec spec)
         fatal("job needs at least one step (got %d)", spec.steps);
     if (spec.arrival < 0.0)
         fatal("job arrival must be >= 0 (got %g)", spec.arrival);
+    if (spec.system != System::Mobius &&
+        spec.system != System::DeepSpeed)
+        fatal("fleet jobs run mobius or deepspeed, not %s",
+              systemName(spec.system));
     if (!scheduler_.fits(spec.serverClass))
         fatal("job requests unknown server class '%s'",
               spec.serverClass.c_str());
@@ -448,7 +432,7 @@ FleetSim::run()
             // to a clean run, so key on plan key + system).
             std::string key =
                 strfmt("%s|sys:%s", jobPlanKey(spec).c_str(),
-                       jobSystemName(spec.system));
+                       systemName(spec.system));
             rec.cleanStepTime = cleanCache_.get(key, [&] {
                 return simulateJobStep(spec, cache, nullptr)
                     .stats.stepTime;

@@ -157,7 +157,8 @@ class FleetSim
      * Submit one job. Its id is assigned densely from 0 (any id
      * already set on @p spec is overwritten); name defaults to
      * "job<id>". fatal() when the requested server class does not
-     * exist — that job could never start.
+     * exist — that job could never start — or when the job's system
+     * is neither Mobius nor DeepSpeed.
      * @return the assigned job id.
      */
     int submit(JobSpec spec);

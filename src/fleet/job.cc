@@ -9,16 +9,6 @@
 namespace mobius
 {
 
-const char *
-jobSystemName(JobSystem system)
-{
-    switch (system) {
-      case JobSystem::Mobius:    return "mobius";
-      case JobSystem::DeepSpeed: return "deepspeed";
-    }
-    return "?";
-}
-
 int
 jobGpus(const JobSpec &spec)
 {
@@ -79,7 +69,7 @@ std::string
 jobSimKey(const JobSpec &spec)
 {
     return strfmt("%s|sys:%s|seed:%llu", jobPlanKey(spec).c_str(),
-                  jobSystemName(spec.system),
+                  systemName(spec.system),
                   static_cast<unsigned long long>(spec.faultSeed));
 }
 
@@ -94,46 +84,40 @@ simulateJobStep(const JobSpec &spec, PlanCache *cache,
                   spec.numMicrobatches);
 
     JobStepResult res;
+    const bool mobius = spec.system == System::Mobius;
+    if (mobius) {
+        PlanOptions popts;
+        popts.partition = spec.partition;
+        popts.mapping = spec.mapping;
+        double solve_seconds = 0.0;
+        auto solve = [&] {
+            MOBIUS_PROF_ZONE("fleet.plan_miss");
+            auto t0 = clock::now();
+            MobiusPlan plan = planMobius(server, work.cost(), popts);
+            solve_seconds =
+                std::chrono::duration<double>(clock::now() - t0)
+                    .count();
+            return plan;
+        };
+        if (cache) {
+            bool hit = false;
+            res.plan = cache->get(jobPlanKey(spec), solve, &hit);
+            res.planCacheHit = hit;
+        } else {
+            res.plan = solve();
+        }
+        // solve_seconds stays 0 on a hit (or when another in-flight
+        // get() solved first) — exactly the wall this job did not
+        // pay.
+        res.planSeconds = solve_seconds;
+    }
+
     StepRunOptions run;
     run.faults = faults;
     run.faultSeed = spec.faultSeed;
     run.traceOut = trace_out;
-
-    if (spec.system == JobSystem::DeepSpeed) {
-        StepRunResult step =
-            runZeroStepEx(server, work.cost(), run);
-        res.stats = std::move(step.stats);
-        res.spanCount = step.spanCount;
-        res.spanHash = step.spanHash;
-        return res;
-    }
-
-    PlanOptions popts;
-    popts.partition = spec.partition;
-    popts.mapping = spec.mapping;
-    double solve_seconds = 0.0;
-    auto solve = [&] {
-        MOBIUS_PROF_ZONE("fleet.plan_miss");
-        auto t0 = clock::now();
-        MobiusPlan plan = planMobius(server, work.cost(), popts);
-        solve_seconds =
-            std::chrono::duration<double>(clock::now() - t0)
-                .count();
-        return plan;
-    };
-    if (cache) {
-        bool hit = false;
-        res.plan = cache->get(jobPlanKey(spec), solve, &hit);
-        res.planCacheHit = hit;
-    } else {
-        res.plan = solve();
-    }
-    // solve_seconds stays 0 on a hit (or when another in-flight
-    // get() solved first) — exactly the wall this job did not pay.
-    res.planSeconds = solve_seconds;
-
-    StepRunResult step =
-        runMobiusStepEx(server, work.cost(), res.plan, run);
+    StepRunResult step = runStep(spec.system, server, work.cost(),
+                                 mobius ? &res.plan : nullptr, run);
     res.stats = std::move(step.stats);
     res.spanCount = step.spanCount;
     res.spanHash = step.spanHash;

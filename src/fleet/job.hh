@@ -42,15 +42,9 @@
 namespace mobius
 {
 
-/** Which training system a fleet job runs. */
-enum class JobSystem
-{
-    Mobius,    //!< planned pipeline with cross mapping
-    DeepSpeed, //!< ZeRO-3 + heterogeneous memory baseline
-};
-
-/** @return "mobius" or "deepspeed". */
-const char *jobSystemName(JobSystem system);
+/** The fleet's former enum, kept as an alias because perfbench/
+ *  names it. FleetSim runs Mobius and DeepSpeed jobs only. */
+using JobSystem = System;
 
 /** One fine-tuning job in the fleet. */
 struct JobSpec
@@ -59,7 +53,7 @@ struct JobSpec
     std::string name;  //!< printable ("job42"), defaults from id
 
     GptConfig model;   //!< what to fine-tune (Table 3 config)
-    JobSystem system = JobSystem::Mobius;
+    System system = System::Mobius;
 
     /** Server shape the job wants: a data-center node or a
      *  commodity machine with these PCIe groups. The fleet places

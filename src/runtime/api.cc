@@ -125,87 +125,102 @@ planMobius(const Server &server, const CostModel &cost,
     return plan;
 }
 
-StepStats
-runMobiusStep(const Server &server, const CostModel &cost,
-              const MobiusPlan &plan, MobiusExecutorConfig exec_cfg,
-              TransferEngineConfig xfer_cfg,
-              double cpu_adam_throughput)
+const char *
+systemName(System system)
 {
-    StepRunOptions opts;
-    opts.xfer = xfer_cfg;
-    opts.mobius = exec_cfg;
-    opts.cpuAdamThroughput = cpu_adam_throughput;
-    return runMobiusStepEx(server, cost, plan, opts).stats;
+    switch (system) {
+      case System::Mobius:         return "mobius";
+      case System::DeepSpeed:      return "deepspeed";
+      case System::GPipe:          return "gpipe";
+      case System::DsPipeline:     return "dspipe";
+      case System::TensorParallel: return "tp";
+    }
+    return "?";
+}
+
+System
+parseSystem(const std::string &name)
+{
+    for (System s : kAllSystems)
+        if (name == systemName(s))
+            return s;
+    fatal("unknown system '%s' (expected mobius, deepspeed, gpipe, "
+          "dspipe or tp)",
+          name.c_str());
+}
+
+StepStats
+runStep(RunContext &ctx, System system, const CostModel &cost,
+        const MobiusPlan *plan, const ExecutorOptions &opts)
+{
+    // Refuse inputs the system would not read rather than drop them.
+    const char *name = systemName(system);
+    if ((system == System::Mobius) != (plan != nullptr))
+        fatal("a %s step %s", name,
+              plan ? "takes no plan" : "needs a plan");
+    if (system != System::Mobius &&
+        opts.mobius != MobiusExecutorConfig{})
+        fatal("a %s step does not read Mobius executor options",
+              name);
+    if (system != System::DeepSpeed &&
+        opts.zero != ZeroExecutorConfig{})
+        fatal("a %s step does not read ZeRO executor options", name);
+
+    switch (system) {
+      case System::Mobius: {
+        MobiusExecutor exec(ctx, cost, plan->partition,
+                            plan->mapping, opts.mobius);
+        return exec.run();
+      }
+      case System::DeepSpeed: {
+        ZeroHeteroExecutor exec(ctx, cost, opts.zero);
+        return exec.run();
+      }
+      case System::GPipe:
+      case System::DsPipeline: {
+        const int n = ctx.numGpus();
+        PipelineExecutor exec(ctx, cost,
+                              balancedComputePartition(cost, n),
+                              sequentialMapping(ctx.server().topo, n),
+                              system == System::GPipe
+                                  ? PipelineSchedule::GPipe
+                                  : PipelineSchedule::OneFOneB);
+        return exec.run();
+      }
+      case System::TensorParallel: {
+        TensorParallelExecutor exec(ctx, cost);
+        return exec.run();
+      }
+    }
+    panic("unhandled system %d", static_cast<int>(system));
+}
+
+StepRunResult
+runStep(System system, const Server &server, const CostModel &cost,
+        const MobiusPlan *plan, const StepRunOptions &opts)
+{
+    RunContext ctx(server, opts);
+    StepRunResult res;
+    res.stats = runStep(ctx, system, cost, plan, opts.exec);
+    res.spanCount = ctx.trace().spanCount();
+    res.spanHash = spanFingerprint(ctx.trace());
+    if (opts.traceOut)
+        ctx.trace().moveInto(*opts.traceOut);
+    return res;
 }
 
 StepRunResult
 runMobiusStepEx(const Server &server, const CostModel &cost,
                 const MobiusPlan &plan, const StepRunOptions &opts)
 {
-    RunContext ctx(server, opts.xfer, opts.cpuAdamThroughput,
-                   opts.metrics, {}, opts.faults, opts.faultSeed);
-    MobiusExecutor exec(ctx, cost, plan.partition, plan.mapping,
-                        opts.mobius);
-    StepRunResult res;
-    res.stats = exec.run();
-    res.spanCount = ctx.trace().spanCount();
-    res.spanHash = spanFingerprint(ctx.trace());
-    if (opts.traceOut)
-        ctx.trace().moveInto(*opts.traceOut);
-    return res;
-}
-
-StepStats
-runZeroStep(const Server &server, const CostModel &cost,
-            ZeroExecutorConfig cfg, TransferEngineConfig xfer_cfg,
-            double cpu_adam_throughput)
-{
-    StepRunOptions opts;
-    opts.xfer = xfer_cfg;
-    opts.zero = cfg;
-    opts.cpuAdamThroughput = cpu_adam_throughput;
-    return runZeroStepEx(server, cost, opts).stats;
+    return runStep(System::Mobius, server, cost, &plan, opts);
 }
 
 StepRunResult
 runZeroStepEx(const Server &server, const CostModel &cost,
               const StepRunOptions &opts)
 {
-    RunContext ctx(server, opts.xfer, opts.cpuAdamThroughput,
-                   opts.metrics, {}, opts.faults, opts.faultSeed);
-    ZeroHeteroExecutor exec(ctx, cost, opts.zero);
-    StepRunResult res;
-    res.stats = exec.run();
-    res.spanCount = ctx.trace().spanCount();
-    res.spanHash = spanFingerprint(ctx.trace());
-    if (opts.traceOut)
-        ctx.trace().moveInto(*opts.traceOut);
-    return res;
-}
-
-StepStats
-runTensorParallelStep(const Server &server, const CostModel &cost,
-                      TpExecutorConfig cfg,
-                      TransferEngineConfig xfer_cfg)
-{
-    RunContext ctx(server, xfer_cfg);
-    TensorParallelExecutor exec(ctx, cost, cfg);
-    return exec.run();
-}
-
-StepStats
-runPipelineStep(const Server &server, const CostModel &cost,
-                PipelineSchedule schedule,
-                TransferEngineConfig xfer_cfg)
-{
-    const int n = server.topo.numGpus();
-    Partition partition = balancedComputePartition(cost, n);
-    Mapping mapping = sequentialMapping(server.topo,
-                                        static_cast<int>(n));
-    RunContext ctx(server, xfer_cfg);
-    PipelineExecutor exec(ctx, cost, std::move(partition),
-                          std::move(mapping), schedule);
-    return exec.run();
+    return runStep(System::DeepSpeed, server, cost, nullptr, opts);
 }
 
 } // namespace mobius

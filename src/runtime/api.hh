@@ -7,20 +7,22 @@
  *     Server server = makeCommodityServer({2, 2});
  *     Workload work(gpt15b(), server);
  *     MobiusPlan plan = planMobius(server, work.cost());
- *     StepStats stats = runMobiusStep(server, work.cost(), plan);
+ *     StepStats stats =
+ *         runStep(System::Mobius, server, work.cost(), &plan).stats;
  * @endcode
  *
  * planMobius() runs the full §3 flow: profile with layer similarity,
  * solve the MIP partition, search the cross mapping; its timing
- * fields are what Fig. 12 reports. run*Step() execute one training
+ * fields are what Fig. 12 reports. runStep() executes one training
  * step of Mobius or a baseline on the event-driven simulator and
- * return the measurements behind Figs. 2 and 5-16.
+ * returns the measurements behind Figs. 2 and 5-16.
  */
 
 #ifndef MOBIUS_RUNTIME_API_HH
 #define MOBIUS_RUNTIME_API_HH
 
 #include <memory>
+#include <string>
 
 #include "hw/server.hh"
 #include "plan/mapping.hh"
@@ -116,24 +118,44 @@ MobiusPlan planMobius(const Server &server, const CostModel &cost,
                       const PlanOptions &opts = {});
 
 /**
- * Everything a single-step run can be configured with, in one
- * struct. The positional run*Step() signatures predate the fleet
- * simulator; fleet jobs need metrics and fault injection per run,
- * and threading five defaulted positionals through every call site
- * does not scale. The legacy entry points delegate here.
+ * The training systems a step can run: the paper's §4 Fig. 5
+ * lineup plus the §5 tensor-parallel comparator.
  */
-struct StepRunOptions
+enum class System
 {
-    TransferEngineConfig xfer;
-    MobiusExecutorConfig mobius; //!< used by runMobiusStepEx only
-    ZeroExecutorConfig zero;     //!< used by runZeroStepEx only
-    /** CPU optimizer params/s; 0 disables the CPU-update model. */
-    double cpuAdamThroughput = 0.0;
-    /** Optional registry for engine counters; null = no recording. */
-    MetricsRegistry *metrics = nullptr;
-    /** Optional fault plan; null or empty = clean run. */
-    const FaultPlan *faults = nullptr;
-    std::uint64_t faultSeed = 1; //!< FaultInjector stream seed
+    Mobius,         //!< planned pipeline with cross mapping
+    DeepSpeed,      //!< ZeRO-3 + heterogeneous memory baseline
+    GPipe,          //!< all-in-GPU pipeline, GPipe schedule
+    DsPipeline,     //!< all-in-GPU pipeline, 1F1B (DeepSpeed pipeline)
+    TensorParallel, //!< Megatron-style tensor parallelism
+};
+
+/** Every System, in declaration order. */
+inline constexpr System kAllSystems[] = {
+    System::Mobius, System::DeepSpeed, System::GPipe,
+    System::DsPipeline, System::TensorParallel};
+
+/** @return "mobius", "deepspeed", "gpipe", "dspipe" or "tp". */
+const char *systemName(System system);
+
+/** Inverse of systemName(); fatal() on an unknown name. */
+System parseSystem(const std::string &name);
+
+/**
+ * Executor tunables. Each field is read by one system only, and
+ * runStep() calls fatal() when a field differs from its default on
+ * a run of any other system.
+ */
+struct ExecutorOptions
+{
+    MobiusExecutorConfig mobius; //!< System::Mobius
+    ZeroExecutorConfig zero;     //!< System::DeepSpeed
+};
+
+/** Everything an owning runStep() can be configured with. */
+struct StepRunOptions : RunContextOptions
+{
+    ExecutorOptions exec; //!< per-system executor tunables
     /**
      * Optional span-retention sink. When non-null, the run's trace
      * is moved here wholesale (arenas and all, replacing previous
@@ -156,51 +178,40 @@ struct StepRunResult
 };
 
 /**
- * Execute one Mobius step (event-driven) and return measurements.
- * @param cpu_adam_throughput CPU optimizer params/s; 0 disables the
- *        CPU-update model (the paper's measurement window).
+ * Execute one training step of @p system on the caller's @p ctx and
+ * return its measurements; the context (trace, usage, engines)
+ * stays readable afterwards. System::Mobius executes @p plan, which
+ * it requires; every other system takes no plan. The pipelines
+ * split the layers by balanced compute over the GPUs in order, and
+ * throw FatalError when the model does not fit (the Fig. 5 OOM
+ * entries); tensor parallelism throws when its weight shard does
+ * not fit.
  */
-StepStats runMobiusStep(const Server &server, const CostModel &cost,
-                        const MobiusPlan &plan,
-                        MobiusExecutorConfig exec_cfg = {},
-                        TransferEngineConfig xfer_cfg = {},
-                        double cpu_adam_throughput = 0.0);
+StepStats runStep(RunContext &ctx, System system,
+                  const CostModel &cost,
+                  const MobiusPlan *plan = nullptr,
+                  const ExecutorOptions &opts = {});
 
-/** runMobiusStep() with the full option set and trace digest. */
+/**
+ * runStep() on a fresh RunContext built from @p opts, with the
+ * trace digest; the trace goes to opts.traceOut or dies with the
+ * run.
+ */
+StepRunResult runStep(System system, const Server &server,
+                      const CostModel &cost,
+                      const MobiusPlan *plan = nullptr,
+                      const StepRunOptions &opts = {});
+
+/** runStep(System::Mobius, ...) under the name perfbench/ calls. */
 StepRunResult runMobiusStepEx(const Server &server,
                               const CostModel &cost,
                               const MobiusPlan &plan,
                               const StepRunOptions &opts = {});
 
-/** Execute one DeepSpeed-style (ZeRO-3 + hetero memory) step. */
-StepStats runZeroStep(const Server &server, const CostModel &cost,
-                      ZeroExecutorConfig cfg = {},
-                      TransferEngineConfig xfer_cfg = {},
-                      double cpu_adam_throughput = 0.0);
-
-/** runZeroStep() with the full option set and trace digest. */
+/** runStep(System::DeepSpeed, ...) under the name perfbench/ calls. */
 StepRunResult runZeroStepEx(const Server &server,
                             const CostModel &cost,
                             const StepRunOptions &opts = {});
-
-/**
- * Execute one Megatron-style tensor-parallel step (the related-work
- * comparator, §5). Throws FatalError when the per-GPU weight shard
- * does not fit.
- */
-StepStats runTensorParallelStep(const Server &server,
-                                const CostModel &cost,
-                                TpExecutorConfig cfg = {},
-                                TransferEngineConfig xfer_cfg = {});
-
-/**
- * Execute one all-in-GPU-memory pipeline step (GPipe or DeepSpeed
- * pipeline mode). Throws FatalError when the model does not fit —
- * the Fig. 5 OOM entries.
- */
-StepStats runPipelineStep(const Server &server, const CostModel &cost,
-                          PipelineSchedule schedule,
-                          TransferEngineConfig xfer_cfg = {});
 
 } // namespace mobius
 

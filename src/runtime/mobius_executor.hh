@@ -59,6 +59,9 @@ struct MobiusExecutorConfig
      */
     bool stragglerAwarePrefetch = true;
     int stragglerPrioPenalty = 500; //!< added to demoted prefetches
+
+    /** Field-wise equality (runStep() rejects stray options). */
+    bool operator==(const MobiusExecutorConfig &) const = default;
 };
 
 /** Runs one Mobius training step. */

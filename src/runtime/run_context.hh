@@ -32,58 +32,71 @@
 namespace mobius
 {
 
+/**
+ * Everything a RunContext can be configured with. The defaults are a
+ * faithful, fault-free, unobserved run.
+ */
+struct RunContextOptions
+{
+    TransferEngineConfig xfer{}; //!< interconnect tunables
+    /** CPU optimizer params/s; 0 disables the CPU-update model. */
+    double cpuAdamThroughput = 0.0;
+    /** Optional registry for engine counters; null = no recording. */
+    MetricsRegistry *metrics = nullptr;
+    /**
+     * The engine-rate side of a what-if counterfactual
+     * (obs/whatif.hh): per-GPU compute speed factors and a CPU
+     * optimizer throughput multiplier; the default is the identity.
+     */
+    RunPerturbation perturb{};
+    /** Optional fault plan; null or empty = clean run. */
+    const FaultPlan *faults = nullptr;
+    std::uint64_t faultSeed = 1; //!< FaultInjector stream seed
+};
+
 /** Simulation context for one step on one server. */
 class RunContext
 {
   public:
     /**
      * Wire up queue, engines, memory pools, and telemetry for
-     * @p server. When @p metrics is non-null and enabled, every
+     * @p server. When opts.metrics is non-null and enabled, every
      * engine registers its counters there at construction.
-     * @p perturb carries the engine-rate side of a what-if
-     * counterfactual (obs/whatif.hh): per-GPU compute speed factors
-     * and a CPU optimizer throughput multiplier; the default is the
-     * identity (a faithful run).
      *
-     * When @p faults is non-null and non-empty, a FaultInjector is
+     * When opts.faults is non-null and non-empty, a FaultInjector is
      * constructed over the engines and armed; executors must then
      * route transfers through submitXfer() so transient failures and
      * retries apply.
      */
     explicit RunContext(const Server &server,
-                        TransferEngineConfig xfer_cfg = {},
-                        double cpu_adam_throughput = 0.0,
-                        MetricsRegistry *metrics = nullptr,
-                        RunPerturbation perturb = {},
-                        const FaultPlan *faults = nullptr,
-                        std::uint64_t fault_seed = 1)
+                        const RunContextOptions &opts = {})
         : server_(&server),
-          metrics_(metrics),
+          metrics_(opts.metrics),
           usage_(queue_, server.topo.numGpus()),
-          xfer_(queue_, server.topo, &usage_, xfer_cfg, &trace_,
-                metrics),
+          xfer_(queue_, server.topo, &usage_, opts.xfer, &trace_,
+                opts.metrics),
           cpuOptimizer_(queue_,
-                        cpu_adam_throughput *
-                            perturb.cpuOptimizerFactor,
+                        opts.cpuAdamThroughput *
+                            opts.perturb.cpuOptimizerFactor,
                         &trace_)
     {
         for (int g = 0; g < server.topo.numGpus(); ++g) {
             compute_.push_back(std::make_unique<ComputeEngine>(
-                queue_, &usage_, g, &trace_, metrics,
-                perturb.computeFactor(g)));
+                queue_, &usage_, g, &trace_, opts.metrics,
+                opts.perturb.computeFactor(g)));
             memory_.push_back(std::make_unique<GpuMemory>(
                 server.topo.gpuSpec(g).memBytes));
         }
-        if (faults && !faults->empty()) {
+        if (opts.faults && !opts.faults->empty()) {
             std::vector<ComputeEngine *> engines;
             for (auto &ce : compute_)
                 engines.push_back(ce.get());
             faults_ = std::make_unique<FaultInjector>(
                 queue_, server.topo, xfer_, std::move(engines),
-                *faults, fault_seed,
+                *opts.faults, opts.faultSeed,
                 [this](double f) { cpuOptimizer_.setThrottle(f); },
                 [this] { return workloadIdle(); }, &trace_,
-                metrics);
+                opts.metrics);
             faults_->arm();
         }
     }

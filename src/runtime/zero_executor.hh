@@ -40,6 +40,9 @@ struct ZeroExecutorConfig
     int prioWeights = 10;    //!< weight-shard all-gathers
     int prioCheckpoint = 30; //!< checkpoint offload/reload
     int prioGradient = 20;   //!< gradient reduce-scatter
+
+    /** Field-wise equality (runStep() rejects stray options). */
+    bool operator==(const ZeroExecutorConfig &) const = default;
 };
 
 /** Runs one DeepSpeed-style (ZeRO-3 + offload) training step. */

@@ -47,8 +47,10 @@ struct ServeSim::Impl
           work(opts.model, server),
           plan(buildServePlan(work.cost(), server.topo,
                               opts.placement)),
-          ctx(server, opts.xferCfg, 0.0, opts.metrics, {},
-              &opts.faults, opts.faultSeed),
+          ctx(server, {.xfer = opts.xferCfg,
+                       .metrics = opts.metrics,
+                       .faults = &opts.faults,
+                       .faultSeed = opts.faultSeed}),
           batcher(opts.batch),
           gather(opts.placement.policy == ServePlacement::ZeroGather)
     {

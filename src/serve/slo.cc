@@ -1,38 +1,13 @@
 #include "serve/slo.hh"
 
 #include <cmath>
-#include <cstring>
 
+#include "base/hash.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 
 namespace mobius
 {
-
-namespace
-{
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnv64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv64(h, bits);
-}
-
-} // namespace
 
 double
 effectiveSlo(const ServeRequest &spec, const SloConfig &slo)

@@ -163,6 +163,15 @@ TEST(Json, StringEscapesRoundTrip)
     EXPECT_EQ(json::parse("\"\\u0041\"").string, "A");
 }
 
+TEST(Json, EscapeLeavesNoRawControlBytes)
+{
+    const std::string raw = "a\nb\t\"c\\\x01";
+    const std::string esc = json::escape(raw);
+    for (char c : esc)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << esc;
+    EXPECT_EQ(json::parse("\"" + esc + "\"").string, raw);
+}
+
 TEST(Json, MalformedInputThrowsJsonError)
 {
     for (const char *bad :

@@ -300,7 +300,7 @@ TEST(AttributionMetrics, RegistryGetsCriticalCounters)
     Workload work(gpt3b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
     MetricsRegistry reg;
-    RunContext ctx(server, {}, 0.0, &reg);
+    RunContext ctx(server, {.metrics = &reg});
     MobiusExecutor exec(ctx, work.cost(), plan.partition,
                         plan.mapping);
     StepStats stats = exec.run();

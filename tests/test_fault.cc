@@ -232,8 +232,7 @@ runMobius(const std::string &spec, std::uint64_t seed)
         fpp = &fp;
     }
     r.ctx = std::make_unique<RunContext>(
-        *r.server, TransferEngineConfig{}, 0.0, nullptr,
-        RunPerturbation{}, fpp, seed);
+        *r.server, RunContextOptions{.faults = fpp, .faultSeed = seed});
     MobiusExecutor exec(*r.ctx, r.work->cost(), r.plan.partition,
                         r.plan.mapping);
     r.stats = exec.run();

@@ -123,7 +123,7 @@ TEST(JobKeys, PlanKeyCoversPlannerInputsOnly)
 
     // The sim key adds what only the simulation reads.
     JobSpec h = a;
-    h.system = JobSystem::DeepSpeed;
+    h.system = System::DeepSpeed;
     EXPECT_EQ(jobPlanKey(a), jobPlanKey(h));
     EXPECT_NE(jobSimKey(a), jobSimKey(h));
     JobSpec i = a;
@@ -181,6 +181,16 @@ TEST(FleetSim, UnknownServerClassIsFatalAtSubmit)
     JobSpec spec = smallJob();
     spec.serverClass = "no-such-class";
     EXPECT_THROW(fleet.submit(spec), FatalError);
+}
+
+TEST(FleetSim, SystemOutsideTheFleetIsFatalAtSubmit)
+{
+    FleetSim fleet;
+    JobSpec spec = smallJob();
+    spec.system = System::GPipe;
+    EXPECT_THROW(fleet.submit(spec), FatalError);
+    spec.system = System::DeepSpeed;
+    EXPECT_EQ(fleet.submit(spec), 0);
 }
 
 TEST(FleetSim, SimultaneousArrivalsAreTieBrokenByJobId)

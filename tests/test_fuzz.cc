@@ -165,7 +165,8 @@ TEST_P(ExecutorFuzz, MobiusNeverSlowerThanGenerousBound)
     } catch (const FatalError &) {
         GTEST_SKIP();
     }
-    StepStats stats = runMobiusStep(server, work.cost(), plan);
+    StepStats stats =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
 
     const CostModel &cm = work.cost();
     int m = work.train().numMicrobatches;

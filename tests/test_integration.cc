@@ -24,7 +24,7 @@ TEST(Integration, A100CommodityUsesP2pFabric)
     ASSERT_TRUE(server.topo.gpudirectP2p());
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
     EXPECT_GT(s.traffic.bytesOf(TrafficKind::Activation), 0u);
 }
@@ -35,8 +35,7 @@ TEST(Integration, A100NoFasterLinksButMoreMemory)
     // train the 8B model that OOMs on 24 GB 3090-Tis.
     Server a = makeCommodityServer({2, 2}, a100());
     Workload w8(gpt8b(), a);
-    StepStats s = runPipelineStep(a, w8.cost(),
-                                  PipelineSchedule::GPipe);
+    StepStats s = runStep(System::GPipe, a, w8.cost()).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -50,10 +49,12 @@ TEST(Integration, MappingIrrelevantOnDcServer)
     cross.mapping = MappingAlgo::Cross;
     PlanOptions seq;
     seq.mapping = MappingAlgo::Sequential;
-    StepStats sc = runMobiusStep(
-        dc, work.cost(), planMobius(dc, work.cost(), cross));
-    StepStats ss = runMobiusStep(
-        dc, work.cost(), planMobius(dc, work.cost(), seq));
+    MobiusPlan cross_plan = planMobius(dc, work.cost(), cross);
+    MobiusPlan seq_plan = planMobius(dc, work.cost(), seq);
+    StepStats sc =
+        runStep(System::Mobius, dc, work.cost(), &cross_plan).stats;
+    StepStats ss =
+        runStep(System::Mobius, dc, work.cost(), &seq_plan).stats;
     EXPECT_NEAR(sc.stepTime, ss.stepTime, ss.stepTime * 0.1);
 }
 
@@ -71,7 +72,7 @@ TEST_P(Table3Models, EstimateTracksExecution)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     EXPECT_GE(s.stepTime, plan.estimate.stepTime * 0.95);
     EXPECT_LE(s.stepTime, plan.estimate.stepTime * 3.0);
 }
@@ -82,8 +83,9 @@ TEST_P(Table3Models, SpeedupInPaperBand)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
-    StepStats ds = runZeroStep(server, work.cost());
+    StepStats mob =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
+    StepStats ds = runStep(System::DeepSpeed, server, work.cost()).stats;
     double speedup = ds.stepTime / mob.stepTime;
     EXPECT_GT(speedup, 3.0) << cfg().name;
     EXPECT_LT(speedup, 7.0) << cfg().name;
@@ -94,7 +96,7 @@ TEST_P(Table3Models, MobiusTrafficNearEq1)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     double ratio =
         s.trafficRatio(work.model().totalParamBytesFp32());
     EXPECT_GT(ratio, 1.2) << cfg().name;
@@ -113,7 +115,8 @@ TEST(Integration, ThreeRootComplexTopologies)
         Server server = makeCommodityServer(groups);
         Workload work(gpt8b(), server);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s =
+            runStep(System::Mobius, server, work.cost(), &plan).stats;
         EXPECT_GT(s.stepTime, 0.0);
     }
 }
@@ -125,10 +128,10 @@ TEST(Integration, MoreMicrobatchesScaleStepTimeSublinearly)
     Server server = makeCommodityServer({2, 2});
     Workload w4(gpt15b(), server, 1, 4);
     Workload w8(gpt15b(), server, 1, 8);
-    StepStats s4 = runMobiusStep(server, w4.cost(),
-                                 planMobius(server, w4.cost()));
-    StepStats s8 = runMobiusStep(server, w8.cost(),
-                                 planMobius(server, w8.cost()));
+    MobiusPlan p4 = planMobius(server, w4.cost());
+    MobiusPlan p8 = planMobius(server, w8.cost());
+    StepStats s4 = runStep(System::Mobius, server, w4.cost(), &p4).stats;
+    StepStats s8 = runStep(System::Mobius, server, w8.cost(), &p8).stats;
     EXPECT_GT(s8.stepTime, s4.stepTime);
     EXPECT_LT(s8.stepTime, s4.stepTime * 2.0);
 }
@@ -140,8 +143,7 @@ TEST(Integration, DcServerPipelineModeWorks)
     Server dc = makeDataCenterServer(4);
     Workload work(gpt3b(), dc);
     try {
-        StepStats s = runPipelineStep(dc, work.cost(),
-                                      PipelineSchedule::GPipe);
+        StepStats s = runStep(System::GPipe, dc, work.cost()).stats;
         EXPECT_GT(s.stepTime, 0.0);
     } catch (const FatalError &e) {
         // 16 GB per V100 is indeed tight for 3B with optimizer

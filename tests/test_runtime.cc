@@ -7,11 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <ostream>
+#include <set>
+#include <string>
+
 #include "base/logging.hh"
 #include "runtime/api.hh"
+#include "simcore/trace.hh"
 
 namespace mobius
 {
+
+/** gtest prints System params by name, not as raw bytes. */
+void
+PrintTo(System system, std::ostream *os)
+{
+    *os << systemName(system);
+}
+
 namespace
 {
 
@@ -24,10 +38,146 @@ mobiusStep(const GptConfig &cfg, const std::vector<int> &groups,
     Server server = makeCommodityServer(groups);
     Workload work(cfg, server);
     MobiusPlan plan = planMobius(server, work.cost(), opts);
-    StepStats stats = runMobiusStep(server, work.cost(), plan);
+    StepStats stats =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
     if (plan_out)
         *plan_out = plan;
     return stats;
+}
+
+/**
+ * One step of @p system built by hand from a RunContext and the
+ * system's executor, the way runStep() is documented to build it.
+ */
+StepRunResult
+directStep(System system, const Server &server, const CostModel &cost,
+           const MobiusPlan &plan)
+{
+    RunContext ctx(server);
+    const int n = server.topo.numGpus();
+    StepStats stats;
+    switch (system) {
+      case System::Mobius:
+        stats = MobiusExecutor(ctx, cost, plan.partition, plan.mapping)
+                    .run();
+        break;
+      case System::DeepSpeed:
+        stats = ZeroHeteroExecutor(ctx, cost).run();
+        break;
+      case System::GPipe:
+      case System::DsPipeline:
+        stats = PipelineExecutor(ctx, cost,
+                                 balancedComputePartition(cost, n),
+                                 sequentialMapping(server.topo, n),
+                                 system == System::GPipe
+                                     ? PipelineSchedule::GPipe
+                                     : PipelineSchedule::OneFOneB)
+                    .run();
+        break;
+      case System::TensorParallel:
+        stats = TensorParallelExecutor(ctx, cost).run();
+        break;
+    }
+    return {stats, ctx.trace().spanCount(),
+            spanFingerprint(ctx.trace())};
+}
+
+class RunStep : public ::testing::TestWithParam<System>
+{
+};
+
+TEST_P(RunStep, MatchesDirectExecutor)
+{
+    const System system = GetParam();
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt3b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    StepRunResult want = directStep(system, server, work.cost(), plan);
+    StepRunResult got =
+        runStep(system, server, work.cost(),
+                system == System::Mobius ? &plan : nullptr);
+
+    EXPECT_EQ(got.stats.system, want.stats.system);
+    EXPECT_EQ(got.stats.stepTime, want.stats.stepTime);
+    EXPECT_EQ(got.stats.traffic.totalBytes(),
+              want.stats.traffic.totalBytes());
+    for (int k = 0; k < static_cast<int>(TrafficKind::NumKinds); ++k) {
+        const auto kind = static_cast<TrafficKind>(k);
+        EXPECT_EQ(got.stats.traffic.bytesOf(kind),
+                  want.stats.traffic.bytesOf(kind))
+            << trafficKindName(kind);
+    }
+    EXPECT_GT(got.spanCount, 0u);
+    EXPECT_EQ(got.spanCount, want.spanCount);
+    EXPECT_EQ(got.spanHash, want.spanHash);
+}
+
+/** Test id suffix: the System enumerator's name. */
+std::string
+systemParamName(const ::testing::TestParamInfo<System> &info)
+{
+    static const char *const kNames[] = {
+        "Mobius", "DeepSpeed", "GPipe", "DsPipeline", "TensorParallel"};
+    return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(, RunStep, ::testing::ValuesIn(kAllSystems),
+                         systemParamName);
+
+TEST(RunStepDispatch, EverySystemRunsADistinctStep)
+{
+    // Guards the dispatch itself: no two systems may share an
+    // executor (GPipe and 1F1B differ in schedule, so their traces
+    // do too).
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt3b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    std::set<std::uint64_t> hashes;
+    for (System system : kAllSystems) {
+        hashes.insert(
+            runStep(system, server, work.cost(),
+                    system == System::Mobius ? &plan : nullptr)
+                .spanHash);
+    }
+    EXPECT_EQ(hashes.size(), std::size(kAllSystems));
+}
+
+TEST(RunStepDispatch, InputsTheSystemWouldNotReadAreFatal)
+{
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt3b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    EXPECT_THROW(runStep(System::Mobius, server, work.cost()),
+                 FatalError);
+    EXPECT_THROW(runStep(System::DeepSpeed, server, work.cost(), &plan),
+                 FatalError);
+
+    StepRunOptions mobius_knob;
+    mobius_knob.exec.mobius.prefetchLookahead = 0;
+    EXPECT_THROW(runStep(System::DeepSpeed, server, work.cost(),
+                         nullptr, mobius_knob),
+                 FatalError);
+    StepRunOptions zero_knob;
+    zero_knob.exec.zero.layerSync = false;
+    EXPECT_THROW(runStep(System::Mobius, server, work.cost(), &plan,
+                         zero_knob),
+                 FatalError);
+    EXPECT_THROW(runStep(System::TensorParallel, server, work.cost(),
+                         nullptr, zero_knob),
+                 FatalError);
+}
+
+TEST(SystemName, ParseRoundTripsEverySystem)
+{
+    std::set<std::string> names;
+    for (System system : kAllSystems) {
+        EXPECT_EQ(parseSystem(systemName(system)), system);
+        names.insert(systemName(system));
+    }
+    EXPECT_EQ(names, (std::set<std::string>{"mobius", "deepspeed",
+                                            "gpipe", "dspipe", "tp"}));
+    EXPECT_THROW(parseSystem("zero"), FatalError);
+    EXPECT_THROW(parseSystem(""), FatalError);
 }
 
 TEST(MobiusExecutor, CompletesAndIsDeterministic)
@@ -47,7 +197,8 @@ TEST(MobiusExecutor, TrafficMatchesEq1)
         Server server = makeCommodityServer({2, 2});
         Workload work(cfg, server);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s =
+            runStep(System::Mobius, server, work.cost(), &plan).stats;
         double ratio =
             s.trafficRatio(work.model().totalParamBytesFp32());
         EXPECT_GT(ratio, 1.2) << cfg.name;
@@ -60,7 +211,7 @@ TEST(MobiusExecutor, ParameterTrafficTwoCopiesMinusResidentTail)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
 
     Bytes fp16 = work.model().totalParamBytesFp16();
     Bytes params = s.traffic.bytesOf(TrafficKind::Parameter);
@@ -85,7 +236,7 @@ TEST(MobiusExecutor, SingleGpuWorks)
     Server server = makeCommodityServer({1});
     Workload work(gpt8b(), server, -1, 2);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -102,7 +253,7 @@ TEST(ZeroExecutor, TrafficMatchesEq2)
     // 7.3x with framework overheads).
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
-    StepStats s = runZeroStep(server, work.cost());
+    StepStats s = runStep(System::DeepSpeed, server, work.cost()).stats;
     double ratio =
         s.trafficRatio(work.model().totalParamBytesFp32());
     EXPECT_GT(ratio, 5.0);
@@ -115,7 +266,7 @@ TEST(ZeroExecutor, ContentionHalvesObservedBandwidth)
     // bandwidth on Topo 2+2.
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
-    StepStats s = runZeroStep(server, work.cost());
+    StepStats s = runStep(System::DeepSpeed, server, work.cost()).stats;
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.quantile(0.5), 0.55 * kPcie3x16Bw);
 }
@@ -124,9 +275,11 @@ TEST(ZeroExecutor, LayerSyncOffStillCompletes)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    ZeroExecutorConfig cfg;
-    cfg.layerSync = false;
-    StepStats s = runZeroStep(server, work.cost(), cfg);
+    StepRunOptions opts;
+    opts.exec.zero.layerSync = false;
+    StepStats s =
+        runStep(System::DeepSpeed, server, work.cost(), nullptr, opts)
+            .stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -141,8 +294,10 @@ TEST(Headline, MobiusBeatsDeepSpeedOnCommodity)
             Server server = makeCommodityServer(groups);
             Workload work(cfg, server);
             MobiusPlan plan = planMobius(server, work.cost());
-            StepStats mob = runMobiusStep(server, work.cost(), plan);
-            StepStats ds = runZeroStep(server, work.cost());
+            StepStats mob =
+                runStep(System::Mobius, server, work.cost(), &plan).stats;
+            StepStats ds =
+                runStep(System::DeepSpeed, server, work.cost()).stats;
             double speedup = ds.stepTime / mob.stepTime;
             EXPECT_GT(speedup, 2.5)
                 << cfg.name << " groups=" << groups.size();
@@ -158,8 +313,9 @@ TEST(Headline, MobiusReducesExposedCommunication)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
-    StepStats ds = runZeroStep(server, work.cost());
+    StepStats mob =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
+    StepStats ds = runStep(System::DeepSpeed, server, work.cost()).stats;
     EXPECT_LT(mob.exposedCommFraction(),
               ds.exposedCommFraction() - 0.1);
 }
@@ -170,7 +326,7 @@ TEST(Headline, MobiusBandwidthNearLinkPeak)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.fractionAtOrBelow(12e9), 0.5);
     EXPECT_NEAR(cdf.maxBandwidth(), kPcie3x16Bw, 0.05 * kPcie3x16Bw);
@@ -180,8 +336,7 @@ TEST(Pipeline, GPipeTrains3bOnly)
 {
     Server server = makeCommodityServer({2, 2});
     Workload w3(gpt3b(), server);
-    StepStats s = runPipelineStep(server, w3.cost(),
-                                  PipelineSchedule::GPipe);
+    StepStats s = runStep(System::GPipe, server, w3.cost()).stats;
     EXPECT_GT(s.stepTime, 0.0);
     // Only activations cross the wire: tiny traffic.
     EXPECT_LT(s.trafficRatio(w3.model().totalParamBytesFp32()),
@@ -189,8 +344,7 @@ TEST(Pipeline, GPipeTrains3bOnly)
 
     for (auto cfg : {gpt8b(), gpt15b(), gpt51b()}) {
         Workload w(cfg, server);
-        EXPECT_THROW(runPipelineStep(server, w.cost(),
-                                     PipelineSchedule::GPipe),
+        EXPECT_THROW(runStep(System::GPipe, server, w.cost()),
                      FatalError)
             << cfg.name;
     }
@@ -200,10 +354,8 @@ TEST(Pipeline, OneFOneBNoSlowerThanGPipe)
 {
     Server server = makeCommodityServer({2, 2});
     Workload w(gpt3b(), server);
-    StepStats gpipe = runPipelineStep(server, w.cost(),
-                                      PipelineSchedule::GPipe);
-    StepStats ofob = runPipelineStep(server, w.cost(),
-                                     PipelineSchedule::OneFOneB);
+    StepStats gpipe = runStep(System::GPipe, server, w.cost()).stats;
+    StepStats ofob = runStep(System::DsPipeline, server, w.cost()).stats;
     EXPECT_LE(ofob.stepTime, gpipe.stepTime * 1.01);
 }
 
@@ -219,8 +371,9 @@ TEST(Mapping, CrossMappingNoSlowerOnEightGpus)
     seq_opts.mapping = MappingAlgo::Sequential;
     MobiusPlan cross = planMobius(server, work.cost(), cross_opts);
     MobiusPlan seq = planMobius(server, work.cost(), seq_opts);
-    StepStats sc = runMobiusStep(server, work.cost(), cross);
-    StepStats ss = runMobiusStep(server, work.cost(), seq);
+    StepStats sc =
+        runStep(System::Mobius, server, work.cost(), &cross).stats;
+    StepStats ss = runStep(System::Mobius, server, work.cost(), &seq).stats;
     EXPECT_LE(sc.stepTime, ss.stepTime * 1.001);
 }
 
@@ -235,7 +388,8 @@ TEST(PartitionAblation, MipNoSlowerThanBaselinesExecuted)
         PlanOptions opts;
         opts.partition = algo;
         MobiusPlan plan = planMobius(server, work.cost(), opts);
-        return runMobiusStep(server, work.cost(), plan).stepTime;
+        return runStep(System::Mobius, server, work.cost(), &plan)
+            .stats.stepTime;
     };
     double mip = run(PartitionAlgo::Mip);
     double maxs = run(PartitionAlgo::MaxStage);
@@ -249,14 +403,14 @@ TEST(DataCenter, DeepSpeedCompetitiveWithNvlink)
     Server dc = makeDataCenterServer(4);
     Workload work(gpt8b(), dc, 2);
     MobiusPlan plan = planMobius(dc, work.cost());
-    StepStats mob = runMobiusStep(dc, work.cost(), plan);
-    StepStats ds = runZeroStep(dc, work.cost());
+    StepStats mob = runStep(System::Mobius, dc, work.cost(), &plan).stats;
+    StepStats ds = runStep(System::DeepSpeed, dc, work.cost()).stats;
     EXPECT_LT(ds.stepTime, mob.stepTime);
 
     // And both beat the commodity box in absolute time.
     Server c = makeCommodityServer({2, 2});
     Workload cw(gpt8b(), c, 2);
-    StepStats cds = runZeroStep(c, cw.cost());
+    StepStats cds = runStep(System::DeepSpeed, c, cw.cost()).stats;
     EXPECT_LT(ds.stepTime, cds.stepTime);
 }
 
@@ -266,13 +420,13 @@ TEST(DataCenter, PricePerStepFavoursCommodity)
     // DeepSpeed on the data-center server.
     Server dc = makeDataCenterServer(4);
     Workload dwork(gpt15b(), dc, 2);
-    StepStats ds_dc = runZeroStep(dc, dwork.cost());
+    StepStats ds_dc = runStep(System::DeepSpeed, dc, dwork.cost()).stats;
     double dc_price = ds_dc.stepTime / 3600.0 * dc.dollarsPerHour;
 
     Server c = makeCommodityServer({2, 2});
     Workload cwork(gpt15b(), c, 2);
     MobiusPlan plan = planMobius(c, cwork.cost());
-    StepStats mob_c = runMobiusStep(c, cwork.cost(), plan);
+    StepStats mob_c = runStep(System::Mobius, c, cwork.cost(), &plan).stats;
     double c_price = mob_c.stepTime / 3600.0 * c.dollarsPerHour;
 
     EXPECT_LT(c_price, dc_price);
@@ -287,7 +441,8 @@ TEST(Scalability, ThroughputScalesWithGpus)
             makeCommodityServer({gpus / 2, gpus - gpus / 2});
         Workload work(gpt15b(), server, 1, gpus);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s =
+            runStep(System::Mobius, server, work.cost(), &plan).stats;
         return gpus * 1.0 / s.stepTime;
     };
     double t2 = throughput(2);
@@ -351,7 +506,7 @@ TEST(Plan, Gpt51bPlansAndRuns)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt51b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 

@@ -14,12 +14,23 @@ namespace mobius
 namespace
 {
 
+/** Run options with the CPU-update model at @p params_per_sec. */
+StepRunOptions
+withCpuAdam(double params_per_sec)
+{
+    StepRunOptions opts;
+    opts.cpuAdamThroughput = params_per_sec;
+    return opts;
+}
+
 TEST(TensorParallel, CompletesAndIsDeterministic)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats a = runTensorParallelStep(server, work.cost());
-    StepStats b = runTensorParallelStep(server, work.cost());
+    StepStats a =
+        runStep(System::TensorParallel, server, work.cost()).stats;
+    StepStats b =
+        runStep(System::TensorParallel, server, work.cost()).stats;
     EXPECT_GT(a.stepTime, 0.0);
     EXPECT_DOUBLE_EQ(a.stepTime, b.stepTime);
 }
@@ -28,7 +39,8 @@ TEST(TensorParallel, SingleGpuDegenerates)
 {
     Server server = makeCommodityServer({1});
     Workload work(gpt3b(), server, 1, 2);
-    StepStats s = runTensorParallelStep(server, work.cost());
+    StepStats s =
+        runStep(System::TensorParallel, server, work.cost()).stats;
     EXPECT_GT(s.stepTime, 0.0);
     // No collectives on one GPU: traffic is just gradient flushes.
     EXPECT_EQ(s.traffic.bytesOf(TrafficKind::Activation), 0u);
@@ -39,7 +51,7 @@ TEST(TensorParallel, OomAtScale)
     // The §5 argument: resident shards bound the trainable scale.
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt51b(), server);
-    EXPECT_THROW(runTensorParallelStep(server, work.cost()),
+    EXPECT_THROW(runStep(System::TensorParallel, server, work.cost()),
                  FatalError);
 }
 
@@ -48,8 +60,8 @@ TEST(TensorParallel, CollectiveTrafficScalesWithMicrobatch)
     Server server = makeCommodityServer({2, 2});
     Workload w1(gpt8b(), server, 1);
     Workload w4(gpt8b(), server, 4);
-    StepStats s1 = runTensorParallelStep(server, w1.cost());
-    StepStats s4 = runTensorParallelStep(server, w4.cost());
+    StepStats s1 = runStep(System::TensorParallel, server, w1.cost()).stats;
+    StepStats s4 = runStep(System::TensorParallel, server, w4.cost()).stats;
     Bytes act1 = s1.traffic.bytesOf(TrafficKind::Activation) +
         s1.traffic.bytesOf(TrafficKind::ActivationGrad);
     Bytes act4 = s4.traffic.bytesOf(TrafficKind::Activation) +
@@ -64,8 +76,10 @@ TEST(TensorParallel, MobiusWinsAtLargerBatch)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server, 8);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
-    StepStats tp = runTensorParallelStep(server, work.cost());
+    StepStats mob =
+        runStep(System::Mobius, server, work.cost(), &plan).stats;
+    StepStats tp =
+        runStep(System::TensorParallel, server, work.cost()).stats;
     EXPECT_GT(tp.stepTime, mob.stepTime * 1.2);
 }
 
@@ -73,7 +87,8 @@ TEST(TensorParallel, GradientShardsSumToModel)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats s = runTensorParallelStep(server, work.cost());
+    StepStats s =
+        runStep(System::TensorParallel, server, work.cost()).stats;
     Bytes fp16 = work.model().totalParamBytesFp16();
     double ratio =
         static_cast<double>(s.traffic.bytesOf(
@@ -87,10 +102,12 @@ TEST(CpuOptimizer, DisabledByDefaultIsFree)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats off =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 0.0);
-    StepStats fast = runMobiusStep(server, work.cost(), plan, {},
-                                   {}, 1e18);
+    StepStats off = runStep(System::Mobius, server, work.cost(), &plan,
+                            withCpuAdam(0.0))
+                        .stats;
+    StepStats fast = runStep(System::Mobius, server, work.cost(),
+                             &plan, withCpuAdam(1e18))
+                         .stats;
     EXPECT_NEAR(off.stepTime, fast.stepTime,
                 off.stepTime * 1e-6);
 }
@@ -100,12 +117,14 @@ TEST(CpuOptimizer, SlowCpuLengthensStepTail)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats off =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 0.0);
+    StepStats off = runStep(System::Mobius, server, work.cost(), &plan,
+                            withCpuAdam(0.0))
+                        .stats;
     // 1G params/s over ~8B params = ~8 s of CPU Adam, partially
     // overlapped with the step.
-    StepStats on =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 1e9);
+    StepStats on = runStep(System::Mobius, server, work.cost(), &plan,
+                           withCpuAdam(1e9))
+                       .stats;
     EXPECT_GT(on.stepTime, off.stepTime);
     double adam_serial =
         static_cast<double>(work.model().totalParams()) / 1e9;
@@ -118,8 +137,12 @@ TEST(CpuOptimizer, AppliesToZeroExecutorToo)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats off = runZeroStep(server, work.cost(), {}, {}, 0.0);
-    StepStats on = runZeroStep(server, work.cost(), {}, {}, 1e9);
+    StepStats off = runStep(System::DeepSpeed, server, work.cost(),
+                            nullptr, withCpuAdam(0.0))
+                        .stats;
+    StepStats on = runStep(System::DeepSpeed, server, work.cost(),
+                           nullptr, withCpuAdam(1e9))
+                       .stats;
     EXPECT_GT(on.stepTime, off.stepTime);
 }
 

@@ -546,11 +546,13 @@ TEST(SsdTierAblation, NvmeRateCapSlowsWeightLoads)
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
 
-    MobiusExecutorConfig dram;
-    MobiusExecutorConfig ssd;
-    ssd.weightSourceRateCap = 3.0e9; // NVMe-class read bandwidth
-    StepStats a = runMobiusStep(server, work.cost(), plan, dram);
-    StepStats b = runMobiusStep(server, work.cost(), plan, ssd);
+    StepRunOptions dram;
+    StepRunOptions ssd;
+    ssd.exec.mobius.weightSourceRateCap = 3.0e9; // NVMe-class reads
+    StepStats a =
+        runStep(System::Mobius, server, work.cost(), &plan, dram).stats;
+    StepStats b =
+        runStep(System::Mobius, server, work.cost(), &plan, ssd).stats;
     EXPECT_GT(b.stepTime, a.stepTime * 1.5);
 }
 

@@ -493,7 +493,7 @@ TEST(WhatIfEndToEnd, PredictionTracksResimulationOnRealRun)
 
     auto step = [&](const Server &s, const RunPerturbation &rp,
                     SpanDag *dag_out) {
-        RunContext ctx(s, {}, 0.0, nullptr, rp);
+        RunContext ctx(s, {.perturb = rp});
         MobiusExecutor exec(ctx, work.cost(), plan.partition,
                             plan.mapping);
         StepStats stats = exec.run();

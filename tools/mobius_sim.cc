@@ -183,7 +183,7 @@ printPhaseTable(RunContext &ctx, const MetricsRegistry &reg,
 struct StepSetup
 {
     const Workload *work = nullptr;
-    std::string system;
+    System system = System::Mobius;
     PlanOptions popts;
     /** When set, Mobius skips planning and executes this plan (the
      *  baseline plan is held fixed across what-if re-runs). */
@@ -196,55 +196,30 @@ struct StepSetup
  * and, when @p plan_out is non-null, the result is stored there.
  */
 StepStats
-runStep(RunContext &ctx, const StepSetup &setup,
-        std::unique_ptr<MobiusPlan> *plan_out)
+runSetup(RunContext &ctx, const StepSetup &setup,
+         std::unique_ptr<MobiusPlan> *plan_out)
 {
     MOBIUS_PROF_ZONE("sim.step");
     const Workload &work = *setup.work;
-    if (setup.system == "mobius") {
-        const MobiusPlan *plan = setup.plan;
-        std::unique_ptr<MobiusPlan> owned;
-        if (!plan) {
-            owned = std::make_unique<MobiusPlan>(planMobius(
-                ctx.server(), work.cost(), setup.popts));
-            plan = owned.get();
-            if (MetricsRegistry *m = ctx.activeMetrics()) {
-                m->gauge("plan.profiling_seconds")
-                    .set(plan->profilingSeconds);
-                m->gauge("plan.solve_seconds")
-                    .set(plan->solveSeconds);
-                m->gauge("plan.mapping_seconds")
-                    .set(plan->mappingSeconds);
-                m->gauge("plan.stages").set(plan->stageCount());
-            }
+    const MobiusPlan *plan = setup.plan;
+    std::unique_ptr<MobiusPlan> owned;
+    if (setup.system == System::Mobius && !plan) {
+        owned = std::make_unique<MobiusPlan>(
+            planMobius(ctx.server(), work.cost(), setup.popts));
+        plan = owned.get();
+        if (MetricsRegistry *m = ctx.activeMetrics()) {
+            m->gauge("plan.profiling_seconds")
+                .set(plan->profilingSeconds);
+            m->gauge("plan.solve_seconds").set(plan->solveSeconds);
+            m->gauge("plan.mapping_seconds")
+                .set(plan->mappingSeconds);
+            m->gauge("plan.stages").set(plan->stageCount());
         }
-        MobiusExecutor exec(ctx, work.cost(), plan->partition,
-                            plan->mapping);
-        StepStats stats = exec.run();
-        if (owned && plan_out)
-            *plan_out = std::move(owned);
-        return stats;
     }
-    if (setup.system == "deepspeed") {
-        ZeroHeteroExecutor exec(ctx, work.cost());
-        return exec.run();
-    }
-    if (setup.system == "gpipe" || setup.system == "dspipe") {
-        Partition p = balancedComputePartition(
-            work.cost(), ctx.server().topo.numGpus());
-        Mapping m = sequentialMapping(ctx.server().topo,
-                                      ctx.server().topo.numGpus());
-        PipelineExecutor exec(ctx, work.cost(), p, m,
-                              setup.system == "gpipe"
-                                  ? PipelineSchedule::GPipe
-                                  : PipelineSchedule::OneFOneB);
-        return exec.run();
-    }
-    if (setup.system == "tp") {
-        TensorParallelExecutor exec(ctx, work.cost());
-        return exec.run();
-    }
-    fatal("unknown --system '%s'", setup.system.c_str());
+    StepStats stats = runStep(ctx, setup.system, work.cost(), plan);
+    if (owned && plan_out)
+        *plan_out = std::move(owned);
+    return stats;
 }
 
 /**
@@ -258,12 +233,13 @@ exactStepTime(const Server &server, const StepSetup &setup,
               double cpu_adam, const std::vector<WhatIfSpec> &specs)
 {
     Server perturbed = perturbServer(server, specs);
-    RunPerturbation rp =
-        runPerturbation(specs, server.topo.numGpus());
     StepSetup s = setup;
     s.popts.metrics = nullptr; // keep the main registry pristine
-    RunContext ctx(perturbed, {}, cpu_adam, nullptr, rp);
-    return runStep(ctx, s, nullptr).stepTime;
+    RunContext ctx(perturbed,
+                   {.cpuAdamThroughput = cpu_adam,
+                    .perturb = runPerturbation(
+                        specs, server.topo.numGpus())});
+    return runSetup(ctx, s, nullptr).stepTime;
 }
 
 /** Record one what-if result into the metrics registry. */
@@ -299,7 +275,7 @@ main(int argc, char **argv)
         Workload work(model, server, args.getInt("mbs", -1),
                       args.getInt("microbatches", -1));
 
-        std::string system = args.get("system", "mobius");
+        System system = parseSystem(args.get("system", "mobius"));
         double cpu_adam = args.getDouble("cpu-adam", 0.0);
         bool json = args.has("json");
         std::string trace_file = args.get("trace", "");
@@ -372,7 +348,7 @@ main(int argc, char **argv)
         RunManifest manifest;
         manifest.model = model.name;
         manifest.topo = dc ? "dc" : topo;
-        manifest.system = system;
+        manifest.system = systemName(system);
         manifest.partition = part;
         manifest.mapping = mapping;
         manifest.microbatchSize = work.train().microbatchSize;
@@ -383,9 +359,12 @@ main(int argc, char **argv)
 
         MetricsRegistry registry;
         setup.popts.metrics = &registry; // plan.mip.* / solver.lp.*
-        RunContext ctx(server, {}, cpu_adam, &registry, {},
-                       fault_plan.empty() ? nullptr : &fault_plan,
-                       fault_seed);
+        RunContext ctx(server,
+                       {.cpuAdamThroughput = cpu_adam,
+                        .metrics = &registry,
+                        .faults = fault_plan.empty() ? nullptr
+                                                     : &fault_plan,
+                        .faultSeed = fault_seed});
         if (!fault_plan.empty() && !json)
             std::printf("faults: %s (seed %llu)\n",
                         faultPlanSummary(fault_plan).c_str(),
@@ -404,7 +383,7 @@ main(int argc, char **argv)
         std::unique_ptr<MobiusPlan> plan;
         if (prof_on)
             prof::setEnabled(true);
-        StepStats stats = runStep(ctx, setup, &plan);
+        StepStats stats = runSetup(ctx, setup, &plan);
         std::string plan_json = plan ? planToJson(*plan) : "";
         // What-if re-runs execute the baseline plan on perturbed
         // hardware; re-planning would mix two counterfactuals.

@@ -294,12 +294,6 @@ alignSpans(const TraceFile &a, const TraceFile &b,
     return pairs;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
-}
-
 } // namespace
 
 int
@@ -343,14 +337,14 @@ main(int argc, char **argv)
         if (as_json) {
             std::ostringstream os;
             os.precision(9);
-            os << "{\"a\":\"" << jsonEscape(a.path) << "\",\"b\":\""
-               << jsonEscape(b.path) << "\""
+            os << "{\"a\":\"" << json::escape(a.path) << "\",\"b\":\""
+               << json::escape(b.path) << "\""
                << ",\"step_time_a\":" << a.stepTime
                << ",\"step_time_b\":" << b.stepTime
                << ",\"step_time_delta\":"
                << b.stepTime - a.stepTime << ",\"notes\":[";
             for (std::size_t i = 0; i < notes.size(); ++i) {
-                os << (i ? "," : "") << "\"" << jsonEscape(notes[i])
+                os << (i ? "," : "") << "\"" << json::escape(notes[i])
                    << "\"";
             }
             os << "],\"categories\":{";
@@ -358,7 +352,7 @@ main(int argc, char **argv)
             for (const std::string &c : cat_names) {
                 const CatTotals &ta = cats_a[c];
                 const CatTotals &tb = cats_b[c];
-                os << (first ? "" : ",") << "\"" << jsonEscape(c)
+                os << (first ? "" : ",") << "\"" << json::escape(c)
                    << "\":{\"spans_a\":" << ta.spans
                    << ",\"spans_b\":" << tb.spans
                    << ",\"duration_a\":" << ta.duration
@@ -382,9 +376,9 @@ main(int argc, char **argv)
             for (std::size_t i = 0; i < k; ++i) {
                 const Pair &p = pairs[i];
                 os << (i ? "," : "") << "{\"track_a\":\""
-                   << jsonEscape(p.a->track) << "\",\"track_b\":\""
-                   << jsonEscape(p.b->track) << "\",\"name\":\""
-                   << jsonEscape(p.a->name) << "\",\"stage\":"
+                   << json::escape(p.a->track) << "\",\"track_b\":\""
+                   << json::escape(p.b->track) << "\",\"name\":\""
+                   << json::escape(p.a->name) << "\",\"stage\":"
                    << p.a->stage << ",\"duration_a\":"
                    << p.a->duration << ",\"duration_b\":"
                    << p.b->duration << ",\"delta\":" << p.delta()
