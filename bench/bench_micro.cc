@@ -38,13 +38,19 @@ void
 BM_MaxMinFairness(benchmark::State &state)
 {
     const int flows = static_cast<int>(state.range(0));
-    std::vector<FairShareFlow> fs(flows);
+    std::vector<int> pools(static_cast<std::size_t>(flows) * 2);
+    std::vector<FairShareFlowView> fs(flows);
     std::vector<double> cap(8, 13.1e9);
-    for (int f = 0; f < flows; ++f)
-        fs[f].pools = {f % 8, (f + 3) % 8};
+    for (int f = 0; f < flows; ++f) {
+        pools[2 * f] = f % 8;
+        pools[2 * f + 1] = (f + 3) % 8;
+        fs[f].pools = {&pools[2 * f], 2};
+    }
+    std::vector<double> rates(flows);
+    FairShareWorkspace ws;
     for (auto _ : state) {
-        auto rates = maxMinFairRates(fs, cap);
-        benchmark::DoNotOptimize(rates);
+        maxMinFairRates(fs, cap, rates, ws);
+        benchmark::DoNotOptimize(rates.data());
     }
 }
 BENCHMARK(BM_MaxMinFairness)->Arg(4)->Arg(16)->Arg(64);

@@ -289,11 +289,16 @@ FaultInjector::submitAttempt(TransferRequest req, int attempt,
     // Every attempt consumes exactly one draw from the failure
     // stream, so the pattern is independent of retries' timing.
     bool doomed = xfailRng_.uniform() < plan_.xfailProb;
+    if (!doomed) {
+        if (prev_fail != kNoSpan)
+            req.deps.push_back(prev_fail);
+        return xfer_.submit(std::move(req));
+    }
+    // The retry closure resubmits the original request, so only a
+    // doomed attempt pays for a copy.
     TransferRequest a = req;
     if (prev_fail != kNoSpan)
         a.deps.push_back(prev_fail);
-    if (!doomed)
-        return xfer_.submit(std::move(a));
     a.willFail = true;
     a.onComplete = nullptr;
     a.onFail = [this, req = std::move(req), attempt]() mutable {

@@ -128,6 +128,14 @@ TraceRecorder::spans() const
 bool
 TraceRecorder::findSpan(SpanId id, TraceSpan &out) const
 {
+    // Ids the recorder assigns are dense from 1, so span `id` is
+    // usually at index id - 1; a caller-assigned id sends the lookup
+    // to the scan.
+    if (id != kNoSpan && id <= spans_.size() &&
+        spans_[id - 1].id == id) {
+        out = materialise(spans_[id - 1]);
+        return true;
+    }
     for (const auto &rec : spans_) {
         if (rec.id == id) {
             out = materialise(rec);

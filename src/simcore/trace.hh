@@ -178,7 +178,10 @@ class TraceRecorder
     std::vector<TraceSpan> spans() const;
 
     /**
-     * Materialise the span with id @p id.
+     * Materialise the span with id @p id. O(1) for ids the recorder
+     * assigned; a caller-assigned id may cost a scan. Ids are
+     * expected to be unique: if a caller assigns one twice, either
+     * span may be returned.
      * @return true and fill @p out when found.
      */
     bool findSpan(SpanId id, TraceSpan &out) const;

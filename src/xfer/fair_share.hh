@@ -27,21 +27,49 @@
  * flows keep their caller-given order inside a component, so results
  * are deterministic and independent of how the caller discovered the
  * component.
+ *
+ * **In place.** The solver reads flow *views* (a span of pool ids and
+ * a cap, pointing into storage the caller already has) and writes
+ * the rates into a caller-provided array. Its scratch lives in a
+ * caller-owned FairShareWorkspace: a CSR pool -> flow adjacency plus
+ * per-pool and per-flow arrays. A workspace reused across calls only
+ * grows to the largest problem it has seen, so the transfer engine
+ * re-solves allocation-free in steady state.
  */
 
 #ifndef MOBIUS_XFER_FAIR_SHARE_HH
 #define MOBIUS_XFER_FAIR_SHARE_HH
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mobius
 {
 
 /** A flow, for the purposes of rate allocation. */
-struct FairShareFlow
+struct FairShareFlowView
 {
-    std::vector<int> pools;  //!< capacity pool ids traversed
-    double rateCap = 0.0;    //!< optional per-flow cap (0 = none)
+    std::span<const int> pools; //!< capacity pool ids traversed
+    double rateCap = 0.0;       //!< optional per-flow cap (0 = none)
+};
+
+/**
+ * Scratch for maxMinFairRates(), owned by the caller so repeated
+ * solves reuse its capacity. Its contents between calls mean
+ * nothing; one workspace serves problems of any size.
+ */
+struct FairShareWorkspace
+{
+    std::vector<std::uint32_t> poolStart; //!< CSR offsets, pools + 1
+    std::vector<std::uint32_t> poolFlows; //!< flow indices by pool
+    std::vector<double> residual;         //!< unallocated capacity
+    std::vector<int> users;               //!< unfrozen flows per pool
+    std::vector<char> frozen;             //!< flow reached its limit
+    std::vector<char> inComponent;        //!< flow already visited
+    std::vector<char> poolSeen;           //!< pool already visited
+    std::vector<std::uint32_t> compFlows; //!< current component
+    std::vector<int> compPools;           //!< its pools
 };
 
 /** Telemetry from one max-min fair allocation. */
@@ -51,6 +79,9 @@ struct FairShareStats
     int cappedFlows = 0;     //!< flows frozen by their own rate cap
     int saturatedPools = 0;  //!< pools driven to saturation
     int components = 0;      //!< connected components waterfilled
+
+    /** Field-wise equality. */
+    bool operator==(const FairShareStats &) const = default;
 };
 
 /**
@@ -59,18 +90,15 @@ struct FairShareStats
  * @param flows          the active flows
  * @param pool_capacity  capacity of each pool id referenced by flows;
  *                       indexed by pool id (bytes/second)
+ * @param rates          out: per-flow rate in bytes/second, same
+ *                       order as @p flows; must hold flows.size()
+ * @param ws             scratch, reusable across calls
  * @param stats          optional telemetry out-param (reset on entry)
- * @return per-flow rate in bytes/second, same order as @p flows
  */
-std::vector<double>
-maxMinFairRates(const std::vector<FairShareFlow> &flows,
-                const std::vector<double> &pool_capacity,
-                FairShareStats *stats);
-
-/** Overload without telemetry. */
-std::vector<double>
-maxMinFairRates(const std::vector<FairShareFlow> &flows,
-                const std::vector<double> &pool_capacity);
+void maxMinFairRates(std::span<const FairShareFlowView> flows,
+                     std::span<const double> pool_capacity,
+                     std::span<double> rates, FairShareWorkspace &ws,
+                     FairShareStats *stats = nullptr);
 
 } // namespace mobius
 

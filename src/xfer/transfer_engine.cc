@@ -6,10 +6,17 @@
 
 #include "base/logging.hh"
 #include "obs/prof.hh"
-#include "xfer/fair_share.hh"
 
 namespace mobius
 {
+
+namespace
+{
+
+/** Low 32 bits of a FlowId: the flow's slot. */
+constexpr FlowId kSlotMask = 0xffffffffu;
+
+} // namespace
 
 TransferEngine::TransferEngine(EventQueue &queue, const Topology &topo,
                                UsageTracker *usage,
@@ -33,6 +40,7 @@ TransferEngine::TransferEngine(EventQueue &queue, const Topology &topo,
     poolUsers_.resize(poolCapacity_.size());
     poolMark_.resize(poolCapacity_.size(), 0);
     flows_.reserve(64);
+    buildRoutes();
 
     if (metrics && metrics->enabled()) {
         mLinkBytes_.resize(static_cast<std::size_t>(topo.numLinks()));
@@ -58,6 +66,100 @@ TransferEngine::TransferEngine(EventQueue &queue, const Topology &topo,
     }
 }
 
+int
+TransferEngine::routeIndex(Endpoint src, Endpoint dst) const
+{
+    const int g = topo_.numGpus();
+    auto side = [g](Endpoint e) {
+        if (e.isDram)
+            return 0;
+        if (e.gpu < 0 || e.gpu >= g)
+            panic("transfer endpoint gpu%d out of range", e.gpu);
+        return e.gpu + 1;
+    };
+    return side(src) * (g + 1) + side(dst);
+}
+
+void
+TransferEngine::buildRoutes()
+{
+    const int n = topo_.numGpus() + 1;
+    routes_.resize(static_cast<std::size_t>(n) *
+                   static_cast<std::size_t>(n));
+    auto endpoint = [](int i) {
+        return i == 0 ? Endpoint::dram() : Endpoint::gpuAt(i - 1);
+    };
+    for (int s = 0; s < n; ++s) {
+        for (int d = 0; d < n; ++d) {
+            if (s == d)
+                continue; // submit() rejects identical endpoints
+            const Endpoint src = endpoint(s);
+            const Endpoint dst = endpoint(d);
+            Route &r = routes_[static_cast<std::size_t>(
+                routeIndex(src, dst))];
+
+            // GPU->GPU without P2P is staged through DRAM: model the
+            // chunked staging as one cut-through flow across both
+            // legs.
+            std::vector<Hop> hops;
+            if (!src.isDram && !dst.isDram && !topo_.gpudirectP2p()) {
+                hops = topo_.route(src, Endpoint::dram());
+                auto down = topo_.route(Endpoint::dram(), dst);
+                hops.insert(hops.end(), down.begin(), down.end());
+            } else {
+                hops = topo_.route(src, dst);
+            }
+            r.poolOff = static_cast<std::uint32_t>(routePools_.size());
+            r.poolCount = static_cast<std::uint32_t>(hops.size());
+            bool all_peer = !hops.empty();
+            for (const auto &h : hops) {
+                routePools_.push_back(h.poolId());
+                all_peer = all_peer && topo_.link(h.link).peer;
+            }
+
+            // Copy engines: sender's D2H and/or receiver's H2D.
+            // Pure-NVLink routes use the dedicated NVLink engines
+            // instead.
+            r.peerOnly = all_peer;
+            if (all_peer) {
+                r.engines[r.numEngines++] =
+                    nvlinkEngineId(src.gpu, true);
+                r.engines[r.numEngines++] =
+                    nvlinkEngineId(dst.gpu, false);
+            } else {
+                if (!src.isDram)
+                    r.engines[r.numEngines++] =
+                        engineId(src.gpu, true);
+                if (!dst.isDram)
+                    r.engines[r.numEngines++] =
+                        engineId(dst.gpu, false);
+            }
+            if (!src.isDram)
+                r.commGpus[r.numCommGpus++] = src.gpu;
+            if (!dst.isDram)
+                r.commGpus[r.numCommGpus++] = dst.gpu;
+
+            // Spans land on the GPU-side engine track.
+            if (r.peerOnly)
+                r.track = "gpu" + std::to_string(src.gpu) + ".nvlink";
+            else if (!dst.isDram)
+                r.track = "gpu" + std::to_string(dst.gpu) + ".h2d";
+            else
+                r.track = "gpu" + std::to_string(src.gpu) + ".d2h";
+        }
+    }
+}
+
+TransferEngine::Flow &
+TransferEngine::flowAt(FlowId id)
+{
+    Flow &flow = flows_[static_cast<std::size_t>(id & kSlotMask)];
+    if (flow.id != id)
+        panic("transfer engine: no live flow %llu",
+              static_cast<unsigned long long>(id));
+    return flow;
+}
+
 void
 TransferEngine::setLinkCapacityFactor(int link, double factor)
 {
@@ -65,12 +167,12 @@ TransferEngine::setLinkCapacityFactor(int link, double factor)
         panic("setLinkCapacityFactor: no link %d", link);
     if (!(factor > 0.0))
         panic("link capacity factor must be > 0, got %g", factor);
-    std::vector<int> seeds;
+    int seeds[2];
     for (int d = 0; d < 2; ++d) {
         std::size_t pool = static_cast<std::size_t>(link) * 2 +
             static_cast<std::size_t>(d);
         poolCapacity_[pool] = basePoolCapacity_[pool] * factor;
-        seeds.push_back(static_cast<int>(pool));
+        seeds[d] = static_cast<int>(pool);
     }
     updateRates(seeds, 0);
 }
@@ -80,125 +182,116 @@ TransferEngine::submit(TransferRequest req)
 {
     if (req.src == req.dst)
         panic("transfer with identical endpoints");
+    const int route = routeIndex(req.src, req.dst);
 
-    Flow flow;
-    flow.id = nextId_++;
-    flow.seq = nextSeq_++;
+    std::uint64_t seq = nextSeq_++;
+    if (seq > kSlotMask)
+        panic("transfer engine: flow sequence overflow");
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(flows_.size());
+        flows_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+
+    Flow &flow = flows_[slot];
+    flow.id = seq << 32 | slot;
     flow.req = std::move(req);
+    flow.route = route;
     flow.remaining = flow.req.bytes;
     flow.submitTime = queue_.now();
 
-    // Route. GPU->GPU without P2P is staged through DRAM: model the
-    // chunked staging as one cut-through flow across both legs.
-    std::vector<Hop> hops;
+    // Stats attribution.
     const Endpoint &src = flow.req.src;
     const Endpoint &dst = flow.req.dst;
-    if (!src.isDram && !dst.isDram && !topo_.gpudirectP2p()) {
-        auto up = topo_.route(src, Endpoint::dram());
-        auto down = topo_.route(Endpoint::dram(), dst);
-        hops = std::move(up);
-        hops.insert(hops.end(), down.begin(), down.end());
-    } else {
-        hops = topo_.route(src, dst);
-    }
-    bool all_peer = !hops.empty();
-    for (const auto &h : hops) {
-        flow.pools.push_back(h.poolId());
-        all_peer = all_peer && topo_.link(h.link).peer;
-    }
-
-    // Copy engines: sender's D2H and/or receiver's H2D. Pure-NVLink
-    // routes use the dedicated NVLink engines instead.
-    flow.peerOnly = all_peer;
-    if (all_peer) {
-        flow.engines.push_back(nvlinkEngineId(src.gpu, true));
-        flow.engines.push_back(nvlinkEngineId(dst.gpu, false));
-    } else {
-        if (!src.isDram)
-            flow.engines.push_back(engineId(src.gpu, true));
-        if (!dst.isDram)
-            flow.engines.push_back(engineId(dst.gpu, false));
-    }
-
-    // Usage tracking and stats attribution.
-    if (!src.isDram)
-        flow.commGpus.push_back(src.gpu);
-    if (!dst.isDram)
-        flow.commGpus.push_back(dst.gpu);
     if (flow.req.statsGpu < 0) {
         flow.req.statsGpu =
             !dst.isDram ? dst.gpu : (!src.isDram ? src.gpu : -1);
     }
 
     FlowId id = flow.id;
-    flows_.emplace(id, std::move(flow));
     if (mSubmitted_) {
         mSubmitted_->add();
         ++waitingCount_;
         mQueueDepth_->set(waitingCount_);
     }
-    enqueueOnEngines(flows_.at(id));
-    tryStartFlows();
+    enqueueOnEngines(flow);
+    tryStartFlows(routeOf(flow));
     return id;
 }
 
 void
-TransferEngine::enqueueOnEngines(Flow &flow)
+TransferEngine::enqueueOnEngines(const Flow &flow)
 {
-    for (int e : flow.engines) {
-        auto &waiting = engines_[e].waiting;
-        // Insert keeping (priority, seq) order.
-        auto pos = waiting.end();
-        for (auto it = waiting.begin(); it != waiting.end(); ++it) {
-            const Flow &other = flows_.at(*it);
-            if (other.req.priority > flow.req.priority ||
-                (other.req.priority == flow.req.priority &&
-                 other.seq > flow.seq)) {
-                pos = it;
-                break;
-            }
-        }
-        waiting.insert(pos, flow.id);
+    const Route &route = routeOf(flow);
+    const Waiter w{flow.req.priority, flow.id};
+    auto before = [](const Waiter &a, const Waiter &b) {
+        return a.priority < b.priority ||
+            (a.priority == b.priority && a.id < b.id);
+    };
+    for (int i = 0; i < route.numEngines; ++i) {
+        auto &waiting = engines_[route.engines[i]].waiting;
+        // Insert keeping (priority, seq) order; ids sort by seq.
+        waiting.insert(std::upper_bound(waiting.begin(), waiting.end(),
+                                        w, before),
+                       w);
     }
 }
 
 bool
 TransferEngine::canStart(const Flow &flow) const
 {
-    for (int e : flow.engines) {
-        const CopyEngine &eng = engines_[e];
+    const Route &route = routeOf(flow);
+    for (int i = 0; i < route.numEngines; ++i) {
+        const CopyEngine &eng = engines_[route.engines[i]];
         if (eng.current != 0)
             return false;
-        if (eng.waiting.empty() || eng.waiting.front() != flow.id)
+        if (eng.waiting.empty() || eng.waiting.front().id != flow.id)
             return false;
     }
     return true;
 }
 
 void
-TransferEngine::tryStartFlows()
+TransferEngine::tryStartFlows(const Route &touched)
 {
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto &eng : engines_) {
-            if (eng.current != 0 || eng.waiting.empty())
-                continue;
-            FlowId id = eng.waiting.front();
-            Flow &flow = flows_.at(id);
-            if (flow.state != FlowState::Waiting)
-                continue;
-            if (canStart(flow)) {
-                beginSetup(flow);
-                progress = true;
-            }
-        }
+    // Between calls no flow is startable, and a flow's startability
+    // depends only on its own engines, so a new startable flow can
+    // only sit at the front of an engine the caller touched. Startable
+    // flows hold disjoint engines; starting one only occupies engines,
+    // so it cannot enable or disable another. Start them by lowest
+    // engine id: the order a sweep over every engine would find them.
+    FlowId start[2] = {0, 0};
+    int lowest[2] = {0, 0};
+    int n = 0;
+    for (int i = 0; i < touched.numEngines; ++i) {
+        const CopyEngine &eng = engines_[touched.engines[i]];
+        if (eng.current != 0 || eng.waiting.empty())
+            continue;
+        FlowId id = eng.waiting.front().id;
+        if (n == 1 && start[0] == id)
+            continue;
+        const Flow &flow = flowAt(id);
+        if (!canStart(flow))
+            continue;
+        const Route &route = routeOf(flow);
+        start[n] = id;
+        lowest[n] = *std::min_element(
+            route.engines, route.engines + route.numEngines);
+        ++n;
     }
+    if (n == 2 && lowest[1] < lowest[0])
+        std::swap(start[0], start[1]);
+    for (int i = 0; i < n; ++i)
+        beginSetup(flowAt(start[i]));
 }
 
 void
 TransferEngine::beginSetup(Flow &flow)
 {
+    const Route &route = routeOf(flow);
     flow.state = FlowState::Setup;
     if (mQueueDepth_) {
         --waitingCount_;
@@ -206,14 +299,14 @@ TransferEngine::beginSetup(Flow &flow)
         ++activeCount_;
         mActiveFlows_->set(activeCount_);
     }
-    for (int e : flow.engines) {
-        auto &eng = engines_[e];
+    for (int i = 0; i < route.numEngines; ++i) {
+        auto &eng = engines_[route.engines[i]];
         eng.waiting.pop_front();
         eng.current = flow.id;
     }
     if (usage_) {
-        for (int g : flow.commGpus)
-            usage_->commBegin(g);
+        for (int i = 0; i < route.numCommGpus; ++i)
+            usage_->commBegin(route.commGpus[i]);
     }
     FlowId id = flow.id;
     flow.pendingEvent = queue_.scheduleAfter(
@@ -223,7 +316,7 @@ TransferEngine::beginSetup(Flow &flow)
 void
 TransferEngine::addToPools(const Flow &flow)
 {
-    for (int pool : flow.pools)
+    for (int pool : poolsOf(routeOf(flow)))
         poolUsers_[static_cast<std::size_t>(pool)].push_back(
             flow.id);
     ++movingCount_;
@@ -232,7 +325,7 @@ TransferEngine::addToPools(const Flow &flow)
 void
 TransferEngine::removeFromPools(const Flow &flow)
 {
-    for (int pool : flow.pools) {
+    for (int pool : poolsOf(routeOf(flow))) {
         auto &users = poolUsers_[static_cast<std::size_t>(pool)];
         users.erase(std::find(users.begin(), users.end(), flow.id));
     }
@@ -242,7 +335,7 @@ TransferEngine::removeFromPools(const Flow &flow)
 void
 TransferEngine::beginData(FlowId id)
 {
-    Flow &flow = flows_.at(id);
+    Flow &flow = flowAt(id);
     flow.state = FlowState::Moving;
     flow.pendingEvent = kNoEvent;
     flow.dataStart = queue_.now();
@@ -252,11 +345,11 @@ TransferEngine::beginData(FlowId id)
         finish(id);
         return;
     }
-    updateRates(flow.pools, id);
+    updateRates(poolsOf(routeOf(flow)), id);
 }
 
 void
-TransferEngine::updateRates(const std::vector<int> &seed_pools,
+TransferEngine::updateRates(std::span<const int> seed_pools,
                             FlowId seed_flow)
 {
     MOBIUS_PROF_ZONE("xfer.update_rates");
@@ -278,19 +371,19 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
         if (f.mark != walkEpoch_) {
             f.mark = walkEpoch_;
             compFlows_.push_back(f.id);
-            for (int pool : f.pools)
+            for (int pool : poolsOf(routeOf(f)))
                 visitPool(pool);
         }
     };
     if (seed_flow != 0)
-        visitFlow(flows_.at(seed_flow));
+        visitFlow(flowAt(seed_flow));
     for (int pool : seed_pools)
         visitPool(pool);
     for (std::size_t i = 0; i < compPools_.size(); ++i) {
         auto &users =
             poolUsers_[static_cast<std::size_t>(compPools_[i])];
         for (FlowId fid : users)
-            visitFlow(flows_.at(fid));
+            visitFlow(flowAt(fid));
     }
 
     if (movingCount_ > 0 || !compFlows_.empty()) {
@@ -315,7 +408,7 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
     // update. Untouched flows keep integrating at their unchanged
     // rate; their scheduled completion stays exact.
     for (FlowId fid : compFlows_) {
-        Flow &f = flows_.at(fid);
+        Flow &f = flowAt(fid);
         double dt = queue_.now() - f.lastUpdate;
         if (dt > 0 && f.rate > 0) {
             double moved = f.rate * dt;
@@ -327,23 +420,16 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
         f.lastUpdate = queue_.now();
     }
 
-    std::vector<FairShareFlow> fs(compFlows_.size());
-    for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        const Flow &f = flows_.at(compFlows_[i]);
-        fs[i].pools = f.pools;
-        fs[i].rateCap = f.req.rateCap;
-    }
     FairShareStats fsStats;
-    auto rates = maxMinFairRates(fs, poolCapacity_,
-                                 mRecomputes_ ? &fsStats : nullptr);
+    solveRates(compFlows_, mRecomputes_ ? &fsStats : nullptr);
     if (mRecomputes_) {
         mRecomputes_->add();
         mFairShareRounds_->record(fsStats.rounds);
     }
 
     for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        Flow &f = flows_.at(compFlows_[i]);
-        f.rate = rates[i];
+        Flow &f = flowAt(compFlows_[i]);
+        f.rate = fsRates_[i];
         if (f.pendingEvent != kNoEvent) {
             queue_.cancel(f.pendingEvent);
             f.pendingEvent = kNoEvent;
@@ -362,31 +448,39 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
 }
 
 void
+TransferEngine::solveRates(std::span<const FlowId> ids,
+                           FairShareStats *stats)
+{
+    fsViews_.resize(ids.size());
+    fsRates_.resize(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const Flow &f = flowAt(ids[i]);
+        fsViews_[i].pools = poolsOf(routeOf(f));
+        fsViews_[i].rateCap = f.req.rateCap;
+    }
+    maxMinFairRates(fsViews_, poolCapacity_, fsRates_, fsWork_, stats);
+}
+
+void
 TransferEngine::crossCheckRates()
 {
     ++fsActivity_.crossChecks;
     std::vector<FlowId> moving;
     moving.reserve(static_cast<std::size_t>(movingCount_));
-    for (const auto &[id, f] : flows_) {
-        if (f.state == FlowState::Moving)
-            moving.push_back(id);
+    for (const Flow &f : flows_) {
+        if (f.id != 0 && f.state == FlowState::Moving)
+            moving.push_back(f.id);
     }
     std::sort(moving.begin(), moving.end());
 
-    std::vector<FairShareFlow> fs(moving.size());
+    solveRates(moving, nullptr);
     for (std::size_t i = 0; i < moving.size(); ++i) {
-        const Flow &f = flows_.at(moving[i]);
-        fs[i].pools = f.pools;
-        fs[i].rateCap = f.req.rateCap;
-    }
-    auto rates = maxMinFairRates(fs, poolCapacity_, nullptr);
-    for (std::size_t i = 0; i < moving.size(); ++i) {
-        const Flow &f = flows_.at(moving[i]);
-        if (rates[i] != f.rate) {
+        const Flow &f = flowAt(moving[i]);
+        if (fsRates_[i] != f.rate) {
             panic("fair-share cross-check: flow %llu has rate "
                   "%.17g, full recompute says %.17g",
                   static_cast<unsigned long long>(f.id), f.rate,
-                  rates[i]);
+                  fsRates_[i]);
         }
     }
 }
@@ -394,7 +488,9 @@ TransferEngine::crossCheckRates()
 void
 TransferEngine::finish(FlowId id)
 {
-    Flow &flow = flows_.at(id);
+    Flow &flow = flowAt(id);
+    const Route &route = routeOf(flow);
+    const std::span<const int> pools = poolsOf(route);
     flow.pendingEvent = kNoEvent;
     flow.remaining = 0;
 
@@ -410,7 +506,7 @@ TransferEngine::finish(FlowId id)
     sample.finish = queue_.now();
     sample.gpu = flow.req.statsGpu;
     sample.kind = flow.req.kind;
-    sample.peerOnly = flow.peerOnly;
+    sample.peerOnly = route.peerOnly;
     stats_.record(sample);
 
     // Uncontended bottleneck: the slowest link-direction on the
@@ -420,7 +516,7 @@ TransferEngine::finish(FlowId id)
     double bottleneck = flow.req.rateCap > 0.0
         ? flow.req.rateCap
         : std::numeric_limits<double>::infinity();
-    for (int pool : flow.pools)
+    for (int pool : pools)
         bottleneck = std::min(
             bottleneck,
             poolCapacity_[static_cast<std::size_t>(pool)]);
@@ -429,7 +525,7 @@ TransferEngine::finish(FlowId id)
         (flow.req.willFail ? mFailed_ : mCompleted_)->add();
         --activeCount_;
         mActiveFlows_->set(activeCount_);
-        for (int pool : flow.pools) {
+        for (int pool : pools) {
             mLinkBytes_[static_cast<std::size_t>(pool / 2)]->add(
                 static_cast<double>(flow.req.bytes));
         }
@@ -442,19 +538,8 @@ TransferEngine::finish(FlowId id)
     }
 
     if (trace_) {
-        // Attribute the span to the GPU-side engine track.
-        std::string track;
-        const Endpoint &src = flow.req.src;
-        const Endpoint &dst = flow.req.dst;
-        if (flow.peerOnly) {
-            track = "gpu" + std::to_string(src.gpu) + ".nvlink";
-        } else if (!dst.isDram) {
-            track = "gpu" + std::to_string(dst.gpu) + ".h2d";
-        } else {
-            track = "gpu" + std::to_string(src.gpu) + ".d2h";
-        }
         TraceSpan s;
-        s.track = std::move(track);
+        s.track = route.track;
         s.name = flow.req.label.empty()
             ? trafficKindName(flow.req.kind)
             : flow.req.label;
@@ -480,24 +565,27 @@ TransferEngine::finish(FlowId id)
     }
 
     if (usage_) {
-        for (int g : flow.commGpus)
-            usage_->commEnd(g);
+        for (int i = 0; i < route.numCommGpus; ++i)
+            usage_->commEnd(route.commGpus[i]);
     }
-    for (int e : flow.engines) {
+    for (int i = 0; i < route.numEngines; ++i) {
+        int e = route.engines[i];
         if (engines_[e].current != id)
             panic("copy engine %d does not own finishing flow", e);
         engines_[e].current = 0;
     }
 
     removeFromPools(flow);
-    std::vector<int> freed_pools = std::move(flow.pools);
     auto on_complete = flow.req.willFail
         ? std::move(flow.req.onFail)
         : std::move(flow.req.onComplete);
-    flows_.erase(id);
+    // Free the slot (and whatever the request still holds) before
+    // anything below can submit into it.
+    flow = Flow{};
+    freeSlots_.push_back(static_cast<std::uint32_t>(id & kSlotMask));
 
-    updateRates(freed_pools, 0);
-    tryStartFlows();
+    updateRates(pools, 0);
+    tryStartFlows(route);
 
     if (on_complete)
         on_complete();

@@ -30,6 +30,29 @@
  * rates are bit-identical to what a full recomputation would produce;
  * TransferEngineConfig::fairShareCrossCheck re-runs the full solve
  * after every update and panics on any divergence.
+ *
+ * **No rebuilding or rescanning per flow.** The per-flow path reuses
+ * what it can compute once and looks only at the state a change can
+ * affect:
+ *
+ *  - routes: each (src, dst) endpoint pair's pools, copy engines,
+ *    comm GPUs, peer-only flag and trace track are computed once at
+ *    construction into a (G+1)^2 table (DRAM plus G GPUs per side);
+ *    a flow names its route by index;
+ *  - flows live in a slot table with a free list. A FlowId is
+ *    `seq << 32 | slot`, so ids sort in submission order, and a
+ *    lookup checks the slot still holds that id;
+ *  - the fair-share solve reads views of the route table's pool
+ *    lists and writes into a FairShareWorkspace the engine keeps;
+ *  - copy-engine wake-up: only the engines a submit or finish
+ *    touched can have gained a startable flow at their front, so
+ *    only they are looked at. Startable flows are started in
+ *    ascending order of their lowest engine id, the order a rescan
+ *    of every engine would find them in (starting a flow only
+ *    occupies engines, so it never makes another flow startable).
+ *
+ * A rate re-solve (including setLinkCapacityFactor) makes no heap
+ * allocation once the workspace has grown to the largest component.
  */
 
 #ifndef MOBIUS_XFER_TRANSFER_ENGINE_HH
@@ -38,13 +61,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hw/topology.hh"
 #include "obs/metrics.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/trace.hh"
+#include "xfer/fair_share.hh"
 #include "xfer/stats.hh"
 
 namespace mobius
@@ -138,7 +163,11 @@ class TransferEngine
     void setLinkCapacityFactor(int link, double factor);
 
     /** @return true when nothing is queued or in flight. */
-    bool idle() const { return flows_.empty(); }
+    bool
+    idle() const
+    {
+        return flows_.size() == freeSlots_.size();
+    }
 
     /** @return number of flows currently moving data. */
     int dataActiveFlows() const { return movingCount_; }
@@ -165,14 +194,27 @@ class TransferEngine
   private:
     enum class FlowState { Waiting, Setup, Moving };
 
+    /**
+     * What the engine needs about one (src, dst) endpoint pair,
+     * computed once at construction (see routeIndex()).
+     */
+    struct Route
+    {
+        std::uint32_t poolOff = 0;   //!< first pool in routePools_
+        std::uint32_t poolCount = 0; //!< capacity pools on the route
+        int engines[2] = {-1, -1};   //!< copy-engine ids required
+        int numEngines = 0;
+        int commGpus[2] = {-1, -1};  //!< GPUs for usage tracking
+        int numCommGpus = 0;
+        bool peerOnly = false;       //!< pure-NVLink route
+        std::string track;           //!< trace track of its spans
+    };
+
     struct Flow
     {
-        FlowId id = 0;
+        FlowId id = 0;             //!< 0 = free slot
         TransferRequest req;
-        std::vector<int> pools;    //!< capacity pools on the route
-        std::vector<int> engines;  //!< copy-engine ids required
-        std::vector<int> commGpus; //!< GPUs for usage tracking
-        bool peerOnly = false;     //!< pure-NVLink route
+        int route = -1;            //!< index into routes_
         FlowState state = FlowState::Waiting;
         Bytes remaining = 0;
         double rate = 0.0;
@@ -180,14 +222,20 @@ class TransferEngine
         SimTime dataStart = 0.0;
         SimTime lastUpdate = 0.0;
         EventId pendingEvent = kNoEvent;
-        std::uint64_t seq = 0;
         std::uint64_t mark = 0;    //!< component-walk epoch stamp
+    };
+
+    /** A queued flow; engines order their queues by (priority, id). */
+    struct Waiter
+    {
+        int priority = 0;
+        FlowId id = 0;
     };
 
     struct CopyEngine
     {
         FlowId current = 0;               //!< 0 = idle
-        std::deque<FlowId> waiting;       //!< kept priority-sorted
+        std::deque<Waiter> waiting;       //!< kept (priority, id)-sorted
     };
 
     /** Copy-engine id for a GPU and direction (false=H2D, true=D2H). */
@@ -209,8 +257,35 @@ class TransferEngine
         return topo_.numGpus() * 2 + gpu * 2 + (send ? 1 : 0);
     }
 
-    void enqueueOnEngines(Flow &flow);
-    void tryStartFlows();
+    /** Index of the src -> dst entry in routes_. */
+    int routeIndex(Endpoint src, Endpoint dst) const;
+    /** Fill routes_ and routePools_ for every endpoint pair. */
+    void buildRoutes();
+
+    /** The route @p flow takes. */
+    const Route &
+    routeOf(const Flow &flow) const
+    {
+        return routes_[static_cast<std::size_t>(flow.route)];
+    }
+
+    /** Capacity pools on @p route. */
+    std::span<const int>
+    poolsOf(const Route &route) const
+    {
+        return {routePools_.data() + route.poolOff, route.poolCount};
+    }
+
+    /** The live flow @p id; panics when its slot was reused. */
+    Flow &flowAt(FlowId id);
+
+    void enqueueOnEngines(const Flow &flow);
+    /**
+     * Start every flow that became startable at the front of one of
+     * @p touched's copy engines, in ascending order of the flows'
+     * lowest engine id.
+     */
+    void tryStartFlows(const Route &touched);
     bool canStart(const Flow &flow) const;
     void beginSetup(Flow &flow);
     void beginData(FlowId id);
@@ -228,8 +303,13 @@ class TransferEngine
      * max-min fair rates, and reschedule their completion events.
      * Every other moving flow is left untouched.
      */
-    void updateRates(const std::vector<int> &seed_pools,
-                     FlowId seed_flow);
+    void updateRates(std::span<const int> seed_pools, FlowId seed_flow);
+
+    /**
+     * Max-min fair rates of the moving flows @p ids (ascending) into
+     * fsRates_, solved with the engine's workspace.
+     */
+    void solveRates(std::span<const FlowId> ids, FairShareStats *stats);
 
     /** Full-solve verification of every stored rate (cross-check). */
     void crossCheckRates();
@@ -241,7 +321,13 @@ class TransferEngine
     TraceRecorder *trace_;
     TrafficStats stats_;
 
-    std::unordered_map<FlowId, Flow> flows_;
+    /** Flow slots; freeSlots_ lists the unused ones. */
+    std::vector<Flow> flows_;
+    std::vector<std::uint32_t> freeSlots_;
+    /** (G+1)^2 routes, row = source endpoint (DRAM first). */
+    std::vector<Route> routes_;
+    /** Every route's pool ids, back to back. */
+    std::vector<int> routePools_;
     std::vector<CopyEngine> engines_;
     std::vector<double> poolCapacity_;
     std::vector<double> basePoolCapacity_; //!< nominal (factor 1)
@@ -255,7 +341,9 @@ class TransferEngine
     /** Scratch for updateRates (kept to avoid re-allocation). */
     std::vector<FlowId> compFlows_;
     std::vector<int> compPools_;
-    FlowId nextId_ = 1;
+    std::vector<FairShareFlowView> fsViews_;
+    std::vector<double> fsRates_;
+    FairShareWorkspace fsWork_;
     std::uint64_t nextSeq_ = 1;
     SpanId lastSpan_ = kNoSpan;
 

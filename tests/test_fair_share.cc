@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit and property tests for the max-min fair rate allocator.
+ * Unit and property tests for the max-min fair rate allocator, and
+ * bit-identity against the frozen allocating solver
+ * (fair_share_reference.hh).
  */
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
+#include "fair_share_reference.hh"
 #include "xfer/fair_share.hh"
 
 namespace mobius
@@ -13,10 +18,100 @@ namespace mobius
 namespace
 {
 
+using reference::FairShareFlow;
+
+/** Solve @p flows with the production solver and workspace @p ws. */
+std::vector<double>
+solve(const std::vector<FairShareFlow> &flows,
+      const std::vector<double> &cap, FairShareWorkspace &ws,
+      FairShareStats *stats = nullptr)
+{
+    std::vector<FairShareFlowView> views(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f)
+        views[f] = {flows[f].pools, flows[f].rateCap};
+    std::vector<double> rates(flows.size());
+    maxMinFairRates(views, cap, rates, ws, stats);
+    return rates;
+}
+
+/** solve() with a fresh workspace. */
+std::vector<double>
+solve(const std::vector<FairShareFlow> &flows,
+      const std::vector<double> &cap, FairShareStats *stats = nullptr)
+{
+    FairShareWorkspace ws;
+    return solve(flows, cap, ws, stats);
+}
+
+/**
+ * solve() through @p ws, checked against the frozen reference:
+ * memcmp-equal rates and equal telemetry.
+ */
+std::vector<double>
+solveChecked(const std::vector<FairShareFlow> &flows,
+             const std::vector<double> &cap, FairShareWorkspace &ws)
+{
+    FairShareStats stats;
+    FairShareStats refStats;
+    auto rates = solve(flows, cap, ws, &stats);
+    auto ref = reference::maxMinFairRates(flows, cap, &refStats);
+    EXPECT_EQ(rates.size(), ref.size());
+    // memcmp must not see the null data() of an empty vector.
+    if (rates.size() == ref.size() && !rates.empty()) {
+        EXPECT_EQ(std::memcmp(rates.data(), ref.data(),
+                              rates.size() * sizeof(double)),
+                  0);
+    }
+    EXPECT_EQ(stats, refStats);
+    return rates;
+}
+
+/**
+ * A random flow over @p npools pools, 1-3 distinct hops, capped with
+ * probability 1 / @p cap_one_in.
+ */
+FairShareFlow
+randomFlow(Rng &rng, int npools, std::uint64_t cap_one_in)
+{
+    FairShareFlow fl;
+    int hops = 1 + static_cast<int>(rng.below(3));
+    for (int h = 0; h < hops; ++h) {
+        int p = static_cast<int>(rng.below(npools));
+        bool dup = false;
+        for (int q : fl.pools)
+            dup |= (q == p);
+        if (!dup)
+            fl.pools.push_back(p);
+    }
+    if (rng.below(cap_one_in) == 0)
+        fl.rateCap = rng.uniform(0.5, 10.0);
+    return fl;
+}
+
+/** The problem ComponentSolvesMatchFullSolveExactly uses for @p seed. */
+std::pair<std::vector<FairShareFlow>, std::vector<double>>
+componentProblem(int seed)
+{
+    Rng rng(static_cast<std::uint64_t>(seed) + 1000);
+    const int npools = 4 + static_cast<int>(rng.below(6));
+    std::vector<double> cap;
+    for (int p = 0; p < npools; ++p)
+        cap.push_back(rng.uniform(1.0, 20.0));
+
+    const int nflows = 2 + static_cast<int>(rng.below(12));
+    std::vector<FairShareFlow> flows;
+    for (int f = 0; f < nflows; ++f)
+        flows.push_back(randomFlow(rng, npools, 4));
+    return {flows, cap};
+}
+
+/** Seeds of the FairShareRandom suite. */
+constexpr int kSeeds = 25;
+
 TEST(FairShare, SingleFlowGetsFullLink)
 {
     std::vector<FairShareFlow> flows{{{0}, 0.0}};
-    auto rates = maxMinFairRates(flows, {10.0});
+    auto rates = solve(flows, {10.0});
     ASSERT_EQ(rates.size(), 1u);
     EXPECT_NEAR(rates[0], 10.0, 1e-6);
 }
@@ -26,7 +121,7 @@ TEST(FairShare, TwoFlowsSplitSharedLink)
     // The paper's root-complex contention: two GPUs sharing one root
     // complex each see half the bandwidth (§2.2, Fig. 2).
     std::vector<FairShareFlow> flows{{{0}, 0.0}, {{0}, 0.0}};
-    auto rates = maxMinFairRates(flows, {13.1});
+    auto rates = solve(flows, {13.1});
     EXPECT_NEAR(rates[0], 6.55, 1e-6);
     EXPECT_NEAR(rates[1], 6.55, 1e-6);
 }
@@ -35,7 +130,7 @@ TEST(FairShare, BottleneckOnSharedMiddleLink)
 {
     // flows: A uses pools {0, 2}; B uses pools {1, 2}; pool 2 shared.
     std::vector<FairShareFlow> flows{{{0, 2}, 0.0}, {{1, 2}, 0.0}};
-    auto rates = maxMinFairRates(flows, {10.0, 10.0, 8.0});
+    auto rates = solve(flows, {10.0, 10.0, 8.0});
     EXPECT_NEAR(rates[0], 4.0, 1e-6);
     EXPECT_NEAR(rates[1], 4.0, 1e-6);
 }
@@ -47,7 +142,7 @@ TEST(FairShare, MaxMinRedistributesResidual)
     // pools: 0 (cap 2), 1 (cap 12). Flow0: {0,1}; Flow1: {1}; Flow2: {1}.
     std::vector<FairShareFlow> flows{
         {{0, 1}, 0.0}, {{1}, 0.0}, {{1}, 0.0}};
-    auto rates = maxMinFairRates(flows, {2.0, 12.0});
+    auto rates = solve(flows, {2.0, 12.0});
     EXPECT_NEAR(rates[0], 2.0, 1e-6);
     EXPECT_NEAR(rates[1], 5.0, 1e-6);
     EXPECT_NEAR(rates[2], 5.0, 1e-6);
@@ -56,7 +151,7 @@ TEST(FairShare, MaxMinRedistributesResidual)
 TEST(FairShare, RateCapHonored)
 {
     std::vector<FairShareFlow> flows{{{0}, 3.0}, {{0}, 0.0}};
-    auto rates = maxMinFairRates(flows, {10.0});
+    auto rates = solve(flows, {10.0});
     EXPECT_NEAR(rates[0], 3.0, 1e-6);
     EXPECT_NEAR(rates[1], 7.0, 1e-6);
 }
@@ -66,7 +161,7 @@ TEST(FairShare, AsymmetricPathsFourFlows)
     // Two flows on each of two disjoint links: independent halves.
     std::vector<FairShareFlow> flows{
         {{0}, 0.0}, {{0}, 0.0}, {{1}, 0.0}, {{1}, 0.0}};
-    auto rates = maxMinFairRates(flows, {10.0, 4.0});
+    auto rates = solve(flows, {10.0, 4.0});
     EXPECT_NEAR(rates[0], 5.0, 1e-6);
     EXPECT_NEAR(rates[1], 5.0, 1e-6);
     EXPECT_NEAR(rates[2], 2.0, 1e-6);
@@ -88,23 +183,11 @@ TEST_P(FairShareRandom, CapacityAndEfficiencyInvariants)
 
     const int nflows = 1 + static_cast<int>(rng.below(10));
     std::vector<FairShareFlow> flows;
-    for (int f = 0; f < nflows; ++f) {
-        FairShareFlow fl;
-        int hops = 1 + static_cast<int>(rng.below(3));
-        for (int h = 0; h < hops; ++h) {
-            int p = static_cast<int>(rng.below(npools));
-            bool dup = false;
-            for (int q : fl.pools)
-                dup |= (q == p);
-            if (!dup)
-                fl.pools.push_back(p);
-        }
-        if (rng.below(4) == 0)
-            fl.rateCap = rng.uniform(0.5, 10.0);
-        flows.push_back(fl);
-    }
+    for (int f = 0; f < nflows; ++f)
+        flows.push_back(randomFlow(rng, npools, 4));
 
-    auto rates = maxMinFairRates(flows, cap);
+    FairShareWorkspace ws;
+    auto rates = solveChecked(flows, cap, ws);
     ASSERT_EQ(rates.size(), flows.size());
 
     // 1. No pool over capacity.
@@ -138,7 +221,7 @@ TEST_P(FairShareRandom, CapacityAndEfficiencyInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairShareRandom,
-                         ::testing::Range(0, 25));
+                         ::testing::Range(0, kSeeds));
 
 TEST(FairShare, ReportsComponentCount)
 {
@@ -147,11 +230,11 @@ TEST(FairShare, ReportsComponentCount)
     std::vector<FairShareFlow> flows{
         {{0}, 0.0}, {{0}, 0.0}, {{1}, 0.0}, {{1}, 0.0}};
     FairShareStats stats;
-    maxMinFairRates(flows, {10.0, 4.0}, &stats);
+    solve(flows, {10.0, 4.0}, &stats);
     EXPECT_EQ(stats.components, 2);
 
     flows.push_back({{0, 1}, 0.0});
-    maxMinFairRates(flows, {10.0, 4.0}, &stats);
+    solve(flows, {10.0, 4.0}, &stats);
     EXPECT_EQ(stats.components, 1);
 }
 
@@ -163,30 +246,11 @@ TEST(FairShare, ReportsComponentCount)
  */
 TEST_P(FairShareRandom, ComponentSolvesMatchFullSolveExactly)
 {
-    Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
-    const int npools = 4 + static_cast<int>(rng.below(6));
-    std::vector<double> cap;
-    for (int p = 0; p < npools; ++p)
-        cap.push_back(rng.uniform(1.0, 20.0));
-
-    const int nflows = 2 + static_cast<int>(rng.below(12));
-    std::vector<FairShareFlow> flows;
-    for (int f = 0; f < nflows; ++f) {
-        FairShareFlow fl;
-        int hops = 1 + static_cast<int>(rng.below(3));
-        for (int h = 0; h < hops; ++h) {
-            int p = static_cast<int>(rng.below(npools));
-            bool dup = false;
-            for (int q : fl.pools)
-                dup |= (q == p);
-            if (!dup)
-                fl.pools.push_back(p);
-        }
-        if (rng.below(4) == 0)
-            fl.rateCap = rng.uniform(0.5, 10.0);
-        flows.push_back(fl);
-    }
-    auto full = maxMinFairRates(flows, cap);
+    auto [flows, cap] = componentProblem(GetParam());
+    // One workspace for the full solve and every smaller component
+    // solve below.
+    FairShareWorkspace ws;
+    auto full = solveChecked(flows, cap, ws);
 
     // Discover components the same way the transfer engine does:
     // BFS over "shares a pool".
@@ -227,7 +291,7 @@ TEST_P(FairShareRandom, ComponentSolvesMatchFullSolveExactly)
                 idx.push_back(f);
             }
         }
-        auto part = maxMinFairRates(sub, cap);
+        auto part = solveChecked(sub, cap, ws);
         for (std::size_t i = 0; i < idx.size(); ++i)
             EXPECT_EQ(part[i], full[idx[i]])
                 << "flow " << idx[i] << " component " << c;
@@ -251,21 +315,11 @@ TEST_P(FairShareRandom, IncrementalChurnMatchesFullRecompute)
 
     std::vector<FairShareFlow> active;
     std::vector<double> rates; // maintained incrementally
+    FairShareWorkspace ws;     // shared by every solve below
     for (int step = 0; step < 40; ++step) {
         std::vector<int> changed_pools;
         if (active.empty() || rng.below(2) == 0) {
-            FairShareFlow fl;
-            int hops = 1 + static_cast<int>(rng.below(3));
-            for (int h = 0; h < hops; ++h) {
-                int p = static_cast<int>(rng.below(npools));
-                bool dup = false;
-                for (int q : fl.pools)
-                    dup |= (q == p);
-                if (!dup)
-                    fl.pools.push_back(p);
-            }
-            if (rng.below(5) == 0)
-                fl.rateCap = rng.uniform(0.5, 10.0);
+            FairShareFlow fl = randomFlow(rng, npools, 5);
             changed_pools = fl.pools;
             active.push_back(fl);
             rates.push_back(0.0);
@@ -310,16 +364,36 @@ TEST_P(FairShareRandom, IncrementalChurnMatchesFullRecompute)
                 idx.push_back(f);
             }
         }
-        auto part = maxMinFairRates(sub, cap);
+        auto part = solveChecked(sub, cap, ws);
         for (std::size_t i = 0; i < idx.size(); ++i)
             rates[idx[i]] = part[i];
 
-        auto full = maxMinFairRates(active, cap);
+        auto full = solveChecked(active, cap, ws);
         ASSERT_EQ(full.size(), rates.size());
         for (std::size_t f = 0; f < full.size(); ++f)
             EXPECT_EQ(rates[f], full[f])
                 << "step " << step << " flow " << f;
     }
+}
+
+/**
+ * The oracle checks above are not vacuous: across the suite's seeds
+ * some problems split into several components and some caps bind.
+ */
+TEST(FairShareOracle, SeedsCoverComponentsAndCaps)
+{
+    int split = 0;
+    int capped = 0;
+    FairShareWorkspace ws;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        auto [flows, cap] = componentProblem(seed);
+        FairShareStats stats;
+        solve(flows, cap, ws, &stats);
+        split += stats.components > 1;
+        capped += stats.cappedFlows > 0;
+    }
+    EXPECT_GT(split, 0);
+    EXPECT_GT(capped, 0);
 }
 
 } // namespace

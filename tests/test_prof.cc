@@ -7,66 +7,15 @@
  * export, and one zone per planMobius() phase.
  */
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 #include "runtime/api.hh"
 #include "simcore/job_pump.hh"
-
-// Global allocation counter for the allocation-free-zone tests.
-// Counting is the only side effect; allocation still goes through
-// malloc, so every other test in this binary is unaffected.
-// GCC flags free() on new-ed pointers without seeing that the
-// matching operator new below is malloc-backed.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-static std::atomic<std::size_t> g_new_calls{0};
-
-void *
-operator new(std::size_t n)
-{
-    g_new_calls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {

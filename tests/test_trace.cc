@@ -157,6 +157,35 @@ TEST(TraceRecorder, AssignsStableIdsAndDropsNullDeps)
     ASSERT_EQ(out.deps.size(), 2u); // kNoSpan dropped
     EXPECT_EQ(out.deps[0], a);
     EXPECT_FALSE(rec.findSpan(kNoSpan, out));
+
+    // Mix in caller-assigned ids: one past the end (the recorder
+    // continues after it), one below the next id but unused, and one
+    // that happens to equal its index + 1. findSpan must find every
+    // span, whether its id sits at index id - 1 or not.
+    auto withId = [](const char *name, SpanId id) {
+        TraceSpan s = mkSpan("gpu1.compute", name, "compute", 0.0, 1.0);
+        s.id = id;
+        return s;
+    };
+    EXPECT_EQ(rec.record(withId("C", 7)), 7u);     // index 2
+    SpanId d = rec.record(mkSpan("gpu0.compute", "D", "compute",
+                                 2.0, 3.0));       // index 3
+    EXPECT_EQ(d, 8u);
+    EXPECT_EQ(rec.record(withId("E", 3)), 3u);     // index 4
+    EXPECT_EQ(rec.record(withId("F", 6)), 6u);     // index 5
+    SpanId g = rec.record(mkSpan("gpu0.compute", "G", "compute",
+                                 3.0, 4.0));       // index 6
+    EXPECT_EQ(g, 9u);
+    const std::pair<SpanId, const char *> want[] = {
+        {a, "A"}, {bid, "B"}, {7, "C"}, {d, "D"},
+        {3, "E"}, {6, "F"}, {g, "G"}};
+    for (const auto &[id, name] : want) {
+        ASSERT_TRUE(rec.findSpan(id, out)) << "id " << id;
+        EXPECT_EQ(out.id, id);
+        EXPECT_EQ(out.name, name) << "id " << id;
+    }
+    EXPECT_FALSE(rec.findSpan(4, out));
+    EXPECT_FALSE(rec.findSpan(10, out));
 }
 
 TEST(TraceRecorder, QueueWaitAndStretchDerivations)

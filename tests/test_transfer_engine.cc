@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the transfer engine: copy-engine serialisation,
- * priorities, staging through DRAM, contention, and stats/usage
- * tracking.
+ * priorities, staging through DRAM, contention, stats/usage
+ * tracking, seeded random mixes pinned to span fingerprints, and
+ * allocation-free rate re-solves.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hh"
+#include "base/rng.hh"
 #include "hw/server.hh"
+#include "simcore/trace.hh"
 #include "xfer/compute_engine.hh"
 #include "xfer/transfer_engine.hh"
 
@@ -172,6 +178,39 @@ TEST_F(TransferEngineTest, PriorityReordersWaitingTransfers)
     submit(2, 1);  // urgent: jumps ahead of 1
     queue_.run();
     EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+}
+
+TEST_F(TransferEngineTest, SimultaneousStartsFollowLowestEngineId)
+{
+    // A staged GPU2 -> GPU0 copy holds GPU2's D2H engine (id 5) and
+    // GPU0's H2D engine (id 0). A download from GPU2 and an upload
+    // to GPU0 queue behind it, one on each engine. Both start when
+    // it finishes, run at the same rate on disjoint links and land
+    // at the same instant, so equal-time events fire in the order
+    // the two were started: by lowest engine id, the upload first,
+    // whatever the submission order or the order the staged copy
+    // lists its engines in.
+    std::vector<std::string> order;
+    std::vector<double> landed;
+    auto submit = [&](Endpoint src, Endpoint dst, std::string name) {
+        TransferRequest req;
+        req.src = src;
+        req.dst = dst;
+        req.bytes = 256 * MiB;
+        req.onComplete = [&, name] {
+            order.push_back(name);
+            landed.push_back(queue_.now());
+        };
+        engine_.submit(req);
+    };
+    submit(Endpoint::gpuAt(2), Endpoint::gpuAt(0), "staged");
+    submit(Endpoint::gpuAt(2), Endpoint::dram(), "down2");
+    submit(Endpoint::dram(), Endpoint::gpuAt(0), "up0");
+    queue_.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"staged", "up0", "down2"}));
+    ASSERT_EQ(landed.size(), 3u);
+    EXPECT_EQ(landed[1], landed[2]); // a tie: only start order decides
 }
 
 TEST_F(TransferEngineTest, GpuToGpuStagedThroughDram)
@@ -402,6 +441,198 @@ TEST_F(TransferEngineTest, ComputeEngineFifoAndBusyTime)
     EXPECT_DOUBLE_EQ(compute.busyTime(), 0.75);
     EXPECT_DOUBLE_EQ(queue_.now(), 0.75);
     EXPECT_TRUE(compute.idle());
+}
+
+/** The servers the random mixes run on, by name. */
+Server
+mixServer(const std::string &name)
+{
+    if (name == "2+2")
+        return makeCommodityServer({2, 2});
+    if (name == "4+4")
+        return makeCommodityServer({4, 4});
+    if (name == "1+3")
+        return makeCommodityServer({1, 3});
+    return makeDataCenterServer(4);
+}
+
+/**
+ * A seeded random transfer mix on @p server, traced.
+ *
+ *  - 48 transfers between DRAM and random GPUs (GPU-to-GPU is staged
+ *    through DRAM on commodity servers, NVLink on the P2P server);
+ *  - submitted at only 8 distinct instants, so several copy engines
+ *    wake in the same event and a finish can free two engines;
+ *  - priorities 1, 5 and 9, a rate cap on about one flow in five,
+ *    and mixed traffic kinds;
+ *  - about one in four completions submits a follow-up that depends
+ *    on the finished span;
+ *  - one link degraded mid-flight and later restored.
+ *
+ * All randomness is drawn before the run, so the schedule does not
+ * depend on event order. @return spanFingerprint of the trace.
+ */
+std::uint64_t
+randomMixFingerprint(const Server &server, std::uint64_t seed,
+                     bool cross_check = false)
+{
+    EventQueue q;
+    TraceRecorder trace;
+    UsageTracker usage(q, server.topo.numGpus());
+    TransferEngineConfig c;
+    c.fairShareCrossCheck = cross_check;
+    TransferEngine eng(q, server.topo, &usage, c, &trace);
+
+    Rng rng(seed);
+    const int g = server.topo.numGpus();
+    auto request = [&rng, g](const std::string &label) {
+        auto endpoint = [](std::uint64_t i) {
+            return i == 0 ? Endpoint::dram()
+                          : Endpoint::gpuAt(static_cast<int>(i) - 1);
+        };
+        std::uint64_t s = rng.below(static_cast<std::uint64_t>(g) + 1);
+        std::uint64_t d = rng.below(static_cast<std::uint64_t>(g));
+        if (d >= s)
+            ++d;
+        TransferRequest req;
+        req.src = endpoint(s);
+        req.dst = endpoint(d);
+        req.bytes = static_cast<Bytes>(1 + rng.below(64)) * MiB;
+        req.priority = 1 + 4 * static_cast<int>(rng.below(3));
+        req.kind = static_cast<TrafficKind>(rng.below(
+            static_cast<std::uint64_t>(TrafficKind::NumKinds)));
+        if (rng.below(5) == 0)
+            req.rateCap = rng.uniform(1e9, 8e9);
+        req.label = label;
+        return req;
+    };
+
+    for (int i = 0; i < 48; ++i) {
+        double at = 1e-3 * static_cast<double>(rng.below(8));
+        TransferRequest req = request("x" + std::to_string(i));
+        if (rng.below(4) == 0) {
+            TransferRequest next = request("y" + std::to_string(i));
+            req.onComplete = [&eng, next]() mutable {
+                next.deps = {eng.lastSpanId()};
+                eng.submit(std::move(next));
+            };
+        }
+        q.schedule(at, [&eng, req]() mutable {
+            eng.submit(std::move(req));
+        });
+    }
+    int link = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(server.topo.numLinks())));
+    double factor = rng.uniform(0.2, 0.8);
+    q.schedule(2.5e-3, [&eng, link, factor] {
+        eng.setLinkCapacityFactor(link, factor);
+    });
+    q.schedule(6e-3, [&eng, link] {
+        eng.setLinkCapacityFactor(link, 1.0);
+    });
+    q.run();
+    EXPECT_TRUE(eng.idle());
+    return spanFingerprint(trace);
+}
+
+/** One mix and the span fingerprint it must reproduce. */
+struct PinnedMix
+{
+    const char *server;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+};
+
+/**
+ * Fingerprints recorded with the engine that rescanned every copy
+ * engine and kept flows in a hash map: the slot table, route table
+ * and targeted wake-up must reproduce them bit for bit.
+ */
+constexpr PinnedMix kPinnedMixes[] = {
+    {"2+2", 1, 0xdda2998409bb35d5ull},
+    {"2+2", 2, 0x095b889baf582cffull},
+    {"2+2", 3, 0x6452135bd96e5879ull},
+    {"4+4", 1, 0xf4b6ec1a58eb57ebull},
+    {"4+4", 2, 0x827dd1d092ea29c7ull},
+    {"4+4", 3, 0xc4e2367241526e41ull},
+    {"1+3", 1, 0x205e07a2dc65aa45ull},
+    {"1+3", 2, 0xf6b170ca9db0cedfull},
+    {"1+3", 3, 0x63ef5e37a21a6150ull},
+    {"nvlink", 1, 0x3b5001e760d5b1d2ull},
+    {"nvlink", 2, 0x8accdf6f6ce49ce4ull},
+    {"nvlink", 3, 0x6890af4377a7556eull},
+};
+
+TEST(TransferEngineMix, SpanFingerprintsMatchPinned)
+{
+    for (const PinnedMix &m : kPinnedMixes) {
+        std::uint64_t got =
+            randomMixFingerprint(mixServer(m.server), m.seed);
+        EXPECT_EQ(got, m.fingerprint)
+            << m.server << " seed " << m.seed << ": got 0x" << std::hex
+            << got;
+    }
+}
+
+TEST(TransferEngineMix, CrossCheckedRunsMatch)
+{
+    // Every incremental re-solve in the mixes equals a full solve,
+    // and checking changes nothing the trace records.
+    for (const PinnedMix &m : kPinnedMixes) {
+        Server server = mixServer(m.server);
+        EXPECT_EQ(randomMixFingerprint(server, m.seed, true),
+                  randomMixFingerprint(server, m.seed))
+            << m.server << " seed " << m.seed;
+    }
+}
+
+TEST(TransferEngineAlloc, CapacityRescaleResolvesWithoutAllocating)
+{
+    EventQueue q;
+    Server server = makeCommodityServer({2, 2});
+    TransferEngine eng(q, server.topo);
+    // Uploads to every GPU, two downloads and a staged copy: the
+    // root-complex links carry several flows in both directions.
+    for (int g = 0; g < 4; ++g) {
+        TransferRequest up;
+        up.src = Endpoint::dram();
+        up.dst = Endpoint::gpuAt(g);
+        up.bytes = 1 * GiB;
+        eng.submit(up);
+    }
+    for (int g : {1, 2}) {
+        TransferRequest down;
+        down.src = Endpoint::gpuAt(g);
+        down.dst = Endpoint::dram();
+        down.bytes = 1 * GiB;
+        eng.submit(down);
+    }
+    TransferRequest staged;
+    staged.src = Endpoint::gpuAt(0);
+    staged.dst = Endpoint::gpuAt(3);
+    staged.bytes = 1 * GiB;
+    eng.submit(staged);
+    q.runUntil(1e-3);
+    ASSERT_GE(eng.dataActiveFlows(), 6);
+
+    const int links = server.topo.numLinks();
+    auto rescale = [&](int i) {
+        eng.setLinkCapacityFactor(i % links, i % 2 ? 1.0 : 0.5);
+    };
+    // Warm-up: the scratch grows to the largest component once.
+    for (int i = 0; i < 2 * links; ++i)
+        rescale(i);
+
+    const std::uint64_t touched = eng.fairShareActivity().flowsTouched;
+    const std::size_t before = g_new_calls.load();
+    for (int i = 0; i < 100; ++i)
+        rescale(i);
+    const std::size_t allocs = g_new_calls.load() - before;
+    EXPECT_EQ(allocs, 0u);
+    // Not vacuous: the rescales re-solved moving flows.
+    EXPECT_GE(eng.fairShareActivity().flowsTouched - touched, 100u);
+    q.run();
+    EXPECT_TRUE(eng.idle());
 }
 
 } // namespace
