@@ -34,12 +34,12 @@
  *  4. Timeline tracing overhead + identity. The cached-serial
  *     section-1 fleet reruns with FleetOptions::trace enabled:
  *     recording overhead must stay <= 5% CPU (min of 2 repeats
- *     each way; the `fleet.trace.overhead` scalar), tracing must
- *     not perturb the run (traced and untraced fingerprints
- *     bit-identical), the section-3 fleet's decision-log/report
- *     JSONL must be byte-identical across thread widths and with
- *     the plan cache on or off, and every job's attribution
- *     categories must sum to its JCT within 1e-9.
+ *     each way, interleaved; the `fleet.trace.overhead` scalar),
+ *     tracing must not perturb the run (traced and untraced
+ *     fingerprints bit-identical), the section-3 fleet's
+ *     decision-log/report JSONL must be byte-identical across
+ *     thread widths and with the plan cache on or off, and every
+ *     job's attribution categories must sum to its JCT within 1e-9.
  *
  * Usage: bench_fleet [--quick] [--out FILE] [--threads N]
  *                    [--jobs N] [--no-plan-cache]
@@ -375,22 +375,23 @@ main(int argc, char **argv)
         // Recording overhead on the cached-serial homogeneous
         // fleet, min CPU of 2 repeats each way (std::clock, so a
         // loaded `ctest -j` cannot fail the gate on wall noise).
+        // The repeats alternate untraced, traced, untraced, traced:
+        // a host-load spike over two consecutive runs then slows
+        // one run of each side, which each side's min skips.
         double base_cpu = 1e300, traced_cpu = 1e300;
         FleetMetrics base_m, traced_m;
         std::unique_ptr<FleetSim> traced_homo;
         for (int rep = 0; rep < 2; ++rep) {
             auto sim = makeHomogeneous(jobs, 1, true,
                                        System::Mobius);
-            FleetRun r = timedRun(*sim);
-            base_cpu = std::min(base_cpu, r.cpu);
-            base_m = r.m;
-        }
-        for (int rep = 0; rep < 2; ++rep) {
+            FleetRun base = timedRun(*sim);
+            base_cpu = std::min(base_cpu, base.cpu);
+            base_m = base.m;
             traced_homo = makeHomogeneous(jobs, 1, true,
                                           System::Mobius, tcfg);
-            FleetRun r = timedRun(*traced_homo);
-            traced_cpu = std::min(traced_cpu, r.cpu);
-            traced_m = r.m;
+            FleetRun traced = timedRun(*traced_homo);
+            traced_cpu = std::min(traced_cpu, traced.cpu);
+            traced_m = traced.m;
         }
         double trace_overhead =
             traced_cpu / std::max(base_cpu, 1e-9) - 1.0;

@@ -12,7 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
 
 namespace mobius
 {
@@ -56,7 +56,7 @@ fnvDouble(std::uint64_t &h, double v)
 
 /** Fold @p s as its length, then its bytes. */
 inline void
-fnvString(std::uint64_t &h, const std::string &s)
+fnvString(std::uint64_t &h, std::string_view s)
 {
     fnv64(h, s.size());
     fnvBytes(h, s.data(), s.size());

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace mobius
 {
@@ -15,15 +14,21 @@ bool quietFlag = false;
 std::string
 vstrfmt(const char *fmt, va_list ap)
 {
+    // Most results are short (span names, labels): format once into
+    // a stack buffer. Only a longer result is formatted a second
+    // time, straight into its string.
+    char small[256];
     va_list ap_copy;
     va_copy(ap_copy, ap);
-    int len = std::vsnprintf(nullptr, 0, fmt, ap_copy);
+    int len = std::vsnprintf(small, sizeof(small), fmt, ap_copy);
     va_end(ap_copy);
     if (len < 0)
         return std::string(fmt);
-    std::vector<char> buf(static_cast<size_t>(len) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
-    return std::string(buf.data(), static_cast<size_t>(len));
+    if (static_cast<size_t>(len) < sizeof(small))
+        return std::string(small, static_cast<size_t>(len));
+    std::string s(static_cast<size_t>(len), '\0');
+    std::vsnprintf(s.data(), s.size() + 1, fmt, ap);
+    return s;
 }
 
 } // namespace

@@ -2,15 +2,16 @@
  * @file
  * Single-flight memoization of planning results for fleet runs.
  *
- * At fleet scale the dominant per-job cost is *planning*: the MIP
- * partition search takes ~9 ms wall per (model, topology) pair
- * (GPT-3B on a 2+2 box, where cross mapping adds ~11 us), about
- * three times the cost of simulating the step itself. A homogeneous
- * fleet of 200 jobs would re-solve the same plan 200 times.
- * planMobius() is a pure function of its inputs, so the fleet
- * memoizes it: jobs are keyed by a canonical string of every
- * planner-relevant input (fleet/job.hh jobPlanKey()) and the solve
- * runs once per distinct key.
+ * At fleet scale a job's planning costs more than simulating
+ * its step: for GPT-3B on a 2+2 box, planMobius() takes ~1.6 ms CPU
+ * (almost all of it the MIP partition search; cross mapping adds
+ * ~15 us) against ~0.6 ms for the step simulation and its span
+ * fingerprint. A homogeneous fleet of 200 jobs would re-solve the
+ * same plan 200 times. planMobius() is a pure function of its
+ * inputs, so the fleet memoizes it: jobs are keyed by a canonical
+ * string of every planner-relevant input (fleet/job.hh jobPlanKey())
+ * and the solve runs once per distinct key, which makes
+ * bench_fleet --quick's homogeneous fleet ~3.5x cheaper in CPU.
  *
  * The cache is *single-flight*: concurrent get()s for the same key
  * (parallel job pump workers simulating identical jobs) block on one

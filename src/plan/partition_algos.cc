@@ -25,48 +25,58 @@ wallSeconds()
 /** Score a partition: step time, +inf if infeasible. */
 double
 score(const PipelineCostEvaluator &eval, const Partition &p,
-      PipelineEstimate *out, int *evaluated)
+      PipelineScratch &scratch, int *evaluated)
 {
     ++*evaluated;
-    PipelineEstimate est = eval.evaluate(p);
-    double s = est.feasible ? est.stepTime
-                            : std::numeric_limits<double>::infinity();
-    if (out)
-        *out = std::move(est);
-    return s;
+    return eval.stepTime(p, scratch);
 }
 
 /**
  * Hill-climb on stage boundaries: repeatedly move each boundary by
  * one layer in either direction while it improves the step time.
+ * Each move is made in place and undone when it does not help.
  */
 void
 hillClimb(const PipelineCostEvaluator &eval, Partition &best,
-          double &best_time, int *evaluated)
+          double &best_time, PipelineScratch &scratch, int *evaluated)
 {
     bool improved = true;
     while (improved) {
         improved = false;
         for (std::size_t b = 0; b + 1 < best.size(); ++b) {
             for (int delta : {-1, +1}) {
-                Partition cand = best;
-                StageRange &left = cand[b];
-                StageRange &right = cand[b + 1];
-                int boundary = left.hi + delta;
+                StageRange &left = best[b];
+                StageRange &right = best[b + 1];
+                const int old_boundary = left.hi;
+                int boundary = old_boundary + delta;
                 if (boundary <= left.lo || boundary >= right.hi)
                     continue;
                 left.hi = boundary;
                 right.lo = boundary;
-                PipelineEstimate est;
-                double t = score(eval, cand, &est, evaluated);
+                double t = score(eval, best, scratch, evaluated);
                 if (t < best_time - 1e-12) {
-                    best = std::move(cand);
                     best_time = t;
                     improved = true;
+                } else {
+                    left.hi = old_boundary;
+                    right.lo = old_boundary;
                 }
             }
         }
     }
+}
+
+/** heuristicPartitionForStages() over the caller's scratch. */
+Partition
+climbFromUniform(const PipelineCostEvaluator &eval, int num_stages,
+                 PipelineScratch &scratch, int *evaluated)
+{
+    const int L = eval.cost().numLayers();
+    Partition p = uniformPartition(L, num_stages);
+    double t = score(eval, p, scratch, evaluated);
+    if (!std::isinf(t))
+        hillClimb(eval, p, t, scratch, evaluated);
+    return p;
 }
 
 } // namespace
@@ -75,16 +85,10 @@ Partition
 heuristicPartitionForStages(const PipelineCostEvaluator &eval,
                             int num_stages, int *evaluated)
 {
-    int scratch = 0;
-    if (!evaluated)
-        evaluated = &scratch;
-    const int L = eval.cost().numLayers();
-    Partition p = uniformPartition(L, num_stages);
-    PipelineEstimate est;
-    double t = score(eval, p, &est, evaluated);
-    if (!std::isinf(t))
-        hillClimb(eval, p, t, evaluated);
-    return p;
+    int ignored = 0;
+    PipelineScratch scratch;
+    return climbFromUniform(eval, num_stages, scratch,
+                            evaluated ? evaluated : &ignored);
 }
 
 PartitionResult
@@ -97,6 +101,7 @@ mipPartition(const PipelineCostEvaluator &eval)
 
     PartitionResult result;
     double best_time = std::numeric_limits<double>::infinity();
+    PipelineScratch scratch;
 
     // Seed candidates: a near-uniform partition for every feasible
     // stage count (the balanced shapes the MIP gravitates to thanks
@@ -104,9 +109,8 @@ mipPartition(const PipelineCostEvaluator &eval)
     // the embedding / head layers.
     for (int s = std::min(N, L); s <= L; ++s) {
         Partition cand =
-            heuristicPartitionForStages(eval, s, &result.evaluated);
-        PipelineEstimate est;
-        double t = score(eval, cand, &est, &result.evaluated);
+            climbFromUniform(eval, s, scratch, &result.evaluated);
+        double t = score(eval, cand, scratch, &result.evaluated);
         if (t < best_time) {
             best_time = t;
             result.partition = std::move(cand);
@@ -200,6 +204,7 @@ bruteForcePartition(const PipelineCostEvaluator &eval, int max_layers)
 
     PartitionResult result;
     double best_time = std::numeric_limits<double>::infinity();
+    PipelineScratch scratch;
 
     // Every composition of L corresponds to a subset of the L-1
     // possible boundaries.
@@ -214,17 +219,16 @@ bruteForcePartition(const PipelineCostEvaluator &eval, int max_layers)
             }
         }
         p.push_back(StageRange{lo, L});
-        PipelineEstimate est;
-        double t = score(eval, p, &est, &result.evaluated);
+        double t = score(eval, p, scratch, &result.evaluated);
         if (t < best_time) {
             best_time = t;
             result.partition = std::move(p);
-            result.estimate = std::move(est);
         }
     }
 
     if (std::isinf(best_time))
         fatal("brute force: no feasible partition");
+    result.estimate = eval.evaluate(result.partition);
     result.solveSeconds = wallSeconds() - t0;
     return result;
 }

@@ -357,25 +357,29 @@ buildSpanDag(const TraceRecorder &trace)
 std::uint64_t
 spanFingerprint(const TraceRecorder &trace)
 {
+    // The stored records hashed in place: the same byte stream a
+    // materialised TraceSpan per record would give, without building
+    // its strings and dependency vector.
     std::uint64_t h = kFnvOffset;
-    const std::size_t n = trace.spanCount();
+    const std::size_t n = trace.spans_.size();
     fnvBytes(h, &n, sizeof(n));
-    for (std::size_t i = 0; i < n; ++i) {
-        TraceSpan s = trace.span(i);
-        fnvString(h, s.track);
-        fnvString(h, s.name);
-        fnvString(h, s.category);
-        fnvDouble(h, s.start);
-        fnvDouble(h, s.end);
-        fnvDouble(h, s.queuedAt);
-        fnvDouble(h, s.work);
-        std::int64_t gpu = s.gpu, stage = s.stage;
+    for (const TraceRecorder::SpanRec &rec : trace.spans_) {
+        fnvString(h, trace.strings_[rec.track]);
+        fnvString(h, trace.nameOf(rec));
+        fnvString(h, trace.strings_[rec.category]);
+        fnvDouble(h, rec.start);
+        fnvDouble(h, rec.end);
+        fnvDouble(h, rec.queuedAt);
+        fnvDouble(h, rec.work);
+        std::int64_t gpu = rec.gpu, stage = rec.stage;
         fnvBytes(h, &gpu, sizeof(gpu));
         fnvBytes(h, &stage, sizeof(stage));
-        std::uint64_t deps = s.deps.size();
+        std::uint64_t deps = rec.depCount;
         fnvBytes(h, &deps, sizeof(deps));
-        for (SpanId d : s.deps)
-            fnvBytes(h, &d, sizeof(d));
+        if (rec.depCount) {
+            fnvBytes(h, trace.depArena_.data() + rec.depOff,
+                     rec.depCount * sizeof(SpanId));
+        }
     }
     return h;
 }

@@ -250,6 +250,9 @@ class TraceRecorder
     std::string toAsciiGantt(int width = 72) const;
 
   private:
+    /** Hashes the stored records in place. */
+    friend std::uint64_t spanFingerprint(const TraceRecorder &trace);
+
     /**
      * Compact stored form: a flat POD. Strings are intern ids, the
      * name is an (offset, length) slice of nameArena_, and the

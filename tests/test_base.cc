@@ -23,6 +23,11 @@ TEST(Logging, StrfmtFormats)
     EXPECT_EQ(strfmt("x=%d y=%s", 7, "abc"), "x=7 y=abc");
     EXPECT_EQ(strfmt("%0.2f", 1.239), "1.24");
     EXPECT_EQ(strfmt("plain"), "plain");
+    // Results on both sides of the 256-byte stack buffer.
+    for (std::size_t n : {255u, 256u, 257u, 1000u}) {
+        const std::string body(n - 1, 'x');
+        EXPECT_EQ(strfmt("%s%d", body.c_str(), 7), body + "7") << n;
+    }
 }
 
 TEST(Logging, FatalThrowsFatalError)

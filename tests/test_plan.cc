@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <numeric>
 
+#include "alloc_counter.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "hw/server.hh"
 #include "mapping_reference.hh"
+#include "pipeline_cost_reference.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
@@ -305,6 +311,255 @@ TEST(PartitionMip, FaithfulMipAgreesWithBruteForce)
     auto est = eval.evaluate(exact.partition);
     ASSERT_TRUE(est.feasible);
     EXPECT_LE(est.stepTime, brute.estimate.stepTime * 1.1);
+}
+
+/** @return true when @p a and @p b have the same bit pattern. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** Expect @p got to equal the frozen evaluator's @p want, bit for bit. */
+void
+expectSameEstimate(const PipelineEstimate &got,
+                   const PipelineEstimate &want, const std::string &what)
+{
+    EXPECT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.infeasibleReason, want.infeasibleReason) << what;
+    EXPECT_TRUE(sameBits(got.stepTime, want.stepTime))
+        << what << ": " << got.stepTime << " vs " << want.stepTime;
+    EXPECT_EQ(got.commBytes, want.commBytes) << what;
+    ASSERT_EQ(got.stages.size(), want.stages.size()) << what;
+    for (std::size_t j = 0; j < want.stages.size(); ++j) {
+        const StageSchedule &g = got.stages[j];
+        const StageSchedule &w = want.stages[j];
+        const std::string at = what + ", stage " + std::to_string(j);
+        EXPECT_TRUE(sameBits(g.fwdStart, w.fwdStart)) << at;
+        EXPECT_TRUE(sameBits(g.fwdEnd, w.fwdEnd)) << at;
+        EXPECT_TRUE(sameBits(g.bwdStart, w.bwdStart)) << at;
+        EXPECT_TRUE(sameBits(g.bwdEnd, w.bwdEnd)) << at;
+        EXPECT_TRUE(sameBits(g.fwdReady, w.fwdReady)) << at;
+        EXPECT_TRUE(sameBits(g.bwdReady, w.bwdReady)) << at;
+        EXPECT_EQ(g.prefetchedFwd, w.prefetchedFwd) << at;
+        EXPECT_EQ(g.prefetchedBwd, w.prefetchedBwd) << at;
+        EXPECT_EQ(g.residentForBwd, w.residentForBwd) << at;
+    }
+}
+
+/** A server of the oracle sweep. */
+struct OracleServer
+{
+    const char *name;     //!< test-name suffix
+    Server (*make)();     //!< builder
+};
+
+const OracleServer kOracleServers[] = {
+    {"Commodity22", [] { return makeCommodityServer({2, 2}); }},
+    {"Commodity44", [] { return makeCommodityServer({4, 4}); }},
+    {"Commodity13", [] { return makeCommodityServer({1, 3}); }},
+    {"Commodity88", [] { return makeCommodityServer({8, 8}); }},
+    {"DataCenter4", [] { return makeDataCenterServer(4); }},
+};
+
+/** A random composition of @p layers into 1..layers stages. */
+Partition
+randomPartition(Rng &rng, int layers)
+{
+    const int stages = 1 + static_cast<int>(rng.below(layers));
+    // Distinct cut points among the layers - 1 interior boundaries.
+    std::vector<int> cuts(static_cast<std::size_t>(layers - 1));
+    std::iota(cuts.begin(), cuts.end(), 1);
+    for (int k = 0; k < stages - 1; ++k)
+        std::swap(cuts[k], cuts[k + rng.below(cuts.size() - k)]);
+    cuts.resize(static_cast<std::size_t>(stages - 1));
+    std::sort(cuts.begin(), cuts.end());
+    Partition p;
+    int lo = 0;
+    for (int c : cuts) {
+        p.push_back(StageRange{lo, c});
+        lo = c;
+    }
+    p.push_back(StageRange{lo, layers});
+    return p;
+}
+
+/** Feasible and infeasible partitions an oracle sweep evaluated. */
+struct OracleCoverage
+{
+    int feasible = 0;
+    int infeasible = 0;
+};
+
+/**
+ * Expect the evaluator and searches over (@p cost, @p env) to
+ * reproduce the frozen ones bit for bit: every uniform split and 24
+ * random compositions, five stage counts of the heuristic, and the
+ * full search.
+ */
+void
+expectMatchesFrozen(const CostModel &cost, const PipelineEnv &env,
+                    Rng &rng, const std::string &what,
+                    OracleCoverage &coverage)
+{
+    const PipelineCostEvaluator eval(cost, env);
+    const reference::PipelineCostEvaluator ref(cost, env);
+    const int L = cost.numLayers();
+    const int N = env.numGpus;
+
+    std::vector<Partition> parts;
+    for (int s = 1; s <= L; ++s)
+        parts.push_back(uniformPartition(L, s));
+    for (int k = 0; k < 24; ++k)
+        parts.push_back(randomPartition(rng, L));
+    PipelineScratch scratch;
+    for (const Partition &p : parts) {
+        const std::string at = what + ", " + partitionToString(p);
+        const PipelineEstimate want = ref.evaluate(p);
+        expectSameEstimate(eval.evaluate(p), want, at);
+        const double t = eval.stepTime(p, scratch);
+        if (want.feasible) {
+            ++coverage.feasible;
+            EXPECT_TRUE(sameBits(t, want.stepTime)) << at;
+        } else {
+            ++coverage.infeasible;
+            EXPECT_EQ(t, std::numeric_limits<double>::infinity()) << at;
+        }
+    }
+
+    for (int s : {N, N + 1, 2 * N, L / 2, L}) {
+        if (s > L)
+            continue;
+        int got_n = 0, want_n = 0;
+        EXPECT_EQ(heuristicPartitionForStages(eval, s, &got_n),
+                  reference::heuristicPartitionForStages(ref, s,
+                                                         &want_n))
+            << what << ", " << s << " stages";
+        EXPECT_EQ(got_n, want_n) << what << ", " << s << " stages";
+    }
+
+    bool got_fatal = false, want_fatal = false;
+    PartitionResult got, want;
+    try {
+        got = mipPartition(eval);
+    } catch (const FatalError &) {
+        got_fatal = true;
+    }
+    try {
+        want = reference::mipPartition(ref);
+    } catch (const FatalError &) {
+        want_fatal = true;
+    }
+    ASSERT_EQ(got_fatal, want_fatal) << what;
+    EXPECT_EQ(got.partition, want.partition) << what;
+    EXPECT_EQ(got.evaluated, want.evaluated) << what;
+    expectSameEstimate(got.estimate, want.estimate, what);
+}
+
+/** Parameter: an index into kOracleServers (one ctest per server). */
+class PipelineCostOracle : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(PipelineCostOracle, TableModelsMatchFrozenEvaluatorAndSearch)
+{
+    // Every Table-3 model, at M = N and M = 3 microbatches, with the
+    // resident tail on and off.
+    const Server server = kOracleServers[GetParam()].make();
+    const int N = server.topo.numGpus();
+    const GpuSpec &gpu = server.topo.gpuSpec(0);
+    Rng rng(16 + static_cast<std::uint64_t>(GetParam()));
+    OracleCoverage coverage;
+    for (const GptConfig &cfg : table3Models()) {
+        const ModelDesc model = makeGptModel(cfg);
+        for (int microbatches : {N, 3}) {
+            TrainConfig tc;
+            tc.microbatchSize = cfg.microbatchSize;
+            tc.numMicrobatches = microbatches;
+            const CostModel cost(model, gpu, tc);
+            for (bool tail : {true, false}) {
+                expectMatchesFrozen(
+                    cost, PipelineEnv{N, gpu.memBytes, kPcie3x16Bw, tail},
+                    rng,
+                    strfmt("%s, %s, M=%d, tail=%d", server.name.c_str(),
+                           cfg.name.c_str(), microbatches, tail),
+                    coverage);
+            }
+        }
+    }
+    // Both sides of Eq. 4 were exercised.
+    EXPECT_GT(coverage.feasible, 0);
+    EXPECT_GT(coverage.infeasible, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Servers, PipelineCostOracle,
+    ::testing::Range(0, static_cast<int>(std::size(kOracleServers))),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return std::string(kOracleServers[info.param].name);
+    });
+
+TEST(PipelineCostOracleToys, ToySearchesMatchFrozenSearch)
+{
+    // The toy shapes of MipMatchesBruteForceOnToys, where tight
+    // memory makes many hill-climb moves infeasible.
+    struct Case
+    {
+        int layers, gpus, microbatches;
+        Bytes mem;
+    };
+    for (const Case &c : {Case{6, 2, 2, 2 * GiB},
+                          Case{8, 2, 4, 2 * GiB},
+                          Case{9, 3, 3, 1 * GiB},
+                          Case{10, 2, 2, 1 * GiB}}) {
+        std::unique_ptr<ToyEnv> t(
+            makeToy(c.layers, c.gpus, c.microbatches, c.mem));
+        const reference::PipelineCostEvaluator ref(t->cost,
+                                                   t->eval.env());
+        auto got = mipPartition(t->eval);
+        auto want = reference::mipPartition(ref);
+        const std::string what = strfmt("L=%d N=%d", c.layers, c.gpus);
+        EXPECT_EQ(got.partition, want.partition) << what;
+        EXPECT_EQ(got.evaluated, want.evaluated) << what;
+        expectSameEstimate(got.estimate, want.estimate, what);
+        auto brute = bruteForcePartition(t->eval);
+        expectSameEstimate(brute.estimate,
+                           ref.evaluate(brute.partition), what);
+    }
+}
+
+TEST(PipelineCostAlloc, StepTimeAllocatesNothingAfterWarmUp)
+{
+    // GPT-8B on Topo 4+4, the train_4p4 planning problem.
+    const Server server = makeCommodityServer({4, 4});
+    const GptConfig cfg = gpt8b();
+    const ModelDesc model = makeGptModel(cfg);
+    TrainConfig tc;
+    tc.microbatchSize = cfg.microbatchSize;
+    tc.numMicrobatches = 8;
+    const CostModel cost(model, server.topo.gpuSpec(0), tc);
+    const PipelineCostEvaluator eval(
+        cost, PipelineEnv{8, server.topo.gpuSpec(0).memBytes,
+                          kPcie3x16Bw, true});
+    const int L = model.numLayers();
+    // Largest first, so the warm-up call grows the scratch for all;
+    // one stage of the whole model is infeasible.
+    const std::vector<Partition> parts = {
+        uniformPartition(L, L), uniformPartition(L, 8),
+        uniformPartition(L, 17), uniformPartition(L, 1)};
+    PipelineScratch scratch;
+    double sink = eval.stepTime(parts.front(), scratch);
+
+    const std::size_t before = g_new_calls.load();
+    for (int i = 0; i < 1000; ++i)
+        sink += eval.stepTime(parts[i % parts.size()], scratch);
+    EXPECT_EQ(g_new_calls.load() - before, 0u);
+    EXPECT_TRUE(std::isinf(sink));
+
+    // The counter sees the full evaluation's allocations.
+    const std::size_t full = g_new_calls.load();
+    PipelineEstimate est = eval.evaluate(parts[1]);
+    EXPECT_TRUE(est.feasible);
+    EXPECT_GT(g_new_calls.load() - full, 0u);
 }
 
 TEST(Mapping, ContentionDegreeHandComputed)
