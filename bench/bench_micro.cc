@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the
- * event queue, the max-min fairness solver, a full Mobius step, the
- * MIP partition search, the cross-mapping search and the tensor
- * matmul kernel.
+ * event queue, the max-min fairness solver, the transfer engine's
+ * rate updates, a full Mobius step, the MIP partition search, the
+ * cross-mapping search and the tensor matmul kernel.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include "runtime/api.hh"
 #include "tensor/tensor.hh"
 #include "xfer/fair_share.hh"
+#include "xfer/transfer_engine.hh"
 
 namespace mobius
 {
@@ -54,6 +55,52 @@ BM_MaxMinFairness(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MaxMinFairness)->Arg(4)->Arg(16)->Arg(64);
+
+/**
+ * Submit/finish churn shaped like the simulator's traffic: small
+ * components over the 16 pools of a Topo 2+2 box. Two uploads share
+ * rc0's H2D pool; a download from gpu3 is alone on rc1's D2H pool;
+ * a staged gpu0 -> gpu3 copy joins a download from gpu1 (rc0 D2H)
+ * and an upload to gpu2 (rc1 H2D), and finishes first, splitting
+ * them into two components. Each iteration submits the six and
+ * drains the queue; an item is one rate update.
+ */
+void
+BM_TransferEngineChurn(benchmark::State &state)
+{
+    Server server = makeCommodityServer({2, 2});
+    EventQueue q;
+    TransferEngine eng(q, server.topo);
+    struct Xfer
+    {
+        Endpoint src;
+        Endpoint dst;
+        Bytes bytes;
+    };
+    const Xfer mix[] = {
+        {Endpoint::dram(), Endpoint::gpuAt(0), 64 * MiB},
+        {Endpoint::dram(), Endpoint::gpuAt(1), 48 * MiB},
+        {Endpoint::gpuAt(1), Endpoint::dram(), 64 * MiB},
+        {Endpoint::gpuAt(0), Endpoint::gpuAt(3), 8 * MiB},
+        {Endpoint::dram(), Endpoint::gpuAt(2), 48 * MiB},
+        {Endpoint::gpuAt(3), Endpoint::dram(), 32 * MiB},
+    };
+    for (auto _ : state) {
+        for (const Xfer &x : mix) {
+            TransferRequest req;
+            req.src = x.src;
+            req.dst = x.dst;
+            req.bytes = x.bytes;
+            eng.submit(std::move(req));
+        }
+        q.run();
+        eng.stats().clear(); // keep the sample log from growing
+    }
+    benchmark::DoNotOptimize(q.now());
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(eng.fairShareActivity().solves));
+}
+BENCHMARK(BM_TransferEngineChurn);
 
 void
 BM_MobiusStep15B(benchmark::State &state)

@@ -3,28 +3,10 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "runtime/span_label.hh"
 
 namespace mobius
 {
-
-namespace
-{
-
-/**
- * "<prefix><stage>,<mb>": strfmt("F%d,%d", ...) without printf, for
- * the labels recorded on every (stage, microbatch).
- */
-std::string
-stageMbLabel(const char *prefix, int stage, int mb)
-{
-    std::string s(prefix);
-    s += std::to_string(stage);
-    s += ',';
-    s += std::to_string(mb);
-    return s;
-}
-
-} // namespace
 
 MobiusExecutor::MobiusExecutor(RunContext &ctx, const CostModel &cost,
                                Partition partition, Mapping mapping,
@@ -306,7 +288,7 @@ MobiusExecutor::tryScheduleFwd(int stage)
     deps.push_back(s.lastFwdSpan);
     ctx_.compute(s.gpu).submit(
         s.tFwd, [this, stage, mb] { onFwdCompute(stage, mb); },
-        stageMbLabel("F", stage, mb), std::move(deps), stage);
+        spanLabel("F", stage, ',', mb), std::move(deps), stage);
 }
 
 void
@@ -327,7 +309,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
         off.bytes = s.aInBytes;
         off.kind = TrafficKind::Activation;
         off.priority = cfg_.prioCheckpointOffload;
-        off.label = stageMbLabel("ckpt", stage, mb);
+        off.label = spanLabel("ckpt", stage, ',', mb);
         off.deps = {s.lastFwdSpan};
         off.stage = stage;
         ctx_.submitXfer(off);
@@ -348,7 +330,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
             act.bytes = s.aOutBytes;
             act.kind = TrafficKind::Activation;
             act.priority = cfg_.prioActivation;
-            act.label = stageMbLabel("a", stage, mb);
+            act.label = spanLabel("a", stage, ',', mb);
             act.deps = {s.lastFwdSpan};
             act.stage = stage + 1;
             int nstage = stage + 1;
@@ -432,7 +414,7 @@ MobiusExecutor::askCheckpoint(int stage, int mb, SpanId trigger)
     up.bytes = s.aInBytes;
     up.kind = TrafficKind::Activation;
     up.priority = cfg_.prioCheckpointUpload;
-    up.label = stageMbLabel("c", stage, mb);
+    up.label = spanLabel("c", stage, ',', mb);
     up.deps = {trigger};
     up.stage = stage;
     up.onComplete = [this, stage, mb] {
@@ -477,7 +459,7 @@ MobiusExecutor::tryScheduleBwd(int stage)
     deps.push_back(s.lastBwdSpan);
     ctx_.compute(s.gpu).submit(
         s.tBwd, [this, stage, mb] { onBwdCompute(stage, mb); },
-        stageMbLabel("B", stage, mb), std::move(deps), stage);
+        spanLabel("B", stage, ',', mb), std::move(deps), stage);
 }
 
 void
@@ -504,7 +486,7 @@ MobiusExecutor::onBwdCompute(int stage, int mb)
             g.bytes = prev.aOutBytes; // gradient of prev's output
             g.kind = TrafficKind::ActivationGrad;
             g.priority = cfg_.prioActivation;
-            g.label = stageMbLabel("g", stage, mb);
+            g.label = spanLabel("g", stage, ',', mb);
             g.deps = {s.lastBwdSpan};
             g.stage = stage - 1;
             int pstage = stage - 1;

@@ -1,6 +1,7 @@
 #include "runtime/zero_executor.hh"
 
 #include "base/logging.hh"
+#include "runtime/span_label.hh"
 
 namespace mobius
 {
@@ -96,8 +97,8 @@ ZeroHeteroExecutor::pump(int gpu)
         req.bytes = shard;
         req.kind = TrafficKind::Parameter;
         req.priority = cfg_.prioWeights + k;
-        req.label = strfmt("%c%d.shard", slotIsBwd(k) ? 'b' : 'f',
-                           layer);
+        req.label = spanLabel(slotIsBwd(k) ? 'b' : 'f', layer,
+                              ".shard");
         req.deps = {g.memFreedBy};
         req.stage = layer;
         req.onComplete = [this, gpu, k] {
@@ -116,7 +117,7 @@ ZeroHeteroExecutor::pump(int gpu)
             up.bytes = cost_.inActBytes(layer);
             up.kind = TrafficKind::Activation;
             up.priority = cfg_.prioCheckpoint;
-            up.label = strfmt("c%d", layer);
+            up.label = spanLabel("c", layer);
             up.deps = {g.memFreedBy};
             up.stage = layer;
             ctx_.submitXfer(up);
@@ -144,7 +145,7 @@ ZeroHeteroExecutor::sendPeerPiece(int src, int dst, int k)
     req.bytes = piece;
     req.kind = TrafficKind::Parameter;
     req.priority = cfg_.prioWeights + k;
-    req.label = strfmt("ag%d:%d>%d", layer, src, dst);
+    req.label = spanLabel("ag", layer, ':', src, '>', dst);
     // The sender could not forward a shard it did not have yet.
     auto &spans =
         gpus_[src].gatherSpans[static_cast<std::size_t>(k)];
@@ -226,7 +227,7 @@ ZeroHeteroExecutor::tryCompute(int gpu)
     deps.push_back(g.lastComputeSpan);
     ctx_.compute(gpu).submit(
         t, [this, gpu, k] { onCompute(gpu, k); },
-        strfmt("%c%d", slotIsBwd(k) ? 'b' : 'f', layer),
+        spanLabel(slotIsBwd(k) ? 'b' : 'f', layer),
         std::move(deps), layer);
 }
 
@@ -248,7 +249,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             off.bytes = cost_.inActBytes(layer);
             off.kind = TrafficKind::Activation;
             off.priority = cfg_.prioCheckpoint;
-            off.label = strfmt("ckpt%d", layer);
+            off.label = spanLabel("ckpt", layer);
             off.deps = {g.lastComputeSpan};
             off.stage = layer;
             ctx_.submitXfer(off);
@@ -273,7 +274,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             rs.bytes = piece;
             rs.kind = TrafficKind::Gradient;
             rs.priority = cfg_.prioGradient;
-            rs.label = strfmt("rs%d:%d>%d", layer, gpu, other);
+            rs.label = spanLabel("rs", layer, ':', gpu, '>', other);
             rs.deps = {g.lastComputeSpan};
             rs.stage = layer;
             ctx_.submitXfer(rs);
@@ -284,7 +285,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
         grad.bytes = piece;
         grad.kind = TrafficKind::Gradient;
         grad.priority = cfg_.prioGradient;
-        grad.label = strfmt("flush l%d", layer);
+        grad.label = spanLabel("flush l", layer);
         grad.deps = {g.lastComputeSpan};
         grad.stage = layer;
         int lyr = layer;

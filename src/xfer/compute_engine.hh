@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <functional>
+#include <string>
 
 #include "base/logging.hh"
 #include "obs/metrics.hh"
@@ -37,6 +38,7 @@ class ComputeEngine
                   MetricsRegistry *metrics = nullptr,
                   double speed_factor = 1.0)
         : queue_(queue), usage_(usage), gpu_(gpu), trace_(trace),
+          track_("gpu" + std::to_string(gpu) + ".compute"),
           speedFactor_(speed_factor)
     {
         if (!(speedFactor_ > 0.0))
@@ -175,18 +177,17 @@ class ComputeEngine
              deps = std::move(task.deps), stage = task.stage,
              queuedAt = task.queuedAt,
              category = std::move(task.category),
-             work = task.duration] {
+             work = task.duration]() mutable {
                 if (kernel && usage_)
                     usage_->computeEnd(gpu_);
-                if (trace_) {
+                if (trace_ && trace_->enabled()) {
                     TraceSpan s;
-                    s.track =
-                        "gpu" + std::to_string(gpu_) + ".compute";
-                    s.name = label;
-                    s.category = category;
+                    s.track = track_;
+                    s.name = std::move(label);
+                    s.category = std::move(category);
                     s.start = start;
                     s.end = queue_.now();
-                    s.deps = deps;
+                    s.deps = std::move(deps);
                     if (pendingFaultDep_ != kNoSpan)
                         s.deps.push_back(pendingFaultDep_);
                     pendingFaultDep_ = kNoSpan;
@@ -203,6 +204,10 @@ class ComputeEngine
                     lastSpan_ = trace_->record(std::move(s));
                     if (!kernel)
                         pendingFaultDep_ = lastSpan_;
+                } else {
+                    // What a disabled recorder's kNoSpan would leave.
+                    lastSpan_ = kNoSpan;
+                    pendingFaultDep_ = kNoSpan;
                 }
                 busy_ = false;
                 if (cb)
@@ -215,6 +220,7 @@ class ComputeEngine
     UsageTracker *usage_;
     int gpu_;
     TraceRecorder *trace_;
+    std::string track_; //!< "gpuN.compute", the spans' track
     double speedFactor_ = 1.0;
     double throttle_ = 1.0;
     Counter *mKernels_ = nullptr;

@@ -353,13 +353,15 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                             FlowId seed_flow)
 {
     MOBIUS_PROF_ZONE("xfer.update_rates");
-    // Walk the connected component of moving flows reachable from
-    // the seeds through shared pools. Epoch stamps make the walk
-    // allocation-free; the result is sorted so the solver sees flows
-    // in submission order, exactly as a full recompute would.
+    // Walk each connected component of moving flows reachable from
+    // the seeds through shared pools: the seed flow's first, then one
+    // from each seed pool no earlier walk reached. compEnds_ records
+    // where each component's flows and pools end. Epoch stamps make
+    // the walk allocation-free.
     ++walkEpoch_;
     compFlows_.clear();
     compPools_.clear();
+    compEnds_.clear();
     auto visitPool = [this](int pool) {
         std::size_t p = static_cast<std::size_t>(pool);
         if (poolMark_[p] != walkEpoch_) {
@@ -375,15 +377,26 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                 visitPool(pool);
         }
     };
-    if (seed_flow != 0)
+    auto walk = [this, &visitFlow](std::size_t first_pool) {
+        for (std::size_t i = first_pool; i < compPools_.size(); ++i) {
+            auto &users =
+                poolUsers_[static_cast<std::size_t>(compPools_[i])];
+            for (FlowId fid : users)
+                visitFlow(flowAt(fid));
+        }
+        compEnds_.push_back({compFlows_.size(), compPools_.size()});
+    };
+    if (seed_flow != 0) {
         visitFlow(flowAt(seed_flow));
-    for (int pool : seed_pools)
+        walk(0);
+    }
+    for (int pool : seed_pools) {
+        std::size_t p = static_cast<std::size_t>(pool);
+        if (poolMark_[p] == walkEpoch_ || poolUsers_[p].empty())
+            continue;
+        const std::size_t first = compPools_.size();
         visitPool(pool);
-    for (std::size_t i = 0; i < compPools_.size(); ++i) {
-        auto &users =
-            poolUsers_[static_cast<std::size_t>(compPools_[i])];
-        for (FlowId fid : users)
-            visitFlow(flowAt(fid));
+        walk(first);
     }
 
     if (movingCount_ > 0 || !compFlows_.empty()) {
@@ -392,6 +405,7 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
         fsActivity_.flowsSkipped +=
             static_cast<std::uint64_t>(movingCount_) -
             compFlows_.size();
+        fsActivity_.multiComponentSolves += compEnds_.size() > 1;
         if (mFlowsTouched_) {
             mFlowsTouched_->add(
                 static_cast<double>(compFlows_.size()));
@@ -402,13 +416,14 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
     }
     if (compFlows_.empty())
         return;
-    std::sort(compFlows_.begin(), compFlows_.end());
 
     // Integrate progress of every component flow since its last
     // update. Untouched flows keep integrating at their unchanged
     // rate; their scheduled completion stays exact.
-    for (FlowId fid : compFlows_) {
-        Flow &f = flowAt(fid);
+    fsViews_.resize(compFlows_.size());
+    fsRates_.resize(compFlows_.size());
+    for (std::size_t i = 0; i < compFlows_.size(); ++i) {
+        Flow &f = flowAt(compFlows_[i]);
         double dt = queue_.now() - f.lastUpdate;
         if (dt > 0 && f.rate > 0) {
             double moved = f.rate * dt;
@@ -418,18 +433,39 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                 f.remaining -= static_cast<Bytes>(moved);
         }
         f.lastUpdate = queue_.now();
+        fsViews_[i].pools = poolsOf(routeOf(f));
+        fsViews_[i].rateCap = f.req.rateCap;
     }
 
+    // Waterfill each component in walk order; inside one the rates
+    // do not depend on flow or pool order (fair_share.hh).
     FairShareStats fsStats;
-    solveRates(compFlows_, mRecomputes_ ? &fsStats : nullptr);
+    const std::span<const FairShareFlowView> views = fsViews_;
+    const std::span<double> rates = fsRates_;
+    const std::span<const int> pools = compPools_;
+    std::size_t flowBegin = 0;
+    std::size_t poolBegin = 0;
+    for (const CompEnd &end : compEnds_) {
+        const std::size_t n = end.flows - flowBegin;
+        waterfillComponent(views.subspan(flowBegin, n),
+                           pools.subspan(poolBegin, end.pools - poolBegin),
+                           poolCapacity_, rates.subspan(flowBegin, n),
+                           fsWork_, mRecomputes_ ? &fsStats : nullptr);
+        flowBegin = end.flows;
+        poolBegin = end.pools;
+    }
     if (mRecomputes_) {
         mRecomputes_->add();
         mFairShareRounds_->record(fsStats.rounds);
     }
+    for (std::size_t i = 0; i < compFlows_.size(); ++i)
+        flowAt(compFlows_[i]).rate = fsRates_[i];
 
-    for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        Flow &f = flowAt(compFlows_[i]);
-        f.rate = fsRates_[i];
+    // Reschedule completions in submission order, as a full
+    // recompute would: equal-time events fire in schedule order.
+    std::sort(compFlows_.begin(), compFlows_.end());
+    for (FlowId fid : compFlows_) {
+        Flow &f = flowAt(fid);
         if (f.pendingEvent != kNoEvent) {
             queue_.cancel(f.pendingEvent);
             f.pendingEvent = kNoEvent;
@@ -438,27 +474,12 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
             panic("flow %llu got zero rate",
                   static_cast<unsigned long long>(f.id));
         double eta = static_cast<double>(f.remaining) / f.rate;
-        FlowId id = f.id;
         f.pendingEvent =
-            queue_.scheduleAfter(eta, [this, id] { finish(id); });
+            queue_.scheduleAfter(eta, [this, fid] { finish(fid); });
     }
 
     if (cfg_.fairShareCrossCheck)
         crossCheckRates();
-}
-
-void
-TransferEngine::solveRates(std::span<const FlowId> ids,
-                           FairShareStats *stats)
-{
-    fsViews_.resize(ids.size());
-    fsRates_.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const Flow &f = flowAt(ids[i]);
-        fsViews_[i].pools = poolsOf(routeOf(f));
-        fsViews_[i].rateCap = f.req.rateCap;
-    }
-    maxMinFairRates(fsViews_, poolCapacity_, fsRates_, fsWork_, stats);
 }
 
 void
@@ -473,7 +494,14 @@ TransferEngine::crossCheckRates()
     }
     std::sort(moving.begin(), moving.end());
 
-    solveRates(moving, nullptr);
+    fsViews_.resize(moving.size());
+    fsRates_.resize(moving.size());
+    for (std::size_t i = 0; i < moving.size(); ++i) {
+        const Flow &f = flowAt(moving[i]);
+        fsViews_[i].pools = poolsOf(routeOf(f));
+        fsViews_[i].rateCap = f.req.rateCap;
+    }
+    maxMinFairRates(fsViews_, poolCapacity_, fsRates_, fsWork_);
     for (std::size_t i = 0; i < moving.size(); ++i) {
         const Flow &f = flowAt(moving[i]);
         if (fsRates_[i] != f.rate) {
@@ -537,7 +565,7 @@ TransferEngine::finish(FlowId id)
         }
     }
 
-    if (trace_) {
+    if (trace_ && trace_->enabled()) {
         TraceSpan s;
         s.track = route.track;
         s.name = flow.req.label.empty()
@@ -562,6 +590,8 @@ TransferEngine::finish(FlowId id)
         s.gpu = flow.req.statsGpu;
         s.stage = flow.req.stage;
         lastSpan_ = trace_->record(std::move(s));
+    } else {
+        lastSpan_ = kNoSpan; // what a disabled recorder returns
     }
 
     if (usage_) {

@@ -22,14 +22,22 @@
  * flow set (a flow starts moving, finishes, or a link's capacity is
  * rescaled) can only move the rates of flows that share a pool with
  * the change — directly or transitively. The engine keeps a
- * pool -> moving-flows index, walks the connected component of the
- * change, and re-solves max-min fairness for *that component only*:
- * untouched flows keep their rate, their progress integral, and their
- * already-scheduled completion event. Because the solver itself
- * waterfills per connected component (fair_share.hh), the incremental
- * rates are bit-identical to what a full recomputation would produce;
- * TransferEngineConfig::fairShareCrossCheck re-runs the full solve
- * after every update and panics on any divergence.
+ * pool -> moving-flows index and walks each connected component the
+ * change touches on its own: the started flow's, or one per seed
+ * pool (the finished flow's, or both directions of a rescaled link)
+ * that still carries moving flows and no earlier walk reached. It
+ * then waterfills each component with waterfillComponent()
+ * (fair_share.hh), which initialises only that component's pools,
+ * so an update costs O(the components it re-solves), not O(pools).
+ * Untouched flows keep their rate, their progress integral, and
+ * their already-scheduled completion event. A component's rates
+ * depend only on its own flows, in any order, so the incremental
+ * rates are bit-identical to what a full recomputation would
+ * produce; TransferEngineConfig::fairShareCrossCheck re-runs the
+ * full solve (maxMinFairRates) after every update and panics on
+ * any divergence. Completions are rescheduled in ascending FlowId
+ * order across all the re-solved components, as a full recompute
+ * would.
  *
  * **No rebuilding or rescanning per flow.** The per-flow path reuses
  * what it can compute once and looks only at the state a change can
@@ -42,8 +50,8 @@
  *  - flows live in a slot table with a free list. A FlowId is
  *    `seq << 32 | slot`, so ids sort in submission order, and a
  *    lookup checks the slot still holds that id;
- *  - the fair-share solve reads views of the route table's pool
- *    lists and writes into a FairShareWorkspace the engine keeps;
+ *  - the waterfill reads views of the route table's pool lists and
+ *    writes into a FairShareWorkspace the engine keeps;
  *  - copy-engine wake-up: only the engines a submit or finish
  *    touched can have gained a startable flow at their front, so
  *    only they are looked at. Startable flows are started in
@@ -51,8 +59,10 @@
  *    of every engine would find them in (starting a flow only
  *    occupies engines, so it never makes another flow startable).
  *
- * A rate re-solve (including setLinkCapacityFactor) makes no heap
- * allocation once the workspace has grown to the largest component.
+ * A rate re-solve (including setLinkCapacityFactor, and one that
+ * spans several components) makes no heap allocation once the
+ * scratch has grown to the largest update. Spans are built only
+ * when the recorder is enabled.
  */
 
 #ifndef MOBIUS_XFER_TRANSFER_ENGINE_HH
@@ -135,6 +145,8 @@ struct FairShareActivity
     std::uint64_t solves = 0;       //!< incremental updates performed
     std::uint64_t flowsTouched = 0; //!< component flows re-solved
     std::uint64_t flowsSkipped = 0; //!< moving flows left untouched
+    /** Updates that waterfilled two or more components. */
+    std::uint64_t multiComponentSolves = 0;
     std::uint64_t crossChecks = 0;  //!< full-solve verifications run
 };
 
@@ -297,19 +309,13 @@ class TransferEngine
     void removeFromPools(const Flow &flow);
 
     /**
-     * React to an active-set change: walk the connected component of
-     * moving flows reachable from @p seed_pools (and @p seed_flow,
-     * when nonzero), integrate their progress, re-solve their
-     * max-min fair rates, and reschedule their completion events.
-     * Every other moving flow is left untouched.
+     * React to an active-set change: walk the connected components
+     * of moving flows reachable from @p seed_flow (when nonzero) and
+     * @p seed_pools, integrate their progress, waterfill each
+     * component, and reschedule their completion events. Every other
+     * moving flow is left untouched.
      */
     void updateRates(std::span<const int> seed_pools, FlowId seed_flow);
-
-    /**
-     * Max-min fair rates of the moving flows @p ids (ascending) into
-     * fsRates_, solved with the engine's workspace.
-     */
-    void solveRates(std::span<const FlowId> ids, FairShareStats *stats);
 
     /** Full-solve verification of every stored rate (cross-check). */
     void crossCheckRates();
@@ -338,9 +344,19 @@ class TransferEngine
     std::uint64_t walkEpoch_ = 0;
     int movingCount_ = 0;
     FairShareActivity fsActivity_;
-    /** Scratch for updateRates (kept to avoid re-allocation). */
+    /** Where one walked component's flows and pools end. */
+    struct CompEnd
+    {
+        std::size_t flows = 0;
+        std::size_t pools = 0;
+    };
+    /**
+     * Scratch for updateRates (kept to avoid re-allocation): the
+     * walked components' flows and pools, back to back.
+     */
     std::vector<FlowId> compFlows_;
     std::vector<int> compPools_;
+    std::vector<CompEnd> compEnds_;
     std::vector<FairShareFlowView> fsViews_;
     std::vector<double> fsRates_;
     FairShareWorkspace fsWork_;

@@ -5,6 +5,7 @@
  * (fair_share_reference.hh).
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -103,6 +104,65 @@ componentProblem(int seed)
     for (int f = 0; f < nflows; ++f)
         flows.push_back(randomFlow(rng, npools, 4));
     return {flows, cap};
+}
+
+/**
+ * A random problem that is one connected component: every flow after
+ * the first crosses a pool of an earlier flow.
+ */
+std::pair<std::vector<FairShareFlow>, std::vector<double>>
+connectedProblem(int seed)
+{
+    Rng rng(static_cast<std::uint64_t>(seed) + 3000);
+    const int npools = 3 + static_cast<int>(rng.below(8));
+    std::vector<double> cap;
+    for (int p = 0; p < npools; ++p)
+        cap.push_back(rng.uniform(1.0, 20.0));
+
+    const int nflows = 2 + static_cast<int>(rng.below(14));
+    std::vector<FairShareFlow> flows;
+    for (int f = 0; f < nflows; ++f) {
+        FairShareFlow fl = randomFlow(rng, npools, 4);
+        if (f > 0) {
+            const auto &earlier = flows[rng.below(flows.size())].pools;
+            int shared = earlier[rng.below(earlier.size())];
+            bool has = false;
+            for (int p : fl.pools)
+                has |= (p == shared);
+            if (!has)
+                fl.pools[0] = shared;
+        }
+        flows.push_back(fl);
+    }
+    return {flows, cap};
+}
+
+/** The distinct pools @p flows traverse, in first-use order. */
+std::vector<int>
+poolsOf(const std::vector<FairShareFlow> &flows)
+{
+    std::vector<int> pools;
+    for (const FairShareFlow &fl : flows) {
+        for (int p : fl.pools) {
+            if (std::find(pools.begin(), pools.end(), p) == pools.end())
+                pools.push_back(p);
+        }
+    }
+    return pools;
+}
+
+/** waterfillComponent() over @p flows (one component) through @p ws. */
+std::vector<double>
+waterfill(const std::vector<FairShareFlow> &flows,
+          const std::vector<int> &pools, const std::vector<double> &cap,
+          FairShareWorkspace &ws, FairShareStats *stats)
+{
+    std::vector<FairShareFlowView> views(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f)
+        views[f] = {flows[f].pools, flows[f].rateCap};
+    std::vector<double> rates(flows.size());
+    waterfillComponent(views, pools, cap, rates, ws, stats);
+    return rates;
 }
 
 /** Seeds of the FairShareRandom suite. */
@@ -281,7 +341,14 @@ TEST_P(FairShareRandom, ComponentSolvesMatchFullSolveExactly)
     }
 
     // Re-solve each component alone (same flow order, same pool ids)
-    // and demand bitwise agreement with the full solve.
+    // and demand bitwise agreement with the full solve — through
+    // maxMinFairRates, and through waterfillComponent with the flows
+    // reversed and the pools in first-use order, as the transfer
+    // engine's walk hands them over. The waterfills' summed
+    // telemetry is the full solve's.
+    FairShareStats fullStats;
+    solve(flows, cap, ws, &fullStats);
+    FairShareStats summed;
     for (int c = 0; c < ncomp; ++c) {
         std::vector<FairShareFlow> sub;
         std::vector<std::size_t> idx;
@@ -295,6 +362,63 @@ TEST_P(FairShareRandom, ComponentSolvesMatchFullSolveExactly)
         for (std::size_t i = 0; i < idx.size(); ++i)
             EXPECT_EQ(part[i], full[idx[i]])
                 << "flow " << idx[i] << " component " << c;
+
+        std::reverse(sub.begin(), sub.end());
+        auto filled = waterfill(sub, poolsOf(sub), cap, ws, &summed);
+        for (std::size_t i = 0; i < idx.size(); ++i)
+            EXPECT_EQ(filled[idx.size() - 1 - i], full[idx[i]])
+                << "waterfilled flow " << idx[i] << " component " << c;
+    }
+    EXPECT_EQ(summed, fullStats);
+    EXPECT_EQ(summed.components, ncomp);
+}
+
+/**
+ * Inside one component the waterfill is order-invariant: each
+ * round's increment is a minimum and every pool subtracts it once
+ * per unfrozen user. Shuffled flows give memcmp-equal rates and
+ * equal telemetry, through maxMinFairRates and through
+ * waterfillComponent with the pools shuffled too.
+ */
+TEST_P(FairShareRandom, ShuffledComponentGivesSameRates)
+{
+    auto [flows, cap] = connectedProblem(GetParam());
+    FairShareWorkspace ws;
+    FairShareStats stats;
+    auto rates = solve(flows, cap, ws, &stats);
+    ASSERT_EQ(stats.components, 1);
+
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + 4000);
+    for (int trial = 0; trial < 8; ++trial) {
+        std::vector<std::size_t> perm(flows.size());
+        for (std::size_t i = 0; i < perm.size(); ++i)
+            perm[i] = i;
+        for (std::size_t i = perm.size(); i > 1; --i)
+            std::swap(perm[i - 1], perm[rng.below(i)]);
+        std::vector<FairShareFlow> shuffled;
+        for (std::size_t i : perm)
+            shuffled.push_back(flows[i]);
+        std::vector<int> pools = poolsOf(shuffled);
+        for (std::size_t i = pools.size(); i > 1; --i)
+            std::swap(pools[i - 1], pools[rng.below(i)]);
+
+        FairShareStats solvedStats;
+        FairShareStats filledStats;
+        auto solved = solve(shuffled, cap, ws, &solvedStats);
+        auto filled = waterfill(shuffled, pools, cap, ws, &filledStats);
+        std::vector<double> expect;
+        for (std::size_t i : perm)
+            expect.push_back(rates[i]);
+        EXPECT_EQ(std::memcmp(solved.data(), expect.data(),
+                              expect.size() * sizeof(double)),
+                  0)
+            << "trial " << trial;
+        EXPECT_EQ(std::memcmp(filled.data(), expect.data(),
+                              expect.size() * sizeof(double)),
+                  0)
+            << "trial " << trial;
+        EXPECT_EQ(solvedStats, stats);
+        EXPECT_EQ(filledStats, stats);
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <iterator>
 #include <ostream>
 #include <set>
@@ -14,6 +15,7 @@
 
 #include "base/logging.hh"
 #include "runtime/api.hh"
+#include "runtime/span_label.hh"
 #include "simcore/trace.hh"
 
 namespace mobius
@@ -508,6 +510,37 @@ TEST(Plan, Gpt51bPlansAndRuns)
     MobiusPlan plan = planMobius(server, work.cost());
     StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
+}
+
+/**
+ * The executors' printf-free labels are byte-identical to the strfmt
+ * formats they replaced, over small, multi-digit, negative and
+ * extreme values.
+ */
+TEST(SpanLabel, MatchesStrfmt)
+{
+    std::vector<int> values;
+    for (int v = -12; v <= 130; ++v)
+        values.push_back(v);
+    for (int v : {999, 1000, 12345, INT_MAX, INT_MIN})
+        values.push_back(v);
+    for (int a : values) {
+        for (char c : {'b', 'f'}) {
+            EXPECT_EQ(spanLabel(c, a), strfmt("%c%d", c, a));
+            EXPECT_EQ(spanLabel(c, a, ".shard"),
+                      strfmt("%c%d.shard", c, a));
+        }
+        EXPECT_EQ(spanLabel("c", a), strfmt("c%d", a));
+        EXPECT_EQ(spanLabel("ckpt", a), strfmt("ckpt%d", a));
+        EXPECT_EQ(spanLabel("flush l", a), strfmt("flush l%d", a));
+        for (int b : {0, 3, 7, 10, -1}) {
+            EXPECT_EQ(spanLabel("F", a, ',', b), strfmt("F%d,%d", a, b));
+            EXPECT_EQ(spanLabel("ag", a, ':', b, '>', b + 1),
+                      strfmt("ag%d:%d>%d", a, b, b + 1));
+            EXPECT_EQ(spanLabel("rs", b, ':', a, '>', b),
+                      strfmt("rs%d:%d>%d", b, a, b));
+        }
+    }
 }
 
 } // namespace
