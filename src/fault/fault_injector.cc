@@ -50,7 +50,7 @@ FaultInjector::FaultInjector(
               compute_.size(), topo_.numGpus());
     if (!workloadIdle_)
         panic("fault injector needs a workload-idle callback");
-    if (metrics && metrics->enabled()) {
+    if (metrics) {
         mFailures_ = &metrics->counter("fault.failures");
         mRetries_ = &metrics->counter("fault.retries");
         mCrashes_ = &metrics->counter("fault.crashes");

@@ -537,7 +537,7 @@ FleetSim::run()
     if (totalOccupied > 0.0)
         m.goodput = usefulSeconds / totalOccupied;
 
-    if (opts_.metrics && opts_.metrics->enabled()) {
+    if (opts_.metrics) {
         MetricsRegistry &reg = *opts_.metrics;
         reg.counter("fleet.jobs").add(static_cast<double>(m.jobs));
         reg.counter("fleet.completed")

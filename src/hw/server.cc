@@ -1,5 +1,7 @@
 #include "hw/server.hh"
 
+#include <charconv>
+
 #include "base/logging.hh"
 
 namespace mobius
@@ -46,20 +48,22 @@ std::vector<int>
 parseTopoGroups(const std::string &topo)
 {
     std::vector<int> groups;
-    std::string cur;
-    for (char c : topo) {
-        if (c == '+') {
-            groups.push_back(std::stoi(cur));
-            cur.clear();
-        } else {
-            cur += c;
-        }
+    std::size_t pos = 0;
+    for (;;) {
+        std::size_t end = topo.find('+', pos);
+        if (end == std::string::npos)
+            end = topo.size();
+        const char *last = topo.data() + end;
+        int count = 0;
+        auto [ptr, ec] =
+            std::from_chars(topo.data() + pos, last, count);
+        if (ec != std::errc() || ptr != last || count <= 0)
+            fatal("cannot parse GPU topology '%s'", topo.c_str());
+        groups.push_back(count);
+        if (end == topo.size())
+            return groups;
+        pos = end + 1;
     }
-    if (!cur.empty())
-        groups.push_back(std::stoi(cur));
-    if (groups.empty())
-        fatal("cannot parse GPU topology '%s'", topo.c_str());
-    return groups;
 }
 
 Server

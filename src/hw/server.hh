@@ -49,7 +49,10 @@ constexpr double kNvlinkPairBw = 75.0 * GB;
 Server makeCommodityServer(const std::vector<int> &groups,
                            const GpuSpec &spec = rtx3090Ti());
 
-/** Parse "4", "2+2", "1+3", "4+4" into root-complex groups. */
+/**
+ * Parse "4", "2+2", "1+3", "4+4" into root-complex groups; fatal()
+ * unless every '+'-separated group is a whole positive integer.
+ */
 std::vector<int> parseTopoGroups(const std::string &topo);
 
 /** Build the data-center server of §4.8 (4x V100, NVLink, P2P). */

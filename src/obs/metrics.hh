@@ -19,9 +19,9 @@
  * convention is documented in DESIGN.md §Observability, e.g.
  * "link.dram<->rc0.bytes", "gpu0.prefetch.miss"). Components cache
  * the returned handles at construction time so the hot paths never
- * touch the name map; when a registry is absent or disabled,
- * components skip handle creation entirely and instrumentation
- * costs one null-pointer test.
+ * touch the name map; when no registry is given, components skip
+ * handle creation entirely and instrumentation costs one
+ * null-pointer test.
  */
 
 #ifndef MOBIUS_OBS_METRICS_HH
@@ -175,26 +175,13 @@ class Histogram
  * Owner and name-keyed index of every metric in a run.
  *
  * counter()/gauge()/histogram() create on first use and return a
- * stable reference afterwards; callers cache the reference. A
- * disabled registry (enabled() == false) tells components not to
- * instrument at all — by convention they treat it like a null
- * registry and skip handle creation, so a run pays nothing for
- * metrics it does not want.
+ * stable reference afterwards; callers cache the reference. A run
+ * that wants no metrics passes no registry (a null pointer), so it
+ * pays nothing for them.
  */
 class MetricsRegistry
 {
   public:
-    /** @param enabled initial collection state. */
-    explicit MetricsRegistry(bool enabled = true)
-        : enabled_(enabled)
-    {}
-
-    /** @return true when components should collect metrics. */
-    bool enabled() const { return enabled_; }
-
-    /** Enable or disable collection (checked at handle creation). */
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-
     /** @return the counter named @p name, created on first use. */
     Counter &counter(const std::string &name);
 
@@ -248,7 +235,6 @@ class MetricsRegistry
     std::string toCsv() const;
 
   private:
-    bool enabled_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -1,14 +1,12 @@
 #include "plan/partition_mip.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <thread>
 
 #include "base/logging.hh"
 #include "plan/partition_algos.hh"
+#include "simcore/replica_runner.hh"
 
 namespace mobius
 {
@@ -335,8 +333,6 @@ exactMipPartition(const PipelineCostEvaluator &eval, int max_stages,
     const CostModel &cm = eval.cost();
     const int L = cm.numLayers();
     const int N = eval.env().numGpus;
-    if (metrics && !metrics->enabled())
-        metrics = nullptr;
 
     ExactMipResult best;
     const int s_lo = std::min(N, L);
@@ -345,60 +341,23 @@ exactMipPartition(const PipelineCostEvaluator &eval, int max_stages,
         return best;
     const int count = s_hi - s_lo + 1;
 
+    // Each stage count is an independent MIP with its own output
+    // slot, and the reduction below scans slots in stage-count
+    // order, which keeps the chosen partition bit-identical for any
+    // thread count. runReplicas() rethrows a fatal() (e.g. a
+    // non-uniform layer stack) to the caller after the join.
     std::vector<StageSolve> solves(static_cast<std::size_t>(count));
-
-    int threads = opts.threads;
-    if (threads <= 0) {
-        threads =
-            static_cast<int>(std::thread::hardware_concurrency());
-        if (threads <= 0)
-            threads = 1;
-    }
-    threads = std::min(threads, count);
-
-    // Each stage count is an independent MIP, so workers just pull
-    // the next s off a shared ticket. All output is per-slot and the
-    // reduction below scans slots in stage-count order, which keeps
-    // the chosen partition bit-identical for any thread count.
-    // fatal() (e.g. a non-uniform layer stack) must reach the caller
-    // as a FatalError, not std::terminate a worker thread, so each
-    // slot captures its exception for a post-join rethrow.
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(count));
-    std::atomic<int> next{0};
-    auto run = [&] {
-        while (true) {
-            const int k = next.fetch_add(1);
-            if (k >= count)
-                break;
-            const int s = s_lo + k;
-            StageSolve &out = solves[static_cast<std::size_t>(k)];
-            try {
-                solveOneStageCount(eval, s, opts, out);
-            } catch (...) {
-                errors[static_cast<std::size_t>(k)] =
-                    std::current_exception();
-            }
-        }
-    };
-    if (threads <= 1) {
-        run();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int i = 0; i < threads; ++i)
-            pool.emplace_back(run);
-        for (auto &th : pool)
-            th.join();
-    }
-    for (const std::exception_ptr &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    const ReplicaRunStats run = runReplicas(
+        count,
+        [&](int k) {
+            solveOneStageCount(eval, s_lo + k, opts,
+                               solves[static_cast<std::size_t>(k)]);
+        },
+        {.threads = opts.threads});
 
     // MetricsRegistry is not thread-safe: record everything here,
     // after the join, in stage-count order.
-    best.threadsUsed = threads;
+    best.threadsUsed = run.threadsUsed;
     for (const StageSolve &out : solves) {
         best.nodes += out.nodes;
         best.lpPivots += out.pivots;
@@ -427,7 +386,7 @@ exactMipPartition(const PipelineCostEvaluator &eval, int max_stages,
     }
     if (metrics) {
         metrics->gauge("plan.mip.threads")
-            .set(static_cast<double>(threads));
+            .set(static_cast<double>(run.threadsUsed));
     }
     return best;
 }

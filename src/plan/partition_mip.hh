@@ -58,15 +58,16 @@ MipProblem buildPartitionMip(const PipelineCostEvaluator &eval,
  * Solve Eq. 3-11 for stage counts N..max_stages and return the best.
  *
  * Each stage count is an independent MIP, so the sweep fans out
- * across opts.threads workers (0 = one per hardware core). Every
- * solve seeds its incumbent from heuristicPartitionForStages() and
- * runs warm-started branch-and-bound; results are reduced
- * deterministically (lowest objective, ties to the smaller stage
- * count), so the chosen partition is bit-identical for any thread
- * count. Tractable up to medium instances (tens of layers); beyond
- * that use the scalable search in partition_algos.cc.
+ * through runReplicas() across opts.threads workers (0 = one per
+ * hardware core). Every solve seeds its incumbent from
+ * heuristicPartitionForStages() and runs warm-started
+ * branch-and-bound; results are reduced deterministically (lowest
+ * objective, ties to the smaller stage count), so the chosen
+ * partition is bit-identical for any thread count. Tractable up to
+ * medium instances (tens of layers); beyond that use the scalable
+ * search in partition_algos.cc.
  *
- * When @p metrics is an enabled registry, the solve records
+ * When @p metrics is non-null, the solve records
  * plan.mip.solves / plan.mip.nodes / plan.mip.lp_pivots /
  * solver.lp.warm_solves / solver.lp.cold_solves counters, a
  * plan.mip.solve_seconds histogram (one sample per stage count) and

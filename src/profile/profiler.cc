@@ -5,6 +5,14 @@
 namespace mobius
 {
 
+namespace
+{
+
+constexpr int kIterations = 3;             //!< timed runs per layer
+constexpr double kUploadBandwidth = 13.1e9; //!< weights upload (B/s)
+
+} // namespace
+
 ProfileResult
 profileModel(const CostModel &cost, const ProfilerConfig &cfg)
 {
@@ -52,9 +60,9 @@ profileModel(const CostModel &cost, const ProfilerConfig &cfg)
         // PCIe speed (prefetch disabled), then time a few fwd+bwd
         // iterations.
         double upload = static_cast<double>(p.paramBytes) /
-            cfg.uploadBandwidth;
+            kUploadBandwidth;
         result.profilingTime += upload +
-            cfg.iterations * (p.fwdTime + p.bwdTime);
+            kIterations * (p.fwdTime + p.bwdTime);
         ++result.profiledLayers;
     }
     return result;

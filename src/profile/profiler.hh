@@ -51,8 +51,6 @@ struct ProfileResult
 struct ProfilerConfig
 {
     bool useLayerSimilarity = true;    //!< measure one per class
-    int iterations = 3;                //!< timed runs per layer
-    double uploadBandwidth = 13.1e9;   //!< weights upload rate (B/s)
     double measurementNoise = 0.0;     //!< relative sigma, 0 = exact
     std::uint64_t seed = 1;            //!< noise generator seed
 };

@@ -51,10 +51,8 @@ partitionStages(const Server &server, const CostModel &cost,
         part = mipPartition(eval);
         break;
       case PartitionAlgo::ExactMip: {
-        const int max_stages =
-            opts.maxStages > 0 ? opts.maxStages : cost.numLayers();
         ExactMipResult exact = exactMipPartition(
-            eval, max_stages, opts.mip, opts.metrics);
+            eval, cost.numLayers(), opts.mip, opts.metrics);
         if (!exact.solved) {
             fatal("exact MIP partition found no feasible partition "
                   "within its node/time budget");
@@ -98,7 +96,7 @@ planMobius(const Server &server, const CostModel &cost,
     // 1. Profile (layer similarity keeps this flat across depths).
     {
         MOBIUS_PROF_ZONE("plan.profile");
-        ProfileResult prof = profileModel(cost, opts.profiler);
+        ProfileResult prof = profileModel(cost);
         plan.profilingSeconds = prof.profilingTime;
         plan.profiledLayers = prof.profiledLayers;
     }

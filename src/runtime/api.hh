@@ -83,17 +83,13 @@ struct PlanOptions
 {
     PartitionAlgo partition = PartitionAlgo::Mip;
     MappingAlgo mapping = MappingAlgo::Cross;
-    ProfilerConfig profiler;
     /** Average bandwidth for the MIP's B constant; 0 = PCIe x16. */
     double avgBandwidth = 0.0;
     /** Branch-and-bound budget and stage-sweep thread count, used
      * when partition == PartitionAlgo::ExactMip. */
     MipOptions mip;
-    /** Largest stage count the exact MIP sweeps; 0 = layer count.
-     * Ignored by the other partition algorithms. */
-    int maxStages = 0;
     /** Optional registry for plan.mip.* / solver.lp.* metrics from
-     * the exact MIP solve; null or disabled = no recording. */
+     * the exact MIP solve; null = no recording. */
     MetricsRegistry *metrics = nullptr;
 };
 

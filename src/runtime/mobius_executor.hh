@@ -13,7 +13,9 @@
  * activation gradients travel between adjacent stages' GPUs (staged
  * through DRAM on commodity boxes); input checkpoints are offloaded
  * after forward and uploaded before backward; gradients are flushed
- * to DRAM when a stage's backward completes.
+ * to DRAM when a stage's backward completes. Under fault injection,
+ * weight loads bound for a GPU the injector is throttling are
+ * demoted behind that GPU's other H2D loads (see pump()).
  */
 
 #ifndef MOBIUS_RUNTIME_MOBIUS_EXECUTOR_HH
@@ -28,7 +30,7 @@
 namespace mobius
 {
 
-/** Executor tunables (transfer priorities; smaller = more urgent). */
+/** Executor tunables. */
 struct MobiusExecutorConfig
 {
     bool keepResidentTail = true; //!< pin the last stages on-GPU
@@ -45,20 +47,6 @@ struct MobiusExecutorConfig
      * bottleneck") — see the ablation bench.
      */
     double weightSourceRateCap = 0.0;
-    int prioActivation = 1;       //!< inter-stage activations
-    int prioCheckpointUpload = 2; //!< checkpoint reloads
-    int prioWeightBase = 10;      //!< + stage execution order
-    int prioGradFlush = 2000;     //!< gradient flushes to DRAM
-    int prioCheckpointOffload = 3000; //!< checkpoint offloads
-    /**
-     * Recovery policy under fault injection: demote weight prefetch
-     * for GPUs the fault injector is currently throttling (a
-     * straggler's compute, not its loads, is the bottleneck), so
-     * healthy GPUs' prefetches win the shared links. No effect in
-     * fault-free runs.
-     */
-    bool stragglerAwarePrefetch = true;
-    int stragglerPrioPenalty = 500; //!< added to demoted prefetches
 
     /** Field-wise equality (runStep() rejects stray options). */
     bool operator==(const MobiusExecutorConfig &) const = default;

@@ -36,7 +36,7 @@ PipelineExecutor::PipelineExecutor(RunContext &ctx,
     gpuBusy_.assign(static_cast<std::size_t>(N), false);
     stageOfGpu_.assign(static_cast<std::size_t>(N), -1);
 
-    if (MetricsRegistry *m = ctx_.activeMetrics()) {
+    if (MetricsRegistry *m = ctx_.metrics()) {
         mFwdMicrobatches_ = &m->counter("pipe.fwd.microbatches");
         mBwdMicrobatches_ = &m->counter("pipe.bwd.microbatches");
     }

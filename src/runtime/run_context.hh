@@ -60,8 +60,8 @@ class RunContext
   public:
     /**
      * Wire up queue, engines, memory pools, and telemetry for
-     * @p server. When opts.metrics is non-null and enabled, every
-     * engine registers its counters there at construction.
+     * @p server. When opts.metrics is non-null, every engine
+     * registers its counters there at construction.
      *
      * When opts.faults is non-null and non-empty, a FaultInjector is
      * constructed over the engines and armed; executors must then
@@ -113,7 +113,10 @@ class RunContext
     ComputeEngine &compute(int gpu) { return *compute_[gpu]; } //!< per-GPU kernels
     GpuMemory &memory(int gpu) { return *memory_[gpu]; } //!< per-GPU pool
 
-    /** The registry engines report into, or nullptr. */
+    /**
+     * The registry engines report into, or nullptr when metrics are
+     * off; executors gate their handle creation on this.
+     */
     MetricsRegistry *metrics() { return metrics_; }
 
     /** The fault injector, or nullptr for fault-free runs. */
@@ -164,16 +167,6 @@ class RunContext
     }
 
     /**
-     * @return the enabled registry, or nullptr when metrics are off —
-     *         executors gate their handle creation on this.
-     */
-    MetricsRegistry *
-    activeMetrics()
-    {
-        return metrics_ && metrics_->enabled() ? metrics_ : nullptr;
-    }
-
-    /**
      * Drain the event queue and collect the step's statistics.
      * @param system label recorded in the stats.
      */
@@ -203,7 +196,7 @@ class RunContext
             stats.exposedCommTime += usage_.exposedCommTime(g);
             stats.overlappedCommTime += usage_.overlappedCommTime(g);
         }
-        if (MetricsRegistry *m = activeMetrics()) {
+        if (MetricsRegistry *m = metrics_) {
             m->histogram("step.time").record(stats.stepTime);
             for (int g = 0; g < numGpus(); ++g) {
                 std::string p = "gpu" + std::to_string(g);

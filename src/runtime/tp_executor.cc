@@ -5,11 +5,24 @@
 namespace mobius
 {
 
+namespace
+{
+
+/**
+ * Relative compute efficiency of N-way sharded GEMMs (narrow
+ * matrices waste tensor-core tiles).
+ */
+constexpr double kShardEfficiency = 0.8;
+/** All-reduces per transformer block, forward (Megatron: 2). */
+constexpr int kAllReducesPerBlock = 2;
+constexpr int kPrioCollective = 1; //!< all-reduce pieces
+constexpr int kPrioGradient = 20;  //!< gradient flushes
+
+} // namespace
+
 TensorParallelExecutor::TensorParallelExecutor(RunContext &ctx,
-                                               const CostModel &cost,
-                                               TpExecutorConfig cfg)
-    : ctx_(ctx), cost_(cost), cfg_(cfg),
-      numLayers_(cost.numLayers())
+                                               const CostModel &cost)
+    : ctx_(ctx), cost_(cost), numLayers_(cost.numLayers())
 {
     const int n = ctx_.numGpus();
     const int m = cost_.cfg().numMicrobatches;
@@ -20,7 +33,7 @@ TensorParallelExecutor::TensorParallelExecutor(RunContext &ctx,
                                        static_cast<std::size_t>(n),
                                    false));
 
-    if (MetricsRegistry *reg = ctx_.activeMetrics()) {
+    if (MetricsRegistry *reg = ctx_.metrics()) {
         mAllReducePieces_ = &reg->counter("tp.allreduce.pieces");
         mGradFlushes_ = &reg->counter("tp.grad.flushes");
     }
@@ -67,11 +80,11 @@ TensorParallelExecutor::slotIsBwd(int slot) const
 Bytes
 TensorParallelExecutor::collectiveBytes(int layer) const
 {
-    // Transformer blocks pay allReducesPerBlock full-activation
+    // Transformer blocks pay kAllReducesPerBlock full-activation
     // all-reduces; the thin layers (embedding/norm/head) pay one.
     const LayerDesc &l = cost_.model().layers[layer];
     int count = l.type == LayerType::TransformerBlock
-        ? cfg_.allReducesPerBlock
+        ? kAllReducesPerBlock
         : 1;
     return cost_.actBytes(layer) * static_cast<Bytes>(count);
 }
@@ -88,8 +101,7 @@ TensorParallelExecutor::startCompute(int gpu)
     int layer = slotLayer(slot);
     double base = slotIsBwd(slot) ? cost_.bwdTime(layer)
                                   : cost_.fwdTime(layer);
-    double t = base /
-        (ctx_.numGpus() * cfg_.shardEfficiency);
+    double t = base / (ctx_.numGpus() * kShardEfficiency);
     // Gated by the previous slot's collective pieces and this GPU's
     // previous compute.
     std::vector<SpanId> deps = std::move(g.nextDeps);
@@ -147,7 +159,7 @@ TensorParallelExecutor::onCompute(int gpu, int slot)
             req.kind = slotIsBwd(slot)
                 ? TrafficKind::ActivationGrad
                 : TrafficKind::Activation;
-            req.priority = cfg_.prioCollective;
+            req.priority = kPrioCollective;
             req.label = strfmt("ar%d", slot);
             req.deps = {gpus_[src].computeSpan};
             req.stage = layer;
@@ -189,7 +201,7 @@ TensorParallelExecutor::onPiece(int gpu, int slot)
             flush.dst = Endpoint::dram();
             flush.bytes = shard;
             flush.kind = TrafficKind::Gradient;
-            flush.priority = cfg_.prioGradient;
+            flush.priority = kPrioGradient;
             flush.label = strfmt("flush l%d", layer);
             flush.deps = {g.computeSpan};
             flush.stage = layer;

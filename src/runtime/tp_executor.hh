@@ -27,27 +27,12 @@
 namespace mobius
 {
 
-/** Tensor-parallel executor tunables. */
-struct TpExecutorConfig
-{
-    /**
-     * Relative compute efficiency of N-way sharded GEMMs (narrow
-     * matrices waste tensor-core tiles).
-     */
-    double shardEfficiency = 0.8;
-    /** All-reduces per transformer block, forward (Megatron: 2). */
-    int allReducesPerBlock = 2;
-    int prioCollective = 1; //!< all-reduce pieces
-    int prioGradient = 20;  //!< gradient flushes
-};
-
 /** Runs one tensor-parallel training step. */
 class TensorParallelExecutor
 {
   public:
-    /** Bind the executor to a run context and tunables. */
-    TensorParallelExecutor(RunContext &ctx, const CostModel &cost,
-                           TpExecutorConfig cfg = {});
+    /** Bind the executor to a run context. */
+    TensorParallelExecutor(RunContext &ctx, const CostModel &cost);
 
     /** Execute one step and return its measurements. */
     StepStats run();
@@ -68,7 +53,6 @@ class TensorParallelExecutor
 
     RunContext &ctx_;
     const CostModel &cost_;
-    TpExecutorConfig cfg_;
     int numLayers_ = 0;
     int slots_ = 0;
 

@@ -6,6 +6,16 @@
 namespace mobius
 {
 
+namespace
+{
+
+// Transfer priorities (smaller = more urgent).
+constexpr int kPrioWeights = 10;    //!< + slot: weight-shard all-gathers
+constexpr int kPrioGradient = 20;   //!< gradient reduce-scatter
+constexpr int kPrioCheckpoint = 30; //!< checkpoint offload/reload
+
+} // namespace
+
 ZeroHeteroExecutor::ZeroHeteroExecutor(RunContext &ctx,
                                        const CostModel &cost,
                                        ZeroExecutorConfig cfg)
@@ -31,7 +41,7 @@ ZeroHeteroExecutor::ZeroHeteroExecutor(RunContext &ctx,
                                            static_cast<std::size_t>(n),
                                        false));
 
-    if (MetricsRegistry *m = ctx_.activeMetrics()) {
+    if (MetricsRegistry *m = ctx_.metrics()) {
         mAllocStalls_.resize(static_cast<std::size_t>(n));
         for (int g = 0; g < n; ++g) {
             mAllocStalls_[static_cast<std::size_t>(g)] =
@@ -96,7 +106,7 @@ ZeroHeteroExecutor::pump(int gpu)
         req.dst = Endpoint::gpuAt(gpu);
         req.bytes = shard;
         req.kind = TrafficKind::Parameter;
-        req.priority = cfg_.prioWeights + k;
+        req.priority = kPrioWeights + k;
         req.label = spanLabel(slotIsBwd(k) ? 'b' : 'f', layer,
                               ".shard");
         req.deps = {g.memFreedBy};
@@ -116,7 +126,7 @@ ZeroHeteroExecutor::pump(int gpu)
             up.dst = Endpoint::gpuAt(gpu);
             up.bytes = cost_.inActBytes(layer);
             up.kind = TrafficKind::Activation;
-            up.priority = cfg_.prioCheckpoint;
+            up.priority = kPrioCheckpoint;
             up.label = spanLabel("c", layer);
             up.deps = {g.memFreedBy};
             up.stage = layer;
@@ -144,7 +154,7 @@ ZeroHeteroExecutor::sendPeerPiece(int src, int dst, int k)
     req.dst = Endpoint::gpuAt(dst);
     req.bytes = piece;
     req.kind = TrafficKind::Parameter;
-    req.priority = cfg_.prioWeights + k;
+    req.priority = kPrioWeights + k;
     req.label = spanLabel("ag", layer, ':', src, '>', dst);
     // The sender could not forward a shard it did not have yet.
     auto &spans =
@@ -248,7 +258,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             off.dst = Endpoint::dram();
             off.bytes = cost_.inActBytes(layer);
             off.kind = TrafficKind::Activation;
-            off.priority = cfg_.prioCheckpoint;
+            off.priority = kPrioCheckpoint;
             off.label = spanLabel("ckpt", layer);
             off.deps = {g.lastComputeSpan};
             off.stage = layer;
@@ -273,7 +283,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             rs.dst = Endpoint::gpuAt(other);
             rs.bytes = piece;
             rs.kind = TrafficKind::Gradient;
-            rs.priority = cfg_.prioGradient;
+            rs.priority = kPrioGradient;
             rs.label = spanLabel("rs", layer, ':', gpu, '>', other);
             rs.deps = {g.lastComputeSpan};
             rs.stage = layer;
@@ -284,7 +294,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
         grad.dst = Endpoint::dram();
         grad.bytes = piece;
         grad.kind = TrafficKind::Gradient;
-        grad.priority = cfg_.prioGradient;
+        grad.priority = kPrioGradient;
         grad.label = spanLabel("flush l", layer);
         grad.deps = {g.lastComputeSpan};
         grad.stage = layer;

@@ -37,9 +37,6 @@ struct ZeroExecutorConfig
      * every GPU finished gathering it (all-gather is a barrier).
      */
     bool layerSync = true;
-    int prioWeights = 10;    //!< weight-shard all-gathers
-    int prioCheckpoint = 30; //!< checkpoint offload/reload
-    int prioGradient = 20;   //!< gradient reduce-scatter
 
     /** Field-wise equality (runStep() rejects stray options). */
     bool operator==(const ZeroExecutorConfig &) const = default;

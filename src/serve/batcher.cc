@@ -1,7 +1,5 @@
 #include "serve/batcher.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "obs/prof.hh"
 
@@ -13,11 +11,6 @@ ContinuousBatcher::ContinuousBatcher(BatchConfig cfg) : cfg_(cfg)
     if (cfg_.maxBatch <= 0)
         fatal("batch capacity must be positive (got %d)",
               cfg_.maxBatch);
-    if (cfg_.minBatch <= 0 || cfg_.minBatch > cfg_.maxBatch)
-        fatal("adaptive batch floor must be in [1, %d] (got %d)",
-              cfg_.maxBatch, cfg_.minBatch);
-    cap_ = cfg_.adaptive ? cfg_.minBatch : cfg_.maxBatch;
-    stats_.maxCapacity = cap_;
 }
 
 void
@@ -33,7 +26,8 @@ ContinuousBatcher::admit(
     MOBIUS_PROF_ZONE("serve.batcher.admit");
     std::vector<int> admitted;
     while (!pending_.empty() &&
-           running + static_cast<int>(admitted.size()) < cap_) {
+           running + static_cast<int>(admitted.size()) <
+               cfg_.maxBatch) {
         const int id = pending_.front();
         if (try_reserve && !try_reserve(id))
             break; // head-of-line blocking: FIFO, never skip
@@ -42,21 +36,6 @@ ContinuousBatcher::admit(
         ++stats_.admissions;
     }
     return admitted;
-}
-
-void
-ContinuousBatcher::onIterationEnd()
-{
-    if (!cfg_.adaptive)
-        return;
-    if (!pending_.empty() && cap_ < cfg_.maxBatch) {
-        cap_ = std::min(cfg_.maxBatch, cap_ * 2);
-        ++stats_.capRaises;
-        stats_.maxCapacity = std::max(stats_.maxCapacity, cap_);
-    } else if (pending_.empty() && cap_ > cfg_.minBatch) {
-        cap_ = std::max(cfg_.minBatch, cap_ / 2);
-        ++stats_.capDrops;
-    }
 }
 
 } // namespace mobius

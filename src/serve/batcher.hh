@@ -7,15 +7,10 @@
  * composition therefore changes continuously instead of draining in
  * static waves. Admission is strictly FIFO with head-of-line
  * blocking: the batcher admits from the queue head while (a) the
- * running set is below the current capacity and (b) the caller can
- * reserve the head request's KV-cache; it never skips past a request
- * that does not fit, so no request can starve behind later arrivals.
- *
- * Capacity is either a fixed cap or load-adaptive: under backlog the
- * cap doubles toward `maxBatch` (throughput mode), and when the queue
- * empties it halves toward `minBatch` (latency mode — smaller batches
- * mean fewer riders per iteration). The serving bench gates that
- * occupancy never exceeds the cap that was in force at admission.
+ * running set is below `maxBatch` and (b) the caller can reserve the
+ * head request's KV-cache; it never skips past a request that does
+ * not fit, so no request can starve behind later arrivals, and
+ * occupancy never exceeds `maxBatch` (test_serve checks both).
  */
 
 #ifndef MOBIUS_SERVE_BATCHER_HH
@@ -32,12 +27,10 @@ namespace mobius
 /** Continuous-batching knobs. */
 struct BatchConfig
 {
-    int maxBatch = 32;     //!< hard cap on concurrent requests
-    bool adaptive = false; //!< load-adaptive capacity when true
-    int minBatch = 4;      //!< adaptive floor (latency mode)
+    int maxBatch = 32; //!< hard cap on concurrent requests
 };
 
-/** FIFO admission queue + capacity controller. */
+/** FIFO admission queue with a fixed capacity. */
 class ContinuousBatcher
 {
   public:
@@ -53,9 +46,6 @@ class ContinuousBatcher
         return static_cast<int>(pending_.size());
     }
 
-    /** @return the capacity currently in force. */
-    int capacity() const { return cap_; }
-
     /**
      * Admit from the queue head while the batch has room and
      * @p try_reserve (the KV-cache reservation) succeeds; stops at
@@ -66,19 +56,10 @@ class ContinuousBatcher
     std::vector<int>
     admit(int running, const std::function<bool(int)> &try_reserve);
 
-    /**
-     * Iteration-boundary hook for the adaptive controller:
-     * backlog grows the cap, an empty queue shrinks it.
-     */
-    void onIterationEnd();
-
     /** Lifetime counters. */
     struct Stats
     {
         std::uint64_t admissions = 0; //!< requests admitted
-        std::uint64_t capRaises = 0;  //!< adaptive cap doublings
-        std::uint64_t capDrops = 0;   //!< adaptive cap halvings
-        int maxCapacity = 0;          //!< largest cap in force
     };
 
     const Stats &stats() const { return stats_; }
@@ -86,7 +67,6 @@ class ContinuousBatcher
   private:
     BatchConfig cfg_;
     std::deque<int> pending_;
-    int cap_;
     Stats stats_;
 };
 

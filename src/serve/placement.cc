@@ -8,6 +8,14 @@
 namespace mobius
 {
 
+namespace
+{
+
+constexpr int kStagesPerGpu = 4; //!< pipeline stages per GPU
+static_assert(kStagesPerGpu > 0);
+
+} // namespace
+
 const char *
 servePlacementName(ServePlacement p)
 {
@@ -77,25 +85,16 @@ ServePlan::totalWeightBytes() const
 
 ServePlan
 buildServePlan(const CostModel &cost, const Topology &topo,
-               const PlacementConfig &cfg)
+               const PlacementConfig &)
 {
     const ModelDesc &model = cost.model();
     const int gpus = topo.numGpus();
     const int layers = model.numLayers();
-    if (cfg.stagesPerGpu <= 0)
-        fatal("stagesPerGpu must be positive (got %d)",
-              cfg.stagesPerGpu);
-    if (cfg.residentStages <= 0)
-        fatal("residentStages must be positive (got %d)",
-              cfg.residentStages);
-    const int num_stages =
-        std::min(layers, cfg.stagesPerGpu * gpus);
+    const int num_stages = std::min(layers, kStagesPerGpu * gpus);
     if (num_stages <= 0)
         fatal("model has no layers to place");
 
-    const Mapping mapping =
-        cfg.crossOrder ? crossMapping(topo, num_stages).mapping
-                       : sequentialMapping(topo, num_stages);
+    const Mapping mapping = crossMapping(topo, num_stages).mapping;
 
     // Inference compute is costed per token: the training cost model
     // prices one microbatch of (microbatchSize x seqLen) tokens.

@@ -6,13 +6,13 @@
  * commodity multi-GPU box, plus a load-adaptive hybrid:
  *
  *  - MobiusSwap: the paper's mechanism applied to inference. Layers
- *    are cut into S = stagesPerGpu x N uniform pipeline stages,
- *    cross-mapped over the GPUs (§3.3) so consecutive stages live
- *    under different root complexes; each GPU keeps only
- *    `residentStages` of its stages resident and ring-prefetches the
- *    next stage H2D while earlier stages compute. GPU footprint is a
- *    small carve-out, so most of DRAM-sized models fit and most of
- *    GPU memory is available for KV-cache.
+ *    are cut into S = 4 x N uniform pipeline stages (at most one per
+ *    layer), cross-mapped over the GPUs (§3.3) so consecutive stages
+ *    live under different root complexes; each GPU keeps only two of
+ *    its stages resident and ring-prefetches the next stage H2D while
+ *    earlier stages compute. GPU footprint is a small carve-out, so
+ *    most of DRAM-sized models fit and most of GPU memory is
+ *    available for KV-cache.
  *
  *  - AllInGpu: the same pipeline with every owned stage resident for
  *    the whole run — fastest iterations, but the model must fit in
@@ -29,7 +29,8 @@
  *    pending-queue watermarks. Light load runs MobiusSwap (minimal
  *    residency); when backlog crosses `switchHigh` and the full model
  *    fits beside the live KV, it switches to AllInGpu for throughput,
- *    and switches back when the queue drains below `switchLow`.
+ *    and switches back once the queue holds at most one request,
+ *    at least two iterations after the last switch.
  */
 
 #ifndef MOBIUS_SERVE_PLACEMENT_HH
@@ -64,10 +65,7 @@ ServePlacement parseServePlacement(const std::string &name);
 struct PlacementConfig
 {
     ServePlacement policy = ServePlacement::MobiusSwap;
-    int stagesPerGpu = 4;   //!< pipeline stages per GPU
-    int residentStages = 2; //!< swap carve-out per GPU, in stages
     int lookahead = 1;      //!< gather-mode chunk prefetch depth
-    bool crossOrder = true; //!< cross mapping vs sequential
     /**
      * Stream KV-cache from DRAM each iteration instead of pinning it
      * in GPU memory (FlexGen-style). Removes the GPU-side KV
@@ -76,8 +74,6 @@ struct PlacementConfig
      */
     bool kvDram = false;
     int switchHigh = 8; //!< adaptive: backlog to go all-in-GPU
-    int switchLow = 1;  //!< adaptive: backlog to fall back to swap
-    int switchCooldownIters = 2; //!< min iterations between switches
 };
 
 /** One contiguous layer range bound to a GPU. */
@@ -134,11 +130,13 @@ struct ServePlan
 };
 
 /**
- * Cut @p cost's model into stagesPerGpu x N uniform stages and map
- * them over @p topo (cross or sequential order per @p cfg).
+ * Cut @p cost's model into 4 x N uniform stages (at most one per
+ * layer) and cross-map them over @p topo. Every placement policy
+ * serves the same stage plan, so the plan does not depend on the
+ * PlacementConfig; callers pass the one they serve with.
  */
 ServePlan buildServePlan(const CostModel &cost, const Topology &topo,
-                         const PlacementConfig &cfg);
+                         const PlacementConfig &);
 
 } // namespace mobius
 

@@ -18,6 +18,14 @@ constexpr int kPrioActivation = 1;
 constexpr int kPrioKvStream = 2;
 constexpr int kPrioWeightBase = 10;
 
+/** Swap carve-out per GPU, in stages (placement.hh). */
+constexpr int kResidentStages = 2;
+static_assert(kResidentStages > 0);
+/** Adaptive placement: backlog at which to fall back to swap. */
+constexpr int kSwitchLow = 1;
+/** Adaptive placement: min iterations between switches. */
+constexpr int kSwitchCooldownIters = 2;
+
 } // namespace
 
 /** All runtime state of one serving simulation. */
@@ -34,7 +42,7 @@ struct ServeSim::Impl
     struct GpuRt
     {
         Bytes fullBytes = 0;   //!< all owned stages, FP16
-        Bytes swapBytes = 0;   //!< residentStages-sized carve-out
+        Bytes swapBytes = 0;   //!< kResidentStages-sized carve-out
         Bytes budget = 0;      //!< carve-out currently allocated
         Bytes weightUsed = 0;  //!< resident + in-flight stage bytes
         bool swapping = false; //!< budget < fullBytes: ring active
@@ -47,8 +55,7 @@ struct ServeSim::Impl
           work(opts.model, server),
           plan(buildServePlan(work.cost(), server.topo,
                               opts.placement)),
-          ctx(server, {.xfer = opts.xferCfg,
-                       .metrics = opts.metrics,
+          ctx(server, {.metrics = opts.metrics,
                        .faults = &opts.faults,
                        .faultSeed = opts.faultSeed}),
           batcher(opts.batch),
@@ -158,8 +165,7 @@ struct ServeSim::Impl
             grt.swapBytes = std::min(
                 grt.fullBytes,
                 plan.maxOwnedStageBytes(g) *
-                    static_cast<Bytes>(
-                        opts.placement.residentStages));
+                    static_cast<Bytes>(kResidentStages));
             // AllInGpu must seat the whole model: alloc() is fatal
             // on OOM, which the bench reports as the policy's
             // infeasibility marker for DRAM-sized models.
@@ -542,7 +548,6 @@ struct ServeSim::Impl
         }
 
         iterActive = false;
-        batcher.onIterationEnd();
         maybeStartIteration();
     }
 
@@ -708,8 +713,7 @@ struct ServeSim::Impl
     switchCooledDown() const
     {
         return iterations - lastSwitchIter >=
-               static_cast<std::uint64_t>(
-                   opts.placement.switchCooldownIters);
+               static_cast<std::uint64_t>(kSwitchCooldownIters);
     }
 
     void
@@ -727,7 +731,7 @@ struct ServeSim::Impl
                 lastSwitchIter = iterations;
             }
         } else if (modeFull &&
-                   pending <= opts.placement.switchLow &&
+                   pending <= kSwitchLow &&
                    static_cast<int>(running.size()) * 4 <=
                        opts.batch.maxBatch &&
                    loadsInFlight == 0 && switchCooledDown()) {
@@ -794,8 +798,7 @@ struct ServeSim::Impl
             // Keep the stages the next iteration needs first.
             const std::size_t keep = std::min(
                 owned.size(),
-                static_cast<std::size_t>(
-                    opts.placement.residentStages));
+                static_cast<std::size_t>(kResidentStages));
             for (std::size_t i = keep; i < owned.size(); ++i) {
                 StageRt &srt = stageRt[static_cast<std::size_t>(
                     owned[i])];
@@ -857,9 +860,7 @@ struct ServeSim::Impl
     void
     exportMetrics(const ServeMetrics &m)
     {
-        MetricsRegistry *reg =
-            opts.metrics && opts.metrics->enabled() ? opts.metrics
-                                                    : nullptr;
+        MetricsRegistry *reg = opts.metrics;
         if (!reg)
             return;
         reg->counter("serve.requests")

@@ -68,7 +68,6 @@ struct ServeOptions
      * grows with traffic, and serving runs are long).
      */
     bool recordSpans = false;
-    TransferEngineConfig xferCfg; //!< interconnect knobs
 };
 
 /** One serving simulation; submit requests, then run() once. */

@@ -23,10 +23,9 @@
  *  - exceptions are captured per index and rethrown after the join,
  *    lowest index first, so failure reporting is deterministic too.
  *
- * This is the same pattern the MIP partitioner uses for its parallel
- * stage-count sweep (plan/partition_mip.cc); it lives here so the
- * bench and tools layers can share one audited implementation. It is
- * implemented as the fixed-size special case of JobPump
+ * The MIP partitioner's parallel stage-count sweep
+ * (plan/partition_mip.cc), the benches and the tools share this one
+ * audited implementation. It is the fixed-size special case of JobPump
  * (job_pump.hh), the dynamic ready-set pump behind the fleet
  * simulator.
  */

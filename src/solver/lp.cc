@@ -43,6 +43,9 @@ constexpr double kEps = 1e-9;      //!< pivot / eligibility tolerance
 constexpr double kRatioEps = 1e-9; //!< ratio-test tie tolerance
 constexpr double kFeasTol = 1e-7;  //!< primal bound-violation tolerance
 constexpr double kDualTol = 1e-7;  //!< dual-feasibility check tolerance
+/** Consecutive degenerate pivots before Dantzig pricing yields to
+ * Bland's rule (reset on any strict improvement). */
+constexpr int kStallThreshold = 64;
 
 /** Where a variable currently lives. */
 enum class VStat : std::int8_t { AtLower, AtUpper, Free, Basic };
@@ -130,12 +133,11 @@ struct BoundedSimplex::Impl
     void pivotRows(int r, int c);
     void exchange(int r, int c, double enter_val, VStat leave_stat);
     bool initBasis();
-    Iter primal(const std::vector<double> &c, int stall_threshold,
-                std::uint64_t cap);
+    Iter primal(const std::vector<double> &c);
     Iter dual(std::uint64_t cap);
     LpSolution extract();
-    LpSolution coldInner(const LpOptions &opts);
-    LpSolution warmInner(const LpOptions &opts);
+    LpSolution coldInner();
+    LpSolution warmInner();
 };
 
 BoundedSimplex::Impl::Impl(const LpProblem &p)
@@ -379,15 +381,11 @@ BoundedSimplex::Impl::initBasis()
 }
 
 Iter
-BoundedSimplex::Impl::primal(const std::vector<double> &c,
-                             int stall_threshold, std::uint64_t cap)
+BoundedSimplex::Impl::primal(const std::vector<double> &c)
 {
     bool bland = false;
     int stall = 0;
     while (true) {
-        if (cap && pivotsThisSolve_ >= cap)
-            return Iter::PivotLimit;
-
         // Rows whose basic variable is costed: the reduced-cost
         // inner product only runs over these (in the partition LP
         // that is typically a single row).
@@ -519,7 +517,7 @@ BoundedSimplex::Impl::primal(const std::vector<double> &c,
         if (std::fabs(enter_d) * t_best > 1e-12) {
             stall = 0;
             bland = false; // progress: back to Dantzig
-        } else if (++stall >= stall_threshold) {
+        } else if (++stall >= kStallThreshold) {
             bland = true; // degeneracy stall: termination first
         }
     }
@@ -649,7 +647,7 @@ BoundedSimplex::Impl::extract()
 }
 
 LpSolution
-BoundedSimplex::Impl::coldInner(const LpOptions &opts)
+BoundedSimplex::Impl::coldInner()
 {
     LpSolution sol;
     if (boxEmpty()) {
@@ -665,7 +663,7 @@ BoundedSimplex::Impl::coldInner(const LpOptions &opts)
             if (artUsed_[i])
                 c1[nv_ + ns_ + i] = 1.0;
         }
-        Iter r = primal(c1, opts.stallThreshold, 0);
+        Iter r = primal(c1);
         if (r != Iter::Optimal)
             panic("phase-1 LP unbounded (impossible)");
         double infeas = 0.0;
@@ -703,7 +701,7 @@ BoundedSimplex::Impl::coldInner(const LpOptions &opts)
     }
     hasBasis_ = true;
 
-    Iter r = primal(c2_, opts.stallThreshold, 0);
+    Iter r = primal(c2_);
     if (r == Iter::Unbounded) {
         sol.status = LpSolution::Status::Unbounded;
         return sol;
@@ -712,11 +710,11 @@ BoundedSimplex::Impl::coldInner(const LpOptions &opts)
 }
 
 LpSolution
-BoundedSimplex::Impl::warmInner(const LpOptions &opts)
+BoundedSimplex::Impl::warmInner()
 {
     if (!hasBasis_) {
         ++coldFallbacks_;
-        return coldInner(opts);
+        return coldInner();
     }
     LpSolution sol;
     if (boxEmpty()) {
@@ -728,15 +726,13 @@ BoundedSimplex::Impl::warmInner(const LpOptions &opts)
         // A previous phase-1 abort or drift: costs no longer carry
         // the optimal signs, so the dual repair would be unsound.
         ++coldFallbacks_;
-        return coldInner(opts);
+        return coldInner();
     }
-    const std::uint64_t cap = opts.maxPivots
-        ? opts.maxPivots
-        : 20ULL * static_cast<std::uint64_t>(m_ + ncols_);
-    Iter r = dual(cap);
+    // A repair that runs past its pivot budget restarts cold.
+    Iter r = dual(20ULL * static_cast<std::uint64_t>(m_ + ncols_));
     if (r == Iter::PivotLimit) {
         ++coldFallbacks_;
-        return coldInner(opts);
+        return coldInner();
     }
     if (r == Iter::Infeasible) {
         sol.status = LpSolution::Status::Infeasible;
@@ -744,7 +740,7 @@ BoundedSimplex::Impl::warmInner(const LpOptions &opts)
     }
     // Polish: usually 0 pivots, but bound flips of nonbasic columns
     // can leave a profitable move behind.
-    r = primal(c2_, opts.stallThreshold, 0);
+    r = primal(c2_);
     if (r == Iter::Unbounded) {
         sol.status = LpSolution::Status::Unbounded;
         return sol;
@@ -774,25 +770,25 @@ BoundedSimplex::setBounds(const std::vector<double> &lower,
 }
 
 LpSolution
-BoundedSimplex::solveCold(const LpOptions &opts)
+BoundedSimplex::solveCold()
 {
     // Per-solve, not per-pivot: a pivot is ~100ns and the zone pair
     // ~0.5us; pivot counts are already in solver.lp.* metrics.
     MOBIUS_PROF_ZONE("solver.lp_solve");
     const std::uint64_t before = impl_->pivots_;
     impl_->pivotsThisSolve_ = 0;
-    LpSolution sol = impl_->coldInner(opts);
+    LpSolution sol = impl_->coldInner();
     sol.pivots = impl_->pivots_ - before;
     return sol;
 }
 
 LpSolution
-BoundedSimplex::solveWarm(const LpOptions &opts)
+BoundedSimplex::solveWarm()
 {
     MOBIUS_PROF_ZONE("solver.lp_solve");
     const std::uint64_t before = impl_->pivots_;
     impl_->pivotsThisSolve_ = 0;
-    LpSolution sol = impl_->warmInner(opts);
+    LpSolution sol = impl_->warmInner();
     sol.pivots = impl_->pivots_ - before;
     return sol;
 }
@@ -816,10 +812,10 @@ BoundedSimplex::coldFallbacks() const
 }
 
 LpSolution
-solveLp(const LpProblem &problem, const LpOptions &opts)
+solveLp(const LpProblem &problem)
 {
     BoundedSimplex simplex(problem);
-    return simplex.solveCold(opts);
+    return simplex.solveCold();
 }
 
 } // namespace mobius

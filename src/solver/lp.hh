@@ -70,17 +70,6 @@ struct LpProblem
                 Sense sense, double rhs);
 };
 
-/** Solver knobs (safe defaults; only the MIP tunes these). */
-struct LpOptions
-{
-    /** Pivot budget for one solve; 0 = unlimited. A warm solve that
-     * exhausts it falls back to a cold solve automatically. */
-    std::uint64_t maxPivots = 0;
-    /** Consecutive degenerate pivots before Dantzig pricing yields
-     * to Bland's rule (reset on any strict improvement). */
-    int stallThreshold = 64;
-};
-
 /** Outcome of an LP solve. */
 struct LpSolution
 {
@@ -122,14 +111,14 @@ class BoundedSimplex
                    const std::vector<double> &upper);
 
     /** Solve from scratch (phase 1 + phase 2). */
-    LpSolution solveCold(const LpOptions &opts = {});
+    LpSolution solveCold();
 
     /**
      * Re-solve after a bounds change, starting from the last basis.
      * Falls back to solveCold() when no basis exists yet or the
      * dual repair exceeds its pivot budget.
      */
-    LpSolution solveWarm(const LpOptions &opts = {});
+    LpSolution solveWarm();
 
     /** @return true once any solve has established a basis. */
     bool hasBasis() const;
@@ -146,8 +135,7 @@ class BoundedSimplex
 };
 
 /** Solve @p problem with the bounded-variable simplex. */
-LpSolution solveLp(const LpProblem &problem,
-                   const LpOptions &opts = {});
+LpSolution solveLp(const LpProblem &problem);
 
 /** @return printable name of a solution status. */
 std::string lpStatusName(LpSolution::Status status);

@@ -13,6 +13,9 @@ namespace mobius
 namespace
 {
 
+constexpr double kIntegralityTol = 1e-6; //!< "is integer" tolerance
+constexpr double kGapTol = 1e-9;         //!< absolute pruning slack
+
 /** One branch-and-bound node: bound overrides for the LP. */
 struct Node
 {
@@ -58,7 +61,7 @@ solveMip(const MipProblem &problem, const MipOptions &options)
 
     auto accept = [&](const LpSolution &lp) {
         if (have_incumbent &&
-            lp.objective >= best.objective - options.gapTol) {
+            lp.objective >= best.objective - kGapTol) {
             return;
         }
         have_incumbent = true;
@@ -85,8 +88,8 @@ solveMip(const MipProblem &problem, const MipOptions &options)
             if (!problem.integer[j])
                 continue;
             const double v = std::round(options.start[j]);
-            if (v < lo[j] - options.integralityTol ||
-                v > up[j] + options.integralityTol) {
+            if (v < lo[j] - kIntegralityTol ||
+                v > up[j] + kIntegralityTol) {
                 in_box = false;
                 break;
             }
@@ -140,7 +143,7 @@ solveMip(const MipProblem &problem, const MipOptions &options)
             return best;
         }
         if (have_incumbent &&
-            lp.objective >= best.objective - options.gapTol) {
+            lp.objective >= best.objective - kGapTol) {
             continue; // bound: cannot beat the incumbent
         }
 
@@ -153,7 +156,7 @@ solveMip(const MipProblem &problem, const MipOptions &options)
             double v = lp.x[j];
             double frac = v - std::floor(v);
             double dist = std::min(frac, 1.0 - frac);
-            if (dist > options.integralityTol && dist > branch_frac) {
+            if (dist > kIntegralityTol && dist > branch_frac) {
                 branch_var = j;
                 branch_frac = dist;
             }

@@ -61,8 +61,6 @@ struct MipProblem
 struct MipOptions
 {
     std::uint64_t maxNodes = 200000;  //!< search budget
-    double integralityTol = 1e-6;     //!< "is integer" tolerance
-    double gapTol = 1e-9;             //!< absolute pruning slack
     /** Wall-clock budget in seconds; 0 = unlimited. When it expires
      * the best incumbent so far is returned (Status::Feasible), or
      * Status::NodeLimit if none was found. */

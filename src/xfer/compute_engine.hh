@@ -44,7 +44,7 @@ class ComputeEngine
         if (!(speedFactor_ > 0.0))
             panic("compute speed factor must be > 0, got %g",
                   speedFactor_);
-        if (metrics && metrics->enabled()) {
+        if (metrics) {
             mKernels_ = &metrics->counter(
                 "gpu" + std::to_string(gpu) + ".kernels");
             mKernelSeconds_ = &metrics->histogram(

@@ -42,7 +42,7 @@ TransferEngine::TransferEngine(EventQueue &queue, const Topology &topo,
     flows_.reserve(64);
     buildRoutes();
 
-    if (metrics && metrics->enabled()) {
+    if (metrics) {
         mLinkBytes_.resize(static_cast<std::size_t>(topo.numLinks()));
         for (int l = 0; l < topo.numLinks(); ++l) {
             mLinkBytes_[static_cast<std::size_t>(l)] =

@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "json_test_util.hh"
+#include "base/json.hh"
 #include "obs/critical_path.hh"
 #include "runtime/api.hh"
 
@@ -258,9 +258,8 @@ TEST(AttributionExport, JsonParsesAndMatchesBreakdown)
     exec.run();
     StepAttribution a = attributeStep(ctx.trace());
 
-    testjson::JsonValue v;
-    ASSERT_NO_THROW(v = testjson::parseJson(
-                        attributionToJson(a, 5)));
+    json::JsonValue v;
+    ASSERT_NO_THROW(v = json::parse(attributionToJson(a, 5)));
     EXPECT_DOUBLE_EQ(v.at("stepTime").number, a.stepTime);
     const auto &crit = v.at("critical");
     double sum = crit.at("compute").number +

@@ -301,6 +301,28 @@ TEST(FaultEffects, StragglerThrottleSlowsTheStep)
               clean.stats.stepTime + 1e-6);
 }
 
+TEST(FaultEffects, StragglerDemotionWithRetriesIsPinned)
+{
+    // A throttled GPU's weight loads are demoted on its H2D queue.
+    // With transfer failures on top, a retried demoted chunk sorts
+    // behind a fresh one; without the demotion this run's trace
+    // reads 854ba3582149f5c2 instead.
+    Server server = makeCommodityServer({4});
+    Workload work(gpt15b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    FaultPlan faults = parseFaultSpec(
+        "degrade:gpu0=0.8@0+0.902170957;xfail=0.05;retry=20+0.0001",
+        server);
+    StepRunOptions opts;
+    opts.faults = &faults;
+    opts.faultSeed = 11;
+    StepRunResult r =
+        runStep(System::Mobius, server, work.cost(), &plan, opts);
+    EXPECT_EQ(r.stats.stepTime, 5.1374817065385123);
+    EXPECT_EQ(r.spanCount, 1230u);
+    EXPECT_EQ(r.spanHash, 0x701ebb771bff195eull);
+}
+
 TEST(FaultEffects, FailedTransfersAreRetriedAndTraced)
 {
     FaultedRun r = runMobius("xfail=0.02;retry=10+0.0001", 3);

@@ -126,6 +126,10 @@ TEST(Topology, ParseTopoGroups)
     EXPECT_EQ(parseTopoGroups("2+2"), (std::vector<int>{2, 2}));
     EXPECT_EQ(parseTopoGroups("1+3"), (std::vector<int>{1, 3}));
     EXPECT_EQ(parseTopoGroups("4+4"), (std::vector<int>{4, 4}));
+    EXPECT_THROW(parseTopoGroups("2+x"), FatalError);
+    EXPECT_THROW(parseTopoGroups("2++2"), FatalError);
+    EXPECT_THROW(parseTopoGroups("+"), FatalError);
+    EXPECT_THROW(parseTopoGroups("2x"), FatalError);
 }
 
 TEST(Topology, ServerNamesDescribeTopology)

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "json_test_util.hh"
+#include "base/json.hh"
 #include "obs/metrics.hh"
 #include "runtime/api.hh"
 #include "runtime/mobius_executor.hh"
@@ -73,17 +73,6 @@ TEST(Registry, ReturnsStableRefsAndFinds)
     EXPECT_EQ(reg.size(), 3u);
     reg.clear();
     EXPECT_EQ(reg.size(), 0u);
-}
-
-TEST(Registry, EnableDisable)
-{
-    MetricsRegistry on;
-    EXPECT_TRUE(on.enabled());
-    on.setEnabled(false);
-    EXPECT_FALSE(on.enabled());
-
-    MetricsRegistry off(false);
-    EXPECT_FALSE(off.enabled());
 }
 
 TEST(Registry, VisitsInNameOrder)
@@ -237,8 +226,8 @@ TEST(Export, JsonParsesAndRoundTripsEscapedNames)
     reg.gauge("plain").set(2.5);
     reg.histogram("h").record(1.0);
 
-    testjson::JsonValue doc;
-    ASSERT_NO_THROW(doc = testjson::parseJson(reg.toJson()));
+    json::JsonValue doc;
+    ASSERT_NO_THROW(doc = json::parse(reg.toJson()));
     const auto &counters = doc.at("counters");
     ASSERT_TRUE(counters.has("weird\"name\\here"));
     EXPECT_DOUBLE_EQ(counters.at("weird\"name\\here").number,
@@ -398,23 +387,6 @@ TEST(EndToEnd, MobiusRunPopulatesRegistry)
     const Counter *events = reg.findCounter("sim.events.executed");
     ASSERT_NE(events, nullptr);
     EXPECT_GT(events->value(), 0.0);
-}
-
-TEST(EndToEnd, DisabledRegistryStaysEmpty)
-{
-    Server server = makeCommodityServer({2, 2});
-    Workload work(gpt3b(), server);
-    MobiusPlan plan = planMobius(server, work.cost());
-
-    MetricsRegistry reg(false);
-    RunContext ctx(server, {.metrics = &reg});
-    MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                        plan.mapping);
-    StepStats stats = exec.run();
-    EXPECT_GT(stats.stepTime, 0.0);
-    // Components gate handle creation on enabled(): a disabled
-    // registry must see zero metrics after a full run.
-    EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(SamplerEdge, NonPositiveIntervalIsAPanic)

@@ -122,7 +122,6 @@ TEST(ServeSim, FifoAdmissionNoStarvation)
 {
     ServeOptions opts = smallOptions();
     opts.batch.maxBatch = 2; // force a backlog
-    opts.batch.minBatch = 1;
     ServeSim sim(opts);
     sim.submitOpenLoop(proto(), 16, {{50.0, 1.0}}, 3);
     sim.run();

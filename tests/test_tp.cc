@@ -35,6 +35,19 @@ TEST(TensorParallel, CompletesAndIsDeterministic)
     EXPECT_DOUBLE_EQ(a.stepTime, b.stepTime);
 }
 
+TEST(TensorParallel, StepTraceIsPinned)
+{
+    // No perfbench workload runs tensor parallelism, so its digest
+    // is pinned here: GPT-3B on 2+2.
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt3b(), server);
+    StepRunResult r =
+        runStep(System::TensorParallel, server, work.cost());
+    EXPECT_EQ(r.stats.stepTime, 1.5533523219695347);
+    EXPECT_EQ(r.spanCount, 8844u);
+    EXPECT_EQ(r.spanHash, 0xa2217031e4e14dcbull);
+}
+
 TEST(TensorParallel, SingleGpuDegenerates)
 {
     Server server = makeCommodityServer({1});

@@ -11,8 +11,8 @@
 #include <map>
 #include <set>
 
+#include "base/json.hh"
 #include "base/logging.hh"
-#include "json_test_util.hh"
 #include "runtime/api.hh"
 #include "simcore/trace.hh"
 
@@ -215,8 +215,8 @@ TEST(TraceRecorder, ChromeJsonParsesAndRoundTripsEscapes)
     rec.record(b);
     rec.recordCounter({"depth\"q", 0.1, 2.0});
 
-    testjson::JsonValue doc;
-    ASSERT_NO_THROW(doc = testjson::parseJson(rec.toChromeJson()));
+    json::JsonValue doc;
+    ASSERT_NO_THROW(doc = json::parse(rec.toChromeJson()));
     const auto &events = doc.at("traceEvents");
     ASSERT_TRUE(events.isArray());
 

@@ -12,7 +12,7 @@
 
 #include <cmath>
 
-#include "json_test_util.hh"
+#include "base/json.hh"
 #include "obs/whatif.hh"
 #include "runtime/api.hh"
 
@@ -440,7 +440,7 @@ TEST(WhatIfRender, ResultJsonParsesWithAllFields)
     Server srv = testServer();
     WhatIfResult r =
         evaluateWhatIf(rec, srv, {spec(srv, "gpu0=2")});
-    testjson::JsonValue v = testjson::parseJson(whatIfResultJson(r));
+    json::JsonValue v = json::parse(whatIfResultJson(r));
     ASSERT_TRUE(v.isObject());
     EXPECT_DOUBLE_EQ(v.at("base_step_time").number, 2.0);
     EXPECT_DOUBLE_EQ(v.at("predicted").number, 1.0);
@@ -453,7 +453,7 @@ TEST(WhatIfRender, ResultJsonParsesWithAllFields)
               "gpuCompute");
 
     r.exact = 1.05;
-    v = testjson::parseJson(whatIfResultJson(r));
+    v = json::parse(whatIfResultJson(r));
     EXPECT_TRUE(v.has("exact"));
     EXPECT_TRUE(v.has("drift"));
     EXPECT_NEAR(v.at("drift").number, 0.05 / 1.05, 1e-12);
@@ -466,7 +466,7 @@ TEST(WhatIfRender, SweepJsonAsciiAndReport)
     Server srv = testServer();
     WhatIfSweep s = sweepWhatIf(buildSpanDag(rec), srv,
                                 parseWhatIfSweepSpec("gpu0=1:2:3"));
-    testjson::JsonValue v = testjson::parseJson(whatIfSweepJson(s));
+    json::JsonValue v = json::parse(whatIfSweepJson(s));
     EXPECT_EQ(v.at("resource").string, "gpu0");
     EXPECT_DOUBLE_EQ(v.at("steps").number, 3.0);
     ASSERT_EQ(v.at("points").array.size(), 3u);

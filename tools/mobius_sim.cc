@@ -207,7 +207,7 @@ runSetup(RunContext &ctx, const StepSetup &setup,
         owned = std::make_unique<MobiusPlan>(
             planMobius(ctx.server(), work.cost(), setup.popts));
         plan = owned.get();
-        if (MetricsRegistry *m = ctx.activeMetrics()) {
+        if (MetricsRegistry *m = ctx.metrics()) {
             m->gauge("plan.profiling_seconds")
                 .set(plan->profilingSeconds);
             m->gauge("plan.solve_seconds").set(plan->solveSeconds);
