@@ -250,7 +250,7 @@ main(int argc, char **argv)
                 widths.push_back(hw);
         }
 
-        // --- Section 1: plan-cache + job-pump speedup.
+        // --- Section 1: plan-cache + parallel step-sim speedup.
         bench::section(strfmt("Fleet: %d homogeneous GPT-3B jobs "
                               "on 4x commodity 2+2",
                               jobs));

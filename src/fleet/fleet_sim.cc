@@ -11,7 +11,7 @@
 #include "base/rng.hh"
 #include "simcore/arrival.hh"
 #include "simcore/event_queue.hh"
-#include "simcore/job_pump.hh"
+#include "simcore/replica_runner.hh"
 #include "simcore/trace.hh"
 
 namespace mobius
@@ -130,19 +130,20 @@ FleetSim::run()
             std::move(classNames));
     }
 
-    // Step simulations are pure in the JobSpec, so they start
-    // speculatively at arrival; the event loop only blocks at
-    // admission, and only if the result is not ready yet. When
-    // tracing, the step's spans are retained just long enough to
-    // run critical-path attribution — memoized per jobSimKey (step
-    // results are bit-identical per key), so a homogeneous fleet
-    // pays one walk. Attribution runs on pump workers but only
-    // key-identical values ever race, so the reduction below stays
-    // bit-identical at any thread width.
+    // Phase one: step simulations are pure in the JobSpec, so every
+    // job's step runs up front in one runReplicas() batch, into
+    // per-job slots; a failing step rethrows here, lowest job id
+    // first. When tracing, the step's spans are retained just long
+    // enough to run critical-path attribution — memoized per
+    // jobSimKey (step results are bit-identical per key), so a
+    // homogeneous fleet pays one walk. Only key-identical values
+    // ever race, so the reduction below stays bit-identical at any
+    // thread width.
     std::vector<AttributionBreakdown> stepAttrib(tracing ? n : 0);
-    JobPump pump(
-        n,
-        [&](std::size_t i) {
+    runReplicas(
+        static_cast<int>(n),
+        [&](int job) {
+            auto i = static_cast<std::size_t>(job);
             if (!tracing) {
                 results[i] =
                     simulateJobStep(jobs_[i], cache, faults);
@@ -155,7 +156,10 @@ FleetSim::run()
                 jobSimKey(jobs_[i]),
                 [&] { return attributeStep(tr).critical; });
         },
-        opts_.threads);
+        {opts_.threads});
+
+    // Phase two: the event loop schedules jobs on the finished
+    // results, single-threaded.
 
     EventQueue queue;
     std::vector<EventId> completion(n, kNoEvent);
@@ -166,9 +170,8 @@ FleetSim::run()
     // Every scheduler decision is digested into decisionFp — always,
     // tracing on or off, so the fingerprint catches scheduler-order
     // regressions in every configuration and tracing perturbs
-    // nothing. The hook runs on the fleet event loop (the scheduler
-    // is single-threaded), never on pump workers: the decision log
-    // is emitted strictly in event order.
+    // nothing. The hook runs on the single-threaded fleet event
+    // loop: the decision log is emitted strictly in event order.
     std::uint64_t decisionFp = kFnvOffset;
     scheduler_.setDecisionHook([&](const SchedDecision &d) {
         fnv64(decisionFp, static_cast<std::uint64_t>(d.kind));
@@ -315,9 +318,6 @@ FleetSim::run()
                 },
                 [&](int id, int server) {
                     auto i = static_cast<std::size_t>(id);
-                    pump.wait(i);
-                    if (std::exception_ptr e = pump.error(i))
-                        std::rethrow_exception(e);
                     auto &rec = records_[i];
                     if (rec.start < 0.0)
                         rec.start = now;
@@ -376,7 +376,6 @@ FleetSim::run()
     // order, matching the scheduler's (arrival, id) tie-break.
     for (std::size_t i = 0; i < n; ++i) {
         queue.schedule(jobs_[i].arrival, [&, i] {
-            pump.enqueue(i);
             FleetJobReq req;
             req.klass = jobs_[i].serverClass;
             req.priority = jobs_[i].priority;
@@ -391,7 +390,6 @@ FleetSim::run()
         });
     }
     queue.run();
-    pump.drain();
 
     if (completedCount != n)
         panic("fleet deadlock: %llu of %zu jobs completed",
@@ -423,7 +421,6 @@ FleetSim::run()
         rec.arrival = spec.arrival;
         rec.queueDelay = rec.start - rec.arrival;
         rec.stepTime = results[i].stats.stepTime;
-        rec.planCacheHit = results[i].planCacheHit;
         rec.spanCount = results[i].spanCount;
         rec.spanHash = results[i].spanHash;
         if (faults) {

@@ -2,12 +2,14 @@
  * @file
  * FleetSim: the datacenter-scale multi-job simulator.
  *
- * Drives a job-arrival process (explicit submissions and/or a
- * Poisson generator) through the gang scheduler (scheduler.hh) and
- * runs each admitted job's training step on the single-server
- * simulator (fleet/job.hh), all on one shared fleet EventQueue —
- * the same deterministic clock the per-step simulator uses, one
- * level up.
+ * run() has two phases. Phase one simulates every job's training
+ * step on the single-server simulator (fleet/job.hh) in one
+ * runReplicas() batch (simcore/replica_runner.hh); step simulations
+ * are pure in the JobSpec, so none depends on scheduling. Phase two
+ * drives the job-arrival process (explicit submissions and/or a
+ * Poisson generator) through the gang scheduler (scheduler.hh) on
+ * one fleet EventQueue — the same deterministic clock the per-step
+ * simulator uses, one level up — reading the finished step results.
  *
  * Three perf layers make a 10k-job fleet tractable:
  *
@@ -15,12 +17,10 @@
  *     runs once per distinct (model, topology, options) key, not
  *     once per job. In a homogeneous mix this removes the dominant
  *     cost entirely (hit rate -> 1).
- *  2. JobPump (simcore/job_pump.hh) — step simulations are pure in
- *     the JobSpec, so they start *speculatively at arrival* on the
- *     pump's worker threads; the fleet loop blocks at admission
- *     only if the result is not ready yet. All fleet bookkeeping
- *     stays on the event-loop thread, results live in per-job
- *     slots, and reductions run in job-id order after the loop —
+ *  2. One parallel fan-out — phase one spreads the step
+ *     simulations over FleetOptions::threads workers, each writing
+ *     its job's slot. All fleet bookkeeping stays on the event-loop
+ *     thread, and reductions run in job-id order after the loop —
  *     fleet metrics are bit-identical at any --threads width.
  *  3. Indexed scheduler state (scheduler.hh) — binary-heap pending
  *     queue, per-class free-server sets: O(n log n) end to end.
@@ -62,7 +62,7 @@ struct FleetOptions
 {
     /** Cluster inventory; empty = one commodity 2+2 server. */
     std::vector<FleetServerDesc> servers;
-    int threads = 0;       //!< job pump width; 0 = hardware, 1 = serial
+    int threads = 0;       //!< step-sim workers; 0 = hardware, 1 = serial
     bool planCache = true; //!< memoize planMobius per distinct key
     bool backfill = false;   //!< scheduler EASY-lite backfill
     bool preemption = false; //!< scheduler priority eviction
@@ -96,7 +96,6 @@ struct FleetJobRecord
     double occupiedSeconds = 0.0; //!< total server occupancy
     int server = -1;       //!< last server occupied
     int preemptions = 0;   //!< times evicted
-    bool planCacheHit = false;
     std::uint64_t spanCount = 0;
     std::uint64_t spanHash = 0; //!< trace digest of the step sim
 

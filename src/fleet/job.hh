@@ -22,11 +22,12 @@
  *    bit-identical StepRunResults, which is what lets the fleet
  *    memoize whole simulations for goodput accounting.
  *
- * simulateJobStep() is the pure function the fleet's job pump runs:
- * JobSpec in, plan + step measurements + trace digest out. It
+ * simulateJobStep() is the pure function the fleet runs once per
+ * job: JobSpec in, plan + step measurements + trace digest out. It
  * depends only on the spec (never on admission time or scheduler
- * state), which is why the fleet can start simulations speculatively
- * at arrival and why results are bit-identical at any thread width.
+ * state), which is why the fleet can simulate every job before its
+ * event loop starts and why results are bit-identical at any thread
+ * width.
  */
 
 #ifndef MOBIUS_FLEET_JOB_HH

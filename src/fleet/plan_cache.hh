@@ -14,7 +14,7 @@
  * bench_fleet --quick's homogeneous fleet ~3.5x cheaper in CPU.
  *
  * The cache is *single-flight*: concurrent get()s for the same key
- * (parallel job pump workers simulating identical jobs) block on one
+ * (parallel fleet workers simulating identical jobs) block on one
  * std::once_flag while the first caller solves, instead of solving
  * redundantly or — worse — racing on the map. That also makes the
  * hit/miss counters deterministic at any thread width: misses always

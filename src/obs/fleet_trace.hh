@@ -22,9 +22,9 @@
  *    / backfill / preempt) with the inputs the scheduler saw and a
  *    one-line human explanation. The decision log serialises as
  *    JSONL, one object per line, emitted strictly in event order
- *    on the fleet event loop — never from pump workers — so the
- *    bytes are identical at any `--threads` width and with the
- *    plan cache on or off.
+ *    on the single-threaded fleet event loop, so the bytes are
+ *    identical at any `--threads` width and with the plan cache on
+ *    or off.
  *
  *  - **FleetAttribution** aggregates per-job time breakdowns
  *    (queue-wait / compute / transfer / contention / optimizer /

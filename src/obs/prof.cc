@@ -374,7 +374,7 @@ table(const Snapshot &snap)
                       z.cpuSelf * 1e3, z.wallMax * 1e6);
     }
     // No thread count here: the merged table stays byte-identical
-    // across JobPump widths (prof.threads carries the count).
+    // across runReplicas() widths (prof.threads carries the count).
     out += strfmt("total (roots) %.6f ms, self-sum drift %.3g s\n",
                   snap.wallTotalRoots() * 1e3, snap.selfSumDrift());
     return out;

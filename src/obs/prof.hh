@@ -26,8 +26,8 @@
  * alive after the thread exits and merged by snapshot() in thread
  * *registration order*, aggregating by zone path with name-sorted
  * siblings — so the merged output is deterministic for a
- * deterministic workload, and byte-identical across JobPump widths
- * when durations are (tests install a deterministic clock via
+ * deterministic workload, and byte-identical across runReplicas()
+ * widths when durations are (tests install a deterministic clock via
  * setClocksForTest()).
  *
  * Cost: when disabled (the default), a zone entry is one relaxed

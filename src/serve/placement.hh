@@ -65,7 +65,6 @@ ServePlacement parseServePlacement(const std::string &name);
 struct PlacementConfig
 {
     ServePlacement policy = ServePlacement::MobiusSwap;
-    int lookahead = 1;      //!< gather-mode chunk prefetch depth
     /**
      * Stream KV-cache from DRAM each iteration instead of pinning it
      * in GPU memory (FlexGen-style). Removes the GPU-side KV

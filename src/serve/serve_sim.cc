@@ -21,6 +21,8 @@ constexpr int kPrioWeightBase = 10;
 /** Swap carve-out per GPU, in stages (placement.hh). */
 constexpr int kResidentStages = 2;
 static_assert(kResidentStages > 0);
+/** Gather placement: chunks prefetched past the frontier chunk. */
+constexpr int kGatherLookahead = 1;
 /** Adaptive placement: backlog at which to fall back to swap. */
 constexpr int kSwitchLow = 1;
 /** Adaptive placement: min iterations between switches. */
@@ -147,10 +149,11 @@ struct ServeSim::Impl
     {
         const int gpus = ctx.numGpus();
         if (gather) {
-            // Scratch for (1 + lookahead) gathered chunks per GPU.
+            // Scratch for (1 + kGatherLookahead) gathered chunks
+            // per GPU.
             const Bytes chunk = plan.maxStageBytes();
-            const int depth = std::min(
-                numStages(), 1 + opts.placement.lookahead);
+            const int depth =
+                std::min(numStages(), 1 + kGatherLookahead);
             gatherScratchBudget =
                 chunk * static_cast<Bytes>(depth);
             for (int g = 0; g < gpus; ++g)
@@ -591,8 +594,7 @@ struct ServeSim::Impl
                gDone[static_cast<std::size_t>(frontier)])
             ++frontier;
         const int horizon =
-            std::min(numStages(),
-                     frontier + 1 + opts.placement.lookahead);
+            std::min(numStages(), frontier + 1 + kGatherLookahead);
         for (int k = frontier; k < horizon; ++k) {
             const std::size_t ki = static_cast<std::size_t>(k);
             if (gIssued[ki])

@@ -28,8 +28,8 @@
  * Determinism: the simulator consumes no randomness beyond the
  * seeded arrival generator and runs single-threaded inside one event
  * queue, so a fixed configuration is byte-identical on every run;
- * sweeps parallelise whole sims via runReplicas()/JobPump and reduce
- * in index order.
+ * sweeps parallelise whole sims via runReplicas() and reduce in
+ * index order.
  */
 
 #ifndef MOBIUS_SERVE_SERVE_SIM_HH

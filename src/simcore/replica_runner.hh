@@ -24,10 +24,9 @@
  *    lowest index first, so failure reporting is deterministic too.
  *
  * The MIP partitioner's parallel stage-count sweep
- * (plan/partition_mip.cc), the benches and the tools share this one
- * audited implementation. It is the fixed-size special case of JobPump
- * (job_pump.hh), the dynamic ready-set pump behind the fleet
- * simulator.
+ * (plan/partition_mip.cc), the fleet simulator's per-job step
+ * simulations (fleet/fleet_sim.cc), the benches and the tools share
+ * this one audited implementation.
  */
 
 #ifndef MOBIUS_SIMCORE_REPLICA_RUNNER_HH
@@ -59,7 +58,8 @@ struct ReplicaRunStats
  * Run @p body(i) for every i in [0, count) on a ticket-dispatched
  * thread pool (see the file comment for the determinism contract).
  * With one thread (or count <= 1) the bodies run inline on the
- * calling thread, in index order.
+ * calling thread, in index order. Each body runs inside one
+ * `simcore.replica` profiler zone.
  *
  * The body must confine its writes to per-index storage; it is called
  * concurrently from multiple threads. If any body throws, the

@@ -413,6 +413,31 @@ TEST(FleetSim, CleanFleetHasUnitGoodputAndFaultedFleetLess)
         EXPECT_GT(r.stepTime, r.cleanStepTime);
 }
 
+TEST(FleetSim, FailingStepSimulationSurfacesFromRunAtAnyWidth)
+{
+    // A step that exhausts its retry budget loses its job, which is
+    // fatal for the whole run — with the same error at any width.
+    auto failure = [](int threads) {
+        FleetOptions opts;
+        opts.threads = threads;
+        opts.faults.xfailProb = 0.9;
+        opts.faults.retryBudget = 0;
+        FleetSim fleet(opts);
+        fleet.submitPoisson(smallJob(), 6, 1.0, 3);
+        try {
+            fleet.run();
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "run() did not throw at threads " << threads;
+        return std::string();
+    };
+    std::string serial = failure(1);
+    EXPECT_NE(serial.find("retry budget 0 exhausted"), std::string::npos)
+        << serial;
+    EXPECT_EQ(serial, failure(4));
+}
+
 TEST(FleetSim, PopulatesMetricsRegistry)
 {
     MetricsRegistry reg;

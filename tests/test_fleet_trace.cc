@@ -271,9 +271,9 @@ TEST(FleetTrace, ReportBytesIdenticalAcrossThreadsAndCache)
     FleetMetrics mu = uncached->run();
     EXPECT_GT(ms.sched.preemptions, 0u);
 
-    // The decision log is emitted on the fleet event loop, never
-    // from pump workers: bytes identical at any width, cache on or
-    // off — and so is the whole report and the Chrome timeline.
+    // The decision log is emitted on the single-threaded fleet event
+    // loop: bytes identical at any width, cache on or off — and so
+    // is the whole report and the Chrome timeline.
     std::string report = serial->reportJsonl();
     EXPECT_EQ(report, wide->reportJsonl());
     EXPECT_EQ(report, uncached->reportJsonl());

@@ -2,9 +2,9 @@
  * @file
  * Host self-profiler tests (obs/prof.hh): exact nested self-time
  * accounting under deterministic clocks, byte-identical merged
- * output across JobPump thread widths, allocation-free zones when
- * disabled (and in the enabled steady state), the prof.* metrics
- * export, and one zone per planMobius() phase.
+ * output across runReplicas() thread widths, allocation-free zones
+ * when disabled (and in the enabled steady state), the prof.*
+ * metrics export, and one zone per planMobius() phase.
  */
 
 #include <string>
@@ -15,7 +15,7 @@
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 #include "runtime/api.hh"
-#include "simcore/job_pump.hh"
+#include "simcore/replica_runner.hh"
 
 namespace
 {
@@ -120,30 +120,26 @@ TEST(Prof, NestedSelfTimesSumExactly)
 }
 
 /**
- * Run a profiled job batch through a JobPump at @p threads and
+ * Run a profiled job batch through runReplicas() at @p threads and
  * @return the rendered table plus folded stacks.
  */
 std::string
-pumpProfile(int threads)
+replicaProfile(int threads)
 {
     ProfSandbox sandbox;
-    constexpr std::size_t kJobs = 12;
-    {
-        JobPump pump(
-            kJobs,
-            [](std::size_t i) {
-                MOBIUS_PROF_ZONE("t.job");
-                if (i % 2) {
-                    MOBIUS_PROF_ZONE("t.odd");
-                } else {
-                    MOBIUS_PROF_ZONE("t.even");
-                }
-            },
-            threads);
-        for (std::size_t i = 0; i < kJobs; ++i)
-            pump.enqueue(i);
-        pump.drain();
-    } // joins the workers; no zone is open past this point
+    constexpr int kJobs = 12;
+    // Returns after joining the workers; no zone is open past it.
+    runReplicas(
+        kJobs,
+        [](int i) {
+            MOBIUS_PROF_ZONE("t.job");
+            if (i % 2) {
+                MOBIUS_PROF_ZONE("t.odd");
+            } else {
+                MOBIUS_PROF_ZONE("t.even");
+            }
+        },
+        {threads});
     prof::setEnabled(false);
     prof::Snapshot snap = prof::snapshot();
     return prof::table(snap) + folded(snap);
@@ -152,14 +148,14 @@ pumpProfile(int threads)
 TEST(Prof, MergedOutputByteIdenticalAcrossPumpWidths)
 {
     // Same jobs, same deterministic per-thread clocks: the merged
-    // table and folded stacks must not depend on how the pump
-    // spreads jobs over workers. threads: 1 = inline on the consumer
+    // table and folded stacks must not depend on how runReplicas()
+    // spreads jobs over workers. threads: 1 = inline on the calling
     // thread, 4 = fixed pool, 0 = hardware concurrency.
-    std::string one = pumpProfile(1);
-    EXPECT_EQ(one, pumpProfile(4));
-    EXPECT_EQ(one, pumpProfile(0));
-    // Sanity: the pump's own zone wraps the job bodies.
-    EXPECT_NE(one.find("simcore.pump_job"), std::string::npos);
+    std::string one = replicaProfile(1);
+    EXPECT_EQ(one, replicaProfile(4));
+    EXPECT_EQ(one, replicaProfile(0));
+    // Sanity: the runner's own zone wraps the job bodies.
+    EXPECT_NE(one.find("simcore.replica"), std::string::npos);
     EXPECT_NE(one.find("t.job"), std::string::npos);
 }
 
