@@ -116,7 +116,7 @@ Args::getDoubleIn(const std::string &key, double fallback, double lo,
                   double hi) const
 {
     double v = getDouble(key, fallback);
-    if (v < lo || v > hi)
+    if (!(lo <= v && v <= hi)) // NaN fails both comparisons
         fatal("--%s must be in [%g, %g], got %g", key.c_str(), lo,
               hi, v);
     return v;

@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
-#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace mobius
@@ -177,111 +175,6 @@ parseFaultSpec(const std::string &text, const Server &server)
     if (!any)
         fatal("empty --faults spec");
     return plan;
-}
-
-FaultPlan
-parseFaultFile(const std::string &path, const Server &server)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot read fault plan '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << is.rdbuf();
-
-    json::JsonValue doc;
-    try {
-        doc = json::parse(buf.str());
-    } catch (const json::JsonError &e) {
-        fatal("fault plan '%s': %s", path.c_str(), e.what());
-    }
-    if (!doc.isObject())
-        fatal("fault plan '%s': top level must be an object",
-              path.c_str());
-
-    FaultPlan plan;
-    auto where = [&](const char *what) {
-        return path + " (" + what + ")";
-    };
-    if (const json::JsonValue *ws = doc.find("windows")) {
-        for (const auto &w : ws->array) {
-            FaultWindow fw;
-            fw.target = parseTarget(w.stringOr("resource", ""),
-                                    server, where("windows"));
-            fw.factor = w.numberOr("factor", 1.0);
-            fw.start = w.numberOr("start", 0.0);
-            fw.duration = w.numberOr("duration", 0.0);
-            if (fw.factor <= 0.0 || fw.duration <= 0.0 ||
-                fw.start < 0.0)
-                fatal("fault plan '%s': windows need factor > 0, "
-                      "duration > 0, start >= 0",
-                      path.c_str());
-            plan.windows.push_back(std::move(fw));
-        }
-    }
-    if (const json::JsonValue *fs = doc.find("flaps")) {
-        for (const auto &f : fs->array) {
-            FaultFlap ff;
-            ff.target = parseTarget(f.stringOr("resource", ""),
-                                    server, where("flaps"));
-            ff.factor = f.numberOr("factor", 1.0);
-            ff.meanGap = f.numberOr("mean_gap", 0.0);
-            ff.duration = f.numberOr("duration", 0.0);
-            if (ff.factor <= 0.0 || ff.meanGap <= 0.0 ||
-                ff.duration <= 0.0)
-                fatal("fault plan '%s': flaps need factor, "
-                      "mean_gap, duration > 0",
-                      path.c_str());
-            plan.flaps.push_back(std::move(ff));
-        }
-    }
-    if (const json::JsonValue *cs = doc.find("crashes")) {
-        for (const auto &c : cs->array) {
-            int gpu = static_cast<int>(c.numberOr("gpu", -1.0));
-            double t = c.numberOr("time", -1.0);
-            if (gpu < 0 || gpu >= server.topo.numGpus() || t < 0.0)
-                fatal("fault plan '%s': crashes need a valid gpu "
-                      "(server has %d) and time >= 0",
-                      path.c_str(), server.topo.numGpus());
-            plan.crashes.push_back(GpuCrash{gpu, t});
-        }
-    }
-    plan.xfailProb = doc.numberOr("xfail", 0.0);
-    if (plan.xfailProb < 0.0 || plan.xfailProb >= 1.0)
-        fatal("fault plan '%s': xfail must be in [0, 1)",
-              path.c_str());
-    if (const json::JsonValue *r = doc.find("retry")) {
-        plan.retryBudget = static_cast<int>(
-            r->numberOr("budget", plan.retryBudget));
-        plan.retryBackoff =
-            r->numberOr("backoff", plan.retryBackoff);
-        if (plan.retryBudget < 0 || plan.retryBackoff <= 0.0)
-            fatal("fault plan '%s': retry needs budget >= 0 and "
-                  "backoff > 0",
-                  path.c_str());
-    }
-    if (const json::JsonValue *c = doc.find("checkpoint")) {
-        plan.checkpointInterval = c->numberOr("interval", 0.0);
-        plan.checkpointCost = c->numberOr("cost", 0.0);
-        if (plan.checkpointInterval < 0.0 ||
-            plan.checkpointCost < 0.0)
-            fatal("fault plan '%s': checkpoint interval/cost must "
-                  "be >= 0",
-                  path.c_str());
-    }
-    plan.restartCost = doc.numberOr("restart", 0.0);
-    if (plan.restartCost < 0.0)
-        fatal("fault plan '%s': restart must be >= 0",
-              path.c_str());
-    return plan;
-}
-
-FaultPlan
-loadFaultPlan(const std::string &file_or_spec, const Server &server)
-{
-    std::ifstream is(file_or_spec);
-    if (is)
-        return parseFaultFile(file_or_spec, server);
-    return parseFaultSpec(file_or_spec, server);
 }
 
 std::string

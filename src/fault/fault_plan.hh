@@ -9,8 +9,8 @@
  * (fault_injector.hh) turns a plan plus a seed into deterministic
  * mid-run events.
  *
- * Plans come from `mobius_sim --faults FILE|SPEC`. The inline SPEC
- * grammar is ';'-separated events:
+ * Plans come from `mobius_sim --faults SPEC`. The SPEC grammar is
+ * ';'-separated events:
  *
  *   degrade:RES=F@START+DUR   capacity/speed factor F on resource
  *                             RES for [START, START+DUR) seconds
@@ -28,8 +28,7 @@
  *
  * RES uses the shared resource grammar (hw/resource.hh): rcN, gpuN,
  * cpu, transfer, link:NAME — validated against the server before the
- * simulation starts. The JSON file form mirrors the same fields
- * (see DESIGN.md §7 for the schema).
+ * simulation starts.
  */
 
 #ifndef MOBIUS_FAULT_FAULT_PLAN_HH
@@ -99,18 +98,10 @@ struct FaultPlan
     }
 };
 
-/** Parse the inline ';'-separated event grammar (see file header);
- *  fatal() on malformed events or unknown resources. */
+/** Parse the ';'-separated event grammar (see file header); fatal()
+ *  on malformed events or unknown resources. */
 FaultPlan parseFaultSpec(const std::string &text,
                          const Server &server);
-
-/** Parse a JSON fault-plan file; fatal() on unreadable/bad input. */
-FaultPlan parseFaultFile(const std::string &path,
-                         const Server &server);
-
-/** Dispatch on whether @p file_or_spec names a readable file. */
-FaultPlan loadFaultPlan(const std::string &file_or_spec,
-                        const Server &server);
 
 /** One-line human-readable summary for run banners. */
 std::string faultPlanSummary(const FaultPlan &plan);

@@ -409,7 +409,6 @@ FleetSim::run()
     std::vector<double> jcts, waits;
     jcts.reserve(n);
     waits.reserve(n);
-    std::map<std::string, double> classOccupied;
     double totalOccupied = 0.0;
     double usefulSeconds = 0.0;
     std::uint64_t fp = kFnvOffset;
@@ -441,7 +440,6 @@ FleetSim::run()
         jcts.push_back(rec.jct());
         waits.push_back(rec.queueDelay);
         m.makespan = std::max(m.makespan, rec.finish);
-        classOccupied[spec.serverClass] += rec.occupiedSeconds;
         totalOccupied += rec.occupiedSeconds;
         usefulSeconds += spec.steps * rec.cleanStepTime;
 
@@ -506,30 +504,17 @@ FleetSim::run()
     }
     m.jctP50 = exactQuantile(jcts, 0.50);
     m.jctP99 = exactQuantile(jcts, 0.99);
-    m.jctMax = jcts.empty()
-        ? 0.0
-        : *std::max_element(jcts.begin(), jcts.end());
-    m.waitP50 = exactQuantile(waits, 0.50);
     m.waitP99 = exactQuantile(waits, 0.99);
     if (n > 0) {
-        double jsum = 0.0, wsum = 0.0;
+        double jsum = 0.0;
         for (double j : jcts)
             jsum += j;
-        for (double w : waits)
-            wsum += w;
         m.jctMean = jsum / static_cast<double>(n);
-        m.waitMean = wsum / static_cast<double>(n);
     }
     if (m.makespan > 0.0) {
         m.utilization = totalOccupied /
             (static_cast<double>(scheduler_.serverCount()) *
              m.makespan);
-        for (const auto &[klass, occupied] : classOccupied) {
-            int count = scheduler_.classCount(klass);
-            if (count > 0)
-                m.classUtilization[klass] = occupied /
-                    (static_cast<double>(count) * m.makespan);
-        }
     }
     if (totalOccupied > 0.0)
         m.goodput = usefulSeconds / totalOccupied;

@@ -42,7 +42,6 @@
 #define MOBIUS_FLEET_FLEET_SIM_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,13 +110,11 @@ struct FleetMetrics
     FleetSchedStats sched;       //!< admissions/backfills/preemptions
 
     double makespan = 0.0; //!< last finish time
-    double jctP50 = 0.0, jctP99 = 0.0, jctMean = 0.0, jctMax = 0.0;
-    double waitP50 = 0.0, waitP99 = 0.0, waitMean = 0.0;
+    double jctP50 = 0.0, jctP99 = 0.0, jctMean = 0.0;
+    double waitP99 = 0.0;
 
     /** Occupied server-seconds / (servers * makespan). */
     double utilization = 0.0;
-    /** Same, per server class. */
-    std::map<std::string, double> classUtilization;
     /** Useful clean step-seconds / occupied server-seconds: the
      *  fraction of occupancy doing clean-run-equivalent work
      *  (1.0 without faults; ZeRO-Infinity-style accounting). */

@@ -59,19 +59,6 @@ FleetScheduler::serverClass(int server) const
         .name;
 }
 
-int
-FleetScheduler::classCount(const std::string &klass) const
-{
-    auto it = klassIndex_.find(klass);
-    if (it == klassIndex_.end())
-        return 0;
-    int n = 0;
-    for (int k : serverKlass_)
-        if (k == it->second)
-            ++n;
-    return n;
-}
-
 const std::string &
 FleetScheduler::klassName(int klass) const
 {

@@ -162,9 +162,6 @@ class FleetScheduler
     /** @return class name of global server index @p server. */
     const std::string &serverClass(int server) const;
 
-    /** @return machines in class @p klass (0 when unknown). */
-    int classCount(const std::string &klass) const;
-
     /** @return number of server classes in the cluster. */
     int klassCount() const
     {

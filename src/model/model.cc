@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "base/logging.hh"
+
 namespace mobius
 {
 
@@ -68,6 +70,18 @@ table3Models()
 ModelDesc
 makeGptModel(const GptConfig &cfg)
 {
+    auto require = [&](int value, const char *what) {
+        if (value < 1)
+            fatal("model '%s': %s must be >= 1, got %d",
+                  cfg.name.c_str(), what, value);
+    };
+    require(cfg.hidden, "hidden size");
+    require(cfg.heads, "heads");
+    require(cfg.numBlocks, "block count");
+    require(cfg.vocab, "vocabulary");
+    require(cfg.seqLen, "sequence length");
+    require(cfg.microbatchSize, "microbatch size");
+
     ModelDesc m;
     m.name = cfg.name;
     m.seqLen = cfg.seqLen;

@@ -105,7 +105,9 @@ GptConfig gpt51b();
 /** All four Table 3 configs in paper order. */
 std::vector<GptConfig> table3Models();
 
-/** Build the layer stack for a GPT-like config. */
+/** Build the layer stack for a GPT-like config; fatal() unless its
+ *  hidden size, heads, blocks, vocabulary, sequence length and
+ *  microbatch size are all >= 1. */
 ModelDesc makeGptModel(const GptConfig &cfg);
 
 } // namespace mobius

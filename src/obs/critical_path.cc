@@ -8,6 +8,7 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
+#include "obs/metrics.hh"
 #include "obs/prof.hh"
 
 namespace mobius
@@ -360,6 +361,30 @@ attributionTable(const StepAttribution &a, int top_k)
         }
     }
     return os.str();
+}
+
+void
+exportAttribution(const StepAttribution &a, MetricsRegistry &registry)
+{
+    registry.counter("attrib.critical.compute.seconds")
+        .add(a.critical.compute);
+    registry.counter("attrib.critical.transfer.seconds")
+        .add(a.critical.transfer);
+    registry.counter("attrib.critical.queue.seconds")
+        .add(a.critical.queue);
+    registry.counter("attrib.critical.optimizer.seconds")
+        .add(a.critical.optimizer);
+    registry.counter("attrib.critical.fault.seconds")
+        .add(a.critical.fault);
+    registry.counter("attrib.critical.bubble.seconds")
+        .add(a.critical.bubble);
+    registry.counter("attrib.queue.total.seconds")
+        .add(a.totalQueueWait);
+    for (const GpuAttribution &g : a.gpus) {
+        registry.gauge("gpu" + std::to_string(g.gpu) +
+                       ".bubble.fraction")
+            .set(g.bubbleFraction);
+    }
 }
 
 } // namespace mobius

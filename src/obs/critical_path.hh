@@ -36,6 +36,8 @@
 namespace mobius
 {
 
+class MetricsRegistry;
+
 /** Seconds attributed to each cause; total() covers [0, stepTime]. */
 struct AttributionBreakdown
 {
@@ -134,6 +136,18 @@ std::string attributionToJson(const StepAttribution &a,
  */
 std::string attributionTable(const StepAttribution &a,
                              int top_k = 10);
+
+/**
+ * Fold @p a into @p registry so a `--metrics` export carries the
+ * step's blame table beside the simulated metrics:
+ *
+ *  - counter `attrib.critical.<category>.seconds` for compute,
+ *    transfer, queue, optimizer, fault and bubble
+ *  - counter `attrib.queue.total.seconds` (on- and off-path waits)
+ *  - gauge   `gpu<N>.bubble.fraction` per GPU
+ */
+void exportAttribution(const StepAttribution &a,
+                       MetricsRegistry &registry);
 
 } // namespace mobius
 

@@ -203,14 +203,6 @@ MetricsRegistry::visitGauges(
 }
 
 void
-MetricsRegistry::visitHistograms(
-    const std::function<void(const Histogram &)> &fn) const
-{
-    for (const auto &[name, h] : histograms_)
-        fn(*h);
-}
-
-void
 MetricsRegistry::clear()
 {
     counters_.clear();

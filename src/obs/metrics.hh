@@ -208,10 +208,6 @@ class MetricsRegistry
     void visitGauges(
         const std::function<void(const Gauge &)> &fn) const;
 
-    /** Visit every histogram in name order. */
-    void visitHistograms(
-        const std::function<void(const Histogram &)> &fn) const;
-
     /** Remove every metric. */
     void clear();
 

@@ -223,18 +223,6 @@ reset()
     }
 }
 
-int
-threadCount()
-{
-    detail::Registry &r = detail::registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    int n = 0;
-    for (const auto &ts : r.threads)
-        if (!ts->nodes.empty())
-            n++;
-    return n;
-}
-
 void
 setClocksForTest(ClockFn wall, ClockFn cpu)
 {

@@ -80,9 +80,6 @@ bool enabled();
  */
 void reset();
 
-/** @return number of threads that ever recorded an enabled zone. */
-int threadCount();
-
 /** One zone path's merged statistics. */
 struct ZoneStats
 {

@@ -13,13 +13,21 @@ namespace mobius
 Workload::Workload(const GptConfig &cfg, const Server &server,
                    int microbatch_size, int num_microbatches)
 {
+    if (microbatch_size < 1 && microbatch_size != -1)
+        fatal("microbatch size must be >= 1 (or -1 for the model's "
+              "default), got %d",
+              microbatch_size);
+    if (num_microbatches < 1 && num_microbatches != -1)
+        fatal("microbatch count must be >= 1 (or -1 for one per "
+              "GPU), got %d",
+              num_microbatches);
     model_ = std::make_unique<ModelDesc>(makeGptModel(cfg));
-    train_.microbatchSize = microbatch_size > 0
-        ? microbatch_size
-        : cfg.microbatchSize;
-    train_.numMicrobatches = num_microbatches > 0
-        ? num_microbatches
-        : server.topo.numGpus();
+    train_.microbatchSize = microbatch_size == -1
+        ? cfg.microbatchSize
+        : microbatch_size;
+    train_.numMicrobatches = num_microbatches == -1
+        ? server.topo.numGpus()
+        : num_microbatches;
     if (server.topo.numGpus() < 1)
         fatal("workload needs a server with at least one GPU");
     cost_ = std::make_unique<CostModel>(
@@ -41,8 +49,7 @@ partitionStages(const Server &server, const CostModel &cost,
     PipelineEnv env;
     env.numGpus = server.topo.numGpus();
     env.gpuMemBytes = server.topo.gpuSpec(0).memBytes;
-    env.avgBandwidth =
-        opts.avgBandwidth > 0 ? opts.avgBandwidth : kPcie3x16Bw;
+    env.avgBandwidth = kPcie3x16Bw;
     PipelineCostEvaluator eval(cost, env);
 
     PartitionResult part;

@@ -49,6 +49,8 @@ class Workload
      * @param server            target server (GPU type, count)
      * @param microbatch_size   -1 = the config's Table 3 default
      * @param num_microbatches  -1 = one per GPU (M = N, §3.1)
+     *
+     * fatal() on any other size or count below 1.
      */
     Workload(const GptConfig &cfg, const Server &server,
              int microbatch_size = -1, int num_microbatches = -1);
@@ -83,8 +85,6 @@ struct PlanOptions
 {
     PartitionAlgo partition = PartitionAlgo::Mip;
     MappingAlgo mapping = MappingAlgo::Cross;
-    /** Average bandwidth for the MIP's B constant; 0 = PCIe x16. */
-    double avgBandwidth = 0.0;
     /** Branch-and-bound budget and stage-sweep thread count, used
      * when partition == PartitionAlgo::ExactMip. */
     MipOptions mip;

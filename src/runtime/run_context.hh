@@ -20,7 +20,6 @@
 
 #include "fault/fault_injector.hh"
 #include "hw/server.hh"
-#include "obs/critical_path.hh"
 #include "obs/metrics.hh"
 #include "obs/whatif.hh"
 #include "runtime/cpu_optimizer.hh"
@@ -222,31 +221,6 @@ class RunContext
             m->gauge("sim.drift.max_seconds").set(queue_.maxDrift());
             m->counter("cpu.optimizer.busy_seconds")
                 .add(cpuOptimizer_.busyTime());
-            // Critical-path blame table over the completed-span DAG
-            // (obs/critical_path.hh); the categories sum to the
-            // step time by construction.
-            if (trace_.spanCount() > 0) {
-                StepAttribution a = attributeStep(trace_);
-                m->counter("attrib.critical.compute.seconds")
-                    .add(a.critical.compute);
-                m->counter("attrib.critical.transfer.seconds")
-                    .add(a.critical.transfer);
-                m->counter("attrib.critical.queue.seconds")
-                    .add(a.critical.queue);
-                m->counter("attrib.critical.optimizer.seconds")
-                    .add(a.critical.optimizer);
-                m->counter("attrib.critical.fault.seconds")
-                    .add(a.critical.fault);
-                m->counter("attrib.critical.bubble.seconds")
-                    .add(a.critical.bubble);
-                m->counter("attrib.queue.total.seconds")
-                    .add(a.totalQueueWait);
-                for (const auto &g : a.gpus) {
-                    m->gauge("gpu" + std::to_string(g.gpu) +
-                             ".bubble.fraction")
-                        .set(g.bubbleFraction);
-                }
-            }
         }
         return stats;
     }

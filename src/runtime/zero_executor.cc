@@ -14,6 +14,9 @@ constexpr int kPrioWeights = 10;    //!< + slot: weight-shard all-gathers
 constexpr int kPrioGradient = 20;   //!< gradient reduce-scatter
 constexpr int kPrioCheckpoint = 30; //!< checkpoint offload/reload
 
+/** Slots of weight prefetch lookahead (DeepSpeed prefetches). */
+constexpr int kLookahead = 1;
+
 } // namespace
 
 ZeroHeteroExecutor::ZeroHeteroExecutor(RunContext &ctx,
@@ -80,7 +83,7 @@ ZeroHeteroExecutor::pump(int gpu)
     const int n = ctx_.numGpus();
 
     while (g.nextFetch < slots &&
-           g.nextFetch <= g.nextCompute + cfg_.lookahead) {
+           g.nextFetch <= g.nextCompute + kLookahead) {
         int k = g.nextFetch;
         int layer = slotLayer(k);
         Bytes need = slotIsBwd(k)

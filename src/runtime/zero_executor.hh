@@ -30,8 +30,6 @@ namespace mobius
 /** ZeRO executor tunables. */
 struct ZeroExecutorConfig
 {
-    /** Layers of weight prefetch lookahead (DeepSpeed prefetches). */
-    int lookahead = 1;
     /**
      * Collective semantics: a layer's compute may start only once
      * every GPU finished gathering it (all-gather is a barrier).

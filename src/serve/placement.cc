@@ -32,20 +32,6 @@ servePlacementName(ServePlacement p)
     return "?";
 }
 
-ServePlacement
-parseServePlacement(const std::string &name)
-{
-    if (name == "mobius-swap" || name == "mobius")
-        return ServePlacement::MobiusSwap;
-    if (name == "all-in-gpu" || name == "allin")
-        return ServePlacement::AllInGpu;
-    if (name == "zero-gather" || name == "zero")
-        return ServePlacement::ZeroGather;
-    if (name == "adaptive")
-        return ServePlacement::Adaptive;
-    fatal("unknown serve placement '%s'", name.c_str());
-}
-
 Bytes
 ServePlan::ownedBytes(int gpu) const
 {
@@ -72,15 +58,6 @@ ServePlan::maxStageBytes() const
     for (const ServeStage &s : stages)
         best = std::max(best, s.weightBytes);
     return best;
-}
-
-Bytes
-ServePlan::totalWeightBytes() const
-{
-    Bytes total = 0;
-    for (const ServeStage &s : stages)
-        total += s.weightBytes;
-    return total;
 }
 
 ServePlan
@@ -125,14 +102,14 @@ buildServePlan(const CostModel &cost, const Topology &topo,
         st.floorSeconds =
             static_cast<double>(st.hi - st.lo) *
             cost.cfg().kernelLatency;
+        Bytes kv = 0; // KV bytes/token of the range
         for (int l = st.lo; l < st.hi; ++l) {
             if (model.layers[static_cast<std::size_t>(l)].type ==
                 LayerType::TransformerBlock)
-                st.kvBytesPerToken += kv_per_block;
+                kv += kv_per_block;
         }
-        plan.kvBytesPerToken += st.kvBytesPerToken;
-        plan.kvPerTokenGpu[static_cast<std::size_t>(st.gpu)] +=
-            st.kvBytesPerToken;
+        plan.kvBytesPerToken += kv;
+        plan.kvPerTokenGpu[static_cast<std::size_t>(st.gpu)] += kv;
         plan.owned[static_cast<std::size_t>(st.gpu)].push_back(s);
         plan.stages.push_back(st);
     }

@@ -36,7 +36,6 @@
 #ifndef MOBIUS_SERVE_PLACEMENT_HH
 #define MOBIUS_SERVE_PLACEMENT_HH
 
-#include <string>
 #include <vector>
 
 #include "base/units.hh"
@@ -58,20 +57,10 @@ enum class ServePlacement
 /** @return printable policy name ("mobius-swap", ...). */
 const char *servePlacementName(ServePlacement p);
 
-/** Parse a policy name; fatal() on unknown. */
-ServePlacement parseServePlacement(const std::string &name);
-
 /** Placement knobs. */
 struct PlacementConfig
 {
     ServePlacement policy = ServePlacement::MobiusSwap;
-    /**
-     * Stream KV-cache from DRAM each iteration instead of pinning it
-     * in GPU memory (FlexGen-style). Removes the GPU-side KV
-     * capacity limit at the cost of per-iteration KV traffic that
-     * shows up as swap-stall. Pipelined placements only.
-     */
-    bool kvDram = false;
     int switchHigh = 8; //!< adaptive: backlog to go all-in-GPU
 };
 
@@ -82,7 +71,6 @@ struct ServeStage
     int hi = 0;  //!< last layer (exclusive)
     int gpu = 0; //!< executing GPU
     Bytes weightBytes = 0;        //!< FP16 weights of the range
-    Bytes kvBytesPerToken = 0;    //!< KV bytes/token for the range
     double secondsPerToken = 0.0; //!< forward compute per token
     double floorSeconds = 0.0;    //!< kernel-launch floor
 
@@ -123,9 +111,6 @@ struct ServePlan
 
     /** Largest stage overall (gather-mode chunk scratch unit). */
     Bytes maxStageBytes() const;
-
-    /** Whole-model FP16 bytes. */
-    Bytes totalWeightBytes() const;
 };
 
 /**

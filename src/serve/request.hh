@@ -13,9 +13,9 @@
  *
  * where queue is time waiting for admission, prefill/decode are the
  * compute shares of its iterations, and swapStall is the non-compute
- * share — time the batch spent blocked on weight swaps, KV streaming,
- * activation handoffs, or fault retries. The serving bench gates the
- * identity at 1e-9 for every request.
+ * share — time the batch spent blocked on weight swaps, activation
+ * handoffs, or fault retries. The serving bench gates the identity
+ * at 1e-9 for every request.
  */
 
 #ifndef MOBIUS_SERVE_REQUEST_HH

@@ -15,7 +15,6 @@ namespace
 
 /** Weight loads sit behind activations, like the training executor. */
 constexpr int kPrioActivation = 1;
-constexpr int kPrioKvStream = 2;
 constexpr int kPrioWeightBase = 10;
 
 /** Swap carve-out per GPU, in stages (placement.hh). */
@@ -104,7 +103,6 @@ struct ServeSim::Impl
     double iterIdeal = 0.0; //!< ideal compute chain, seconds
     int iterTokens = 0;     //!< total tokens this iteration
     std::vector<char> actReady;  //!< per stage
-    std::vector<char> kvReady;   //!< per stage
     std::vector<char> started;   //!< per stage
     std::vector<int> gpuTokens;  //!< gather: tokens per home GPU
     // gather lockstep chunk state
@@ -233,8 +231,6 @@ struct ServeSim::Impl
             r.gpu = best;
             return true;
         }
-        if (opts.placement.kvDram)
-            return true; // KV lives in DRAM, streamed per iteration
         for (int g = 0; g < ctx.numGpus(); ++g) {
             const Bytes need =
                 plan.kvPerTokenGpu[static_cast<std::size_t>(g)] *
@@ -335,66 +331,18 @@ struct ServeSim::Impl
         actReady.assign(S, 0);
         started.assign(S, 0);
         actReady[0] = 1;
-        kvReady.assign(S, opts.placement.kvDram ? 0 : 1);
-        if (opts.placement.kvDram)
-            streamKv();
         for (int s = 0; s < numStages(); ++s)
             tryRunStage(s);
     }
 
-    /** kvDram mode: stream each stage's KV pages in, write-back out. */
-    void
-    streamKv()
-    {
-        int ctxTokens = 0;
-        for (int id : running)
-            ctxTokens += rec(id).totalTokens();
-        for (int s = 0; s < numStages(); ++s) {
-            const ServeStage &st = stage(s);
-            const Bytes in = st.kvBytesPerToken *
-                             static_cast<Bytes>(ctxTokens);
-            if (in == 0) {
-                kvReady[static_cast<std::size_t>(s)] = 1;
-                continue;
-            }
-            TransferRequest req;
-            req.src = Endpoint::dram();
-            req.dst = Endpoint::gpuAt(st.gpu);
-            req.bytes = in;
-            req.kind = TrafficKind::Activation;
-            req.priority = kPrioKvStream;
-            req.label = "kv s" + std::to_string(s);
-            req.stage = s;
-            req.onComplete = [this, s] {
-                kvReady[static_cast<std::size_t>(s)] = 1;
-                tryRunStage(s);
-            };
-            ctx.submitXfer(std::move(req));
-            // Write-back of this iteration's new KV entries; small,
-            // fire-and-forget (does not gate the next stage).
-            const Bytes out = st.kvBytesPerToken *
-                              static_cast<Bytes>(iterTokens);
-            TransferRequest wb;
-            wb.src = Endpoint::gpuAt(st.gpu);
-            wb.dst = Endpoint::dram();
-            wb.bytes = out;
-            wb.kind = TrafficKind::Activation;
-            wb.priority = kPrioKvStream + 1;
-            wb.label = "kvwb s" + std::to_string(s);
-            wb.stage = s;
-            ctx.submitXfer(std::move(wb));
-        }
-    }
-
-    /** Start stage @p s's compute once weights, KV, and input are in. */
+    /** Start stage @p s's compute once its weights and input are in. */
     void
     tryRunStage(int s)
     {
         if (!iterActive)
             return;
         const std::size_t i = static_cast<std::size_t>(s);
-        if (started[i] || !actReady[i] || !kvReady[i] ||
-            !stageRt[i].resident)
+        if (started[i] || !actReady[i] || !stageRt[i].resident)
             return;
         started[i] = 1;
         const ServeStage &st = stage(s);
@@ -510,8 +458,8 @@ struct ServeSim::Impl
         const double dur = now - iterStart;
         // The iteration's compute part is its ideal serial compute
         // chain; everything beyond that was spent blocked on weight
-        // swaps, KV streaming, activation hops, gather barriers, or
-        // fault retries — the swap-stall category.
+        // swaps, activation hops, gather barriers, or fault retries
+        // — the swap-stall category.
         double stall = dur - iterIdeal;
         if (stall < 0.0)
             stall = 0.0;

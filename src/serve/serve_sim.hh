@@ -12,11 +12,10 @@
  * Each iteration runs every running request one step — prompt tokens
  * for a request in prefill, one token in decode — over the pipeline
  * stages (or, for ZeroGather, over lockstep all-gathered layer
- * chunks). Weights and (optionally) KV-cache move DRAM <-> GPU
- * through the TransferEngine with the same priority/prefetch
- * machinery the training executors use, so swap stalls, PCIe
- * contention, and injected faults shape tail latency exactly like
- * they shape step time in training.
+ * chunks). Weights move DRAM <-> GPU through the TransferEngine
+ * with the same priority/prefetch machinery the training executors
+ * use, so swap stalls, PCIe contention, and injected faults shape
+ * tail latency exactly like they shape step time in training.
  *
  * Latency bookkeeping is exact by construction: a request's
  * end-to-end time is its queue wait plus the durations of the

@@ -25,17 +25,6 @@ LpProblem::addRow(std::vector<std::pair<int, double>> coeffs,
     rows.push_back(LpRow{std::move(coeffs), sense, rhs});
 }
 
-std::string
-lpStatusName(LpSolution::Status status)
-{
-    switch (status) {
-      case LpSolution::Status::Optimal:    return "optimal";
-      case LpSolution::Status::Infeasible: return "infeasible";
-      case LpSolution::Status::Unbounded:  return "unbounded";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -797,12 +786,6 @@ bool
 BoundedSimplex::hasBasis() const
 {
     return impl_->hasBasis_;
-}
-
-std::uint64_t
-BoundedSimplex::totalPivots() const
-{
-    return impl_->pivots_;
 }
 
 std::uint64_t

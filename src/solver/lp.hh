@@ -123,9 +123,6 @@ class BoundedSimplex
     /** @return true once any solve has established a basis. */
     bool hasBasis() const;
 
-    /** @return pivots performed across all solves so far. */
-    std::uint64_t totalPivots() const;
-
     /** @return warm solves that had to restart cold. */
     std::uint64_t coldFallbacks() const;
 
@@ -136,9 +133,6 @@ class BoundedSimplex
 
 /** Solve @p problem with the bounded-variable simplex. */
 LpSolution solveLp(const LpProblem &problem);
-
-/** @return printable name of a solution status. */
-std::string lpStatusName(LpSolution::Status status);
 
 } // namespace mobius
 

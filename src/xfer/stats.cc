@@ -178,24 +178,6 @@ UsageTracker::overlappedCommTime(int gpu) const
     return state_[gpu].overlappedComm;
 }
 
-double
-UsageTracker::totalExposedCommTime() const
-{
-    double total = 0.0;
-    for (const auto &s : state_)
-        total += s.exposedComm;
-    return total;
-}
-
-double
-UsageTracker::totalComputeTime() const
-{
-    double total = 0.0;
-    for (const auto &s : state_)
-        total += s.computeTime;
-    return total;
-}
-
 void
 UsageTracker::clear()
 {

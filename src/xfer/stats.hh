@@ -135,12 +135,6 @@ class UsageTracker
     /** Seconds of comm on GPU @p gpu overlapped by compute. */
     double overlappedCommTime(int gpu) const;
 
-    /** Sum of exposedCommTime over all GPUs. */
-    double totalExposedCommTime() const;
-
-    /** Sum of computeTime over all GPUs. */
-    double totalComputeTime() const;
-
     /** @return number of tracked GPUs. */
     int numGpus() const { return static_cast<int>(state_.size()); }
 

@@ -298,11 +298,12 @@ TEST(AttributionMetrics, RegistryGetsCriticalCounters)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt3b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    MetricsRegistry reg;
-    RunContext ctx(server, {.metrics = &reg});
+    RunContext ctx(server);
     MobiusExecutor exec(ctx, work.cost(), plan.partition,
                         plan.mapping);
     StepStats stats = exec.run();
+    MetricsRegistry reg;
+    exportAttribution(attributeStep(ctx.trace()), reg);
 
     double sum = 0.0;
     for (const char *name :

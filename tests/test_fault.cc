@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-injection subsystem tests: plan parsing (inline grammar and
- * JSON files), seeded RNG stream independence, bit-identical replay
+ * Fault-injection subsystem tests: plan parsing (the inline event
+ * grammar), seeded RNG stream independence, bit-identical replay
  * under a fixed --fault-seed, degradation/straggler effects, retry
  * semantics (budget exhaustion is fatal), crash/checkpoint recovery
  * costs, the exact-sum "fault" attribution category, and the paper's
@@ -10,12 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
 
 #include "base/logging.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "obs/critical_path.hh"
 #include "runtime/api.hh"
 
 namespace mobius
@@ -96,55 +96,6 @@ TEST(FaultPlanParse, RejectsUnknownResources)
     EXPECT_NO_THROW(
         parseFaultSpec("degrade:transfer=0.5@0+1", server));
     EXPECT_THROW(parseFaultSpec("crash:gpu4@1", server), FatalError);
-}
-
-TEST(FaultPlanParse, JsonFileForm)
-{
-    Server server = testServer();
-    std::string path =
-        testing::TempDir() + "mobius_fault_plan_test.json";
-    {
-        std::ofstream os(path);
-        os << R"({
-            "windows": [{"resource": "rc1", "factor": 0.5,
-                         "start": 0.2, "duration": 0.4}],
-            "flaps": [{"resource": "transfer", "factor": 0.8,
-                       "mean_gap": 0.3, "duration": 0.1}],
-            "crashes": [{"gpu": 3, "time": 2.0}],
-            "xfail": 0.02,
-            "retry": {"budget": 9, "backoff": 0.0005},
-            "checkpoint": {"interval": 0.5, "cost": 0.01},
-            "restart": 0.25
-        })";
-    }
-    FaultPlan p = loadFaultPlan(path, server);
-    ASSERT_EQ(p.windows.size(), 1u);
-    EXPECT_EQ(p.windows[0].target.kind, ResourceKind::RootComplex);
-    EXPECT_EQ(p.windows[0].target.index, 1);
-    ASSERT_EQ(p.flaps.size(), 1u);
-    EXPECT_EQ(p.flaps[0].target.kind, ResourceKind::Category);
-    ASSERT_EQ(p.crashes.size(), 1u);
-    EXPECT_EQ(p.crashes[0].gpu, 3);
-    EXPECT_DOUBLE_EQ(p.xfailProb, 0.02);
-    EXPECT_EQ(p.retryBudget, 9);
-    EXPECT_DOUBLE_EQ(p.retryBackoff, 0.0005);
-    EXPECT_DOUBLE_EQ(p.checkpointInterval, 0.5);
-    EXPECT_DOUBLE_EQ(p.restartCost, 0.25);
-}
-
-TEST(FaultPlanParse, BadJsonIsFatal)
-{
-    Server server = testServer();
-    std::string path =
-        testing::TempDir() + "mobius_fault_bad_plan.json";
-    {
-        std::ofstream os(path);
-        os << R"({"windows": [{"resource": "gpu9", "factor": 0.5,
-                  "start": 0, "duration": 1}]})";
-    }
-    EXPECT_THROW(parseFaultFile(path, server), FatalError);
-    EXPECT_THROW(parseFaultFile("/no/such/file.json", server),
-                 FatalError);
 }
 
 TEST(FaultPlanParse, SummaryMentionsEveryMechanism)

@@ -127,7 +127,6 @@ TEST_P(ExecutorFuzz, ZeroInvariantsHold)
 
     ZeroExecutorConfig zcfg;
     zcfg.layerSync = rng.below(2) == 0;
-    zcfg.lookahead = 1 + static_cast<int>(rng.below(2));
 
     RunContext ctx(server);
     ZeroHeteroExecutor exec(ctx, work.cost(), zcfg);

@@ -59,6 +59,19 @@ TEST(Model, LayerStackStructure)
     EXPECT_EQ(m.layers.back().type, LayerType::LmHead);
 }
 
+TEST(Model, RejectsNonPositiveDimensions)
+{
+    std::vector<GptConfig> bad(6, gpt3b());
+    bad[0].heads = 0;
+    bad[1].hidden = 0;
+    bad[2].numBlocks = 0;
+    bad[3].vocab = -1;
+    bad[4].seqLen = 0;
+    bad[5].microbatchSize = 0;
+    for (const GptConfig &cfg : bad)
+        EXPECT_THROW(makeGptModel(cfg), FatalError);
+}
+
 TEST(Model, SimilarityClassesCollapseBlocks)
 {
     ModelDesc m = makeGptModel(gpt51b());
@@ -109,6 +122,25 @@ TEST(CostModel, BackwardIsThriceForwardWithCheckpointing)
     cfg.activationCheckpointing = false;
     CostModel cost2(m, rtx3090Ti(), cfg);
     EXPECT_NEAR(cost2.bwdTime(5), 2.0 * cost2.fwdTime(5), 1e-12);
+}
+
+TEST(CostModel, EveryLayerRunsForwardFasterThanBackward)
+{
+    // The cost model the planner reads (Workload's: Table 3
+    // microbatch, one microbatch per GPU of a 4-GPU commodity box):
+    // every layer has 0 < fwdTime < bwdTime.
+    for (const GptConfig &g : table3Models()) {
+        ModelDesc m = makeGptModel(g);
+        TrainConfig cfg;
+        cfg.microbatchSize = g.microbatchSize;
+        cfg.numMicrobatches = 4;
+        CostModel cost(m, rtx3090Ti(), cfg);
+        for (int i = 0; i < cost.numLayers(); ++i) {
+            EXPECT_GT(cost.fwdTime(i), 0.0) << g.name << " layer " << i;
+            EXPECT_GT(cost.bwdTime(i), cost.fwdTime(i))
+                << g.name << " layer " << i;
+        }
+    }
 }
 
 TEST(CostModel, RangeAggregatesSum)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <deque>
+
 #include "model/cost_model.hh"
 #include "profile/profiler.hh"
 
@@ -16,23 +20,12 @@ namespace
 CostModel
 makeCost(const GptConfig &cfg)
 {
-    static std::vector<ModelDesc> keep;
+    // A deque: earlier CostModels keep pointing at their ModelDesc.
+    static std::deque<ModelDesc> keep;
     keep.push_back(makeGptModel(cfg));
     TrainConfig tc;
     tc.microbatchSize = cfg.microbatchSize;
     return CostModel(keep.back(), rtx3090Ti(), tc);
-}
-
-TEST(Profiler, ProfilesEveryLayer)
-{
-    auto cost = makeCost(gpt8b());
-    auto result = profileModel(cost);
-    EXPECT_EQ(static_cast<int>(result.layers.size()),
-              cost.numLayers());
-    for (const auto &p : result.layers) {
-        EXPECT_GT(p.fwdTime, 0.0);
-        EXPECT_GT(p.bwdTime, p.fwdTime);
-    }
 }
 
 TEST(Profiler, SimilarityMeasuresOncePerClass)
@@ -51,31 +44,6 @@ TEST(Profiler, SimilarityMeasuresOncePerClass)
     EXPECT_GT(full.profilingTime, result.profilingTime * 5);
 }
 
-TEST(Profiler, ExactWhenNoiseDisabled)
-{
-    auto cost = makeCost(gpt8b());
-    ProfilerConfig cfg;
-    cfg.measurementNoise = 0.0;
-    auto result = profileModel(cost, cfg);
-    for (int i = 0; i < cost.numLayers(); ++i) {
-        EXPECT_DOUBLE_EQ(result.layers[i].fwdTime, cost.fwdTime(i));
-        EXPECT_DOUBLE_EQ(result.layers[i].bwdTime, cost.bwdTime(i));
-        EXPECT_EQ(result.layers[i].paramBytes, cost.paramBytes(i));
-    }
-}
-
-TEST(Profiler, NoiseIsDeterministicPerSeed)
-{
-    auto cost = makeCost(gpt8b());
-    ProfilerConfig cfg;
-    cfg.measurementNoise = 0.05;
-    cfg.seed = 42;
-    auto a = profileModel(cost, cfg);
-    auto b = profileModel(cost, cfg);
-    for (std::size_t i = 0; i < a.layers.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.layers[i].fwdTime, b.layers[i].fwdTime);
-}
-
 TEST(Profiler, SimilarModelsHaveCloseProfilingTime)
 {
     // Fig. 12 observation 2: the 8B and 15B models profile in
@@ -86,6 +54,40 @@ TEST(Profiler, SimilarModelsHaveCloseProfilingTime)
     auto p15 = profileModel(c15);
     EXPECT_LT(p15.profilingTime, p8.profilingTime * 4.0);
     EXPECT_GT(p15.profilingTime, p8.profilingTime * 0.25);
+}
+
+TEST(Profiler, PinnedOnTable3Models)
+{
+    // Measured layers and the exact bits of profilingTime (what
+    // planMobius reports as plan.profiling_seconds), layer
+    // similarity on then off, per Table 3 model in paper order.
+    struct Pin
+    {
+        int layers;
+        std::uint64_t bits;
+    };
+    const Pin pins[4][2] = {
+        {{4, 0x3fbe9a6ed8923178ULL}, {67, 0x4002737c40ee1869ULL}},
+        {{4, 0x3fd389a4397c6cf5ULL}, {43, 0x401675f5171de618ULL}},
+        {{4, 0x3fd1a1780146e3e4ULL}, {43, 0x401565572354d8fbULL}},
+        {{4, 0x3fe5c5ec70e9417cULL}, {53, 0x403537dd35f6e89aULL}},
+    };
+    const std::vector<GptConfig> models = table3Models();
+    ASSERT_EQ(models.size(), 4u);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        const CostModel cost = makeCost(models[m]);
+        for (int full = 0; full < 2; ++full) {
+            ProfilerConfig cfg;
+            cfg.useLayerSimilarity = full == 0;
+            const ProfileResult r = profileModel(cost, cfg);
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &r.profilingTime, sizeof bits);
+            EXPECT_EQ(r.profiledLayers, pins[m][full].layers)
+                << models[m].name << " full=" << full;
+            EXPECT_EQ(bits, pins[m][full].bits)
+                << models[m].name << " full=" << full;
+        }
+    }
 }
 
 } // namespace

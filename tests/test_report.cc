@@ -99,6 +99,15 @@ TEST(Args, RangeCheckedAccessorsAreFatalOutOfRange)
     EXPECT_EQ(edge.getIntIn("top", 1, 1, 100), 100);
 }
 
+TEST(Args, RangeCheckedDoubleRejectsNan)
+{
+    // NaN fails every comparison, so it must not slip past the
+    // bounds check as "not out of range".
+    Args args = makeArgs({"--interval", "nan"});
+    EXPECT_THROW(args.getDoubleIn("interval", 0.01, 1e-9, 1e9),
+                 FatalError);
+}
+
 TEST(Report, ManifestJsonHasStableFields)
 {
     RunManifest m;

@@ -492,6 +492,20 @@ TEST(Workload, DefaultsFollowTable3AndServer)
     EXPECT_EQ(w2.train().numMicrobatches, 8);
 }
 
+TEST(Workload, OnlyMinusOneMeansTheDefault)
+{
+    // Any other size or count below 1 is fatal instead of silently
+    // running the default configuration.
+    Server server = makeCommodityServer({2, 2});
+    EXPECT_THROW(Workload(gpt3b(), server, 0), FatalError);
+    EXPECT_THROW(Workload(gpt3b(), server, -3), FatalError);
+    EXPECT_THROW(Workload(gpt3b(), server, -1, 0), FatalError);
+    EXPECT_THROW(Workload(gpt3b(), server, -1, -2), FatalError);
+    Workload w(gpt3b(), server, -1, -1);
+    EXPECT_EQ(w.train().microbatchSize, gpt3b().microbatchSize);
+    EXPECT_EQ(w.train().numMicrobatches, 4);
+}
+
 TEST(Plan, OverheadFieldsPopulated)
 {
     Server server = makeCommodityServer({1, 3});

@@ -254,18 +254,6 @@ TEST(ServeSim, AdaptiveSwitchesPlacementUnderBurst)
     EXPECT_LE(m.e2eP99, f.e2eP99 + 1e-9);
 }
 
-TEST(ServeSim, KvDramStreamingTradesMemoryForStall)
-{
-    ServeOptions opts = smallOptions();
-    opts.placement.kvDram = true;
-    ServeSim sim(opts);
-    sim.submitOpenLoop(proto(), 10, {{4.0, 1.0}}, 5);
-    const ServeMetrics m = sim.run();
-    EXPECT_EQ(m.completed, 10u);
-    EXPECT_LE(m.worstSumDrift, 1e-9);
-    EXPECT_GT(m.stallSeconds, 0.0);
-}
-
 TEST(ServeSim, SloAccounting)
 {
     ServeOptions opts = smallOptions();

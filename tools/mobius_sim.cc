@@ -62,9 +62,8 @@
  *                                  by re-simulating with the
  *                                  perturbed server and report the
  *                                  drift
- *   --faults FILE|SPEC             inject faults (fault/fault_plan.hh):
- *                                  a JSON plan file, or an inline
- *                                  ';'-separated spec, e.g.
+ *   --faults SPEC                  inject faults (fault/fault_plan.hh):
+ *                                  a ';'-separated spec, e.g.
  *                                  "degrade:rc0=0.25@0.1+0.3;
  *                                  xfail=0.01;retry=6+1e-4". Events:
  *                                  degrade:RES=F@START+DUR,
@@ -89,6 +88,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "base/args.hh"
@@ -276,7 +276,9 @@ main(int argc, char **argv)
                       args.getInt("microbatches", -1));
 
         System system = parseSystem(args.get("system", "mobius"));
-        double cpu_adam = args.getDouble("cpu-adam", 0.0);
+        const double kMaxFinite = std::numeric_limits<double>::max();
+        double cpu_adam =
+            args.getDoubleIn("cpu-adam", 0.0, 0.0, kMaxFinite);
         bool json = args.has("json");
         std::string trace_file = args.get("trace", "");
         std::string metrics_file = args.get("metrics", "");
@@ -304,7 +306,7 @@ main(int argc, char **argv)
         setup.popts.mip.maxNodes = static_cast<std::uint64_t>(
             args.getInt("mip-max-nodes", 200000));
         setup.popts.mip.timeLimitSeconds =
-            args.getDouble("mip-time-limit", 0.0);
+            args.getDoubleIn("mip-time-limit", 0.0, 0.0, kMaxFinite);
         setup.popts.mip.threads = args.getInt("mip-threads", 1);
         std::string mapping = args.get("mapping", "cross");
         setup.popts.mapping = mapping == "cross"
@@ -340,7 +342,7 @@ main(int argc, char **argv)
         FaultPlan fault_plan;
         std::string faults_arg = args.get("faults", "");
         if (!faults_arg.empty())
-            fault_plan = loadFaultPlan(faults_arg, server);
+            fault_plan = parseFaultSpec(faults_arg, server);
         std::uint64_t fault_seed = static_cast<std::uint64_t>(
             args.getInt("fault-seed", 1));
         args.rejectUnused();
@@ -414,8 +416,10 @@ main(int argc, char **argv)
 
         Bytes p32 = work.model().totalParamBytesFp32();
         StepAttribution attrib;
-        if (explain || explain_json)
+        if (explain || explain_json || !metrics_file.empty())
             attrib = attributeStep(ctx.trace());
+        if (!metrics_file.empty())
+            exportAttribution(attrib, registry);
         // Snapshot the host profile once everything that simulates
         // or walks the trace has run, and fold it into the registry
         // so the --metrics export carries prof.* alongside the
