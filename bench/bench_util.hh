@@ -1,18 +1,16 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses in bench/: one binary
- * per paper table/figure, each printing the rows/series the paper
- * reports (see EXPERIMENTS.md for the mapping and expected shapes).
+ * Shared helpers for the harnesses in bench/: bench_paper, which
+ * prints every table and figure of the paper (see EXPERIMENTS.md for
+ * the mapping and expected shapes), and the BENCH_*.json trackers.
  */
 
 #ifndef MOBIUS_BENCH_BENCH_UTIL_HH
 #define MOBIUS_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,10 +66,9 @@ minCpuOf(int repeats, Fn &&body)
  * The shared `--prof` flag: construct one at the top of main() and
  * the host self-profiler is enabled for the whole run, with the
  * self-time table printed on destruction (stdout, after the bench's
- * own output). Works for Args-based harnesses and bare argv ones:
+ * own output):
  *
- *   bench::ProfScope prof(args);          // Args harness
- *   bench::ProfScope prof(argc, argv);    // bare main(argc, argv)
+ *   bench::ProfScope prof(args);
  */
 class ProfScope
 {
@@ -80,15 +77,6 @@ class ProfScope
     explicit ProfScope(const Args &args)
         : on_(args.has("prof"))
     {
-        if (on_)
-            prof::setEnabled(true);
-    }
-
-    /** Enable profiling when argv contains `--prof`. */
-    ProfScope(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            on_ = on_ || std::strcmp(argv[i], "--prof") == 0;
         if (on_)
             prof::setEnabled(true);
     }
@@ -153,81 +141,6 @@ section(const std::string &title)
                 "=================================================="
                 "============\n",
                 title.c_str());
-}
-
-/** One experiment cell: a system run on a workload. */
-struct RunResult
-{
-    StepStats stats;
-    bool oom = false;
-    std::string oomReason;
-};
-
-/** Run @p system end to end: plan (Mobius only, with @p opts), then
- *  execute one step. */
-inline RunResult
-run(System system, const GptConfig &cfg, const Server &server,
-    int microbatch = -1, int num_microbatches = -1,
-    const PlanOptions &opts = {})
-{
-    Workload work(cfg, server, microbatch, num_microbatches);
-    std::optional<MobiusPlan> plan;
-    if (system == System::Mobius)
-        plan = planMobius(server, work.cost(), opts);
-    return RunResult{
-        runStep(system, server, work.cost(), plan ? &*plan : nullptr)
-            .stats,
-        false, ""};
-}
-
-/** run(), with a FatalError (Fig. 5's OOM) as a marked result. */
-inline RunResult
-runOrOom(System system, const GptConfig &cfg, const Server &server)
-{
-    try {
-        return run(system, cfg, server);
-    } catch (const FatalError &e) {
-        return RunResult{{}, true, e.what()};
-    }
-}
-
-/** "1.23 s" or "OOM". */
-inline std::string
-cell(const RunResult &r)
-{
-    if (r.oom)
-        return "OOM";
-    return strfmt("%7.2f s", r.stats.stepTime);
-}
-
-/** Print a byte-weighted bandwidth CDF as (GB/s, fraction) rows. */
-inline void
-printCdf(const std::string &label,
-         const std::vector<BandwidthSample> &samples)
-{
-    BandwidthCdf cdf(samples);
-    std::printf("  %-28s", (label + ":").c_str());
-    if (cdf.empty()) {
-        std::printf(" (no samples)\n");
-        return;
-    }
-    for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-        std::printf("  p%-2.0f=%5.1f GB/s", q * 100,
-                    cdf.quantile(q) / 1e9);
-    }
-    std::printf("  max=%5.1f GB/s\n", cdf.maxBandwidth() / 1e9);
-}
-
-/** Samples that crossed the host (exclude pure-NVLink flows). */
-inline std::vector<BandwidthSample>
-hostSamples(const StepStats &stats)
-{
-    std::vector<BandwidthSample> out;
-    for (const auto &s : stats.traffic.samples()) {
-        if (!s.peerOnly)
-            out.push_back(s);
-    }
-    return out;
 }
 
 } // namespace mobius::bench

@@ -77,18 +77,6 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", s.c_str());
-}
-
-void
 setQuiet(bool quiet)
 {
     quietFlag = quiet;

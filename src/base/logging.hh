@@ -7,7 +7,6 @@
  *            cannot fit in GPU memory); throws FatalError so callers such
  *            as the OOM rows of Fig. 5 can catch and report it.
  * warn()   — something questionable happened but we can continue.
- * inform() — plain status output.
  */
 
 #ifndef MOBIUS_BASE_LOGGING_HH
@@ -44,13 +43,10 @@ std::string strfmt(const char *fmt, ...)
 /** Print a warning to stderr and continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a status message to stdout. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Globally silence warn()/inform() (used by benches while sweeping). */
+/** Globally silence warn(). */
 void setQuiet(bool quiet);
 
-/** @return true if warn()/inform() are currently silenced. */
+/** @return true if warn() is currently silenced. */
 bool quiet();
 
 } // namespace mobius

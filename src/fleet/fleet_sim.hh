@@ -177,9 +177,6 @@ class FleetSim
         return records_;
     }
 
-    /** The plan memo (shared across all jobs of this fleet). */
-    PlanCache &planCache() { return planCache_; }
-
     /**
      * The fleet timeline recorder (valid after run(); fatal when
      * FleetOptions::trace.enabled was false — there is nothing to

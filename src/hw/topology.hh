@@ -133,9 +133,6 @@ class Topology
     /** @return id of the link named @p name, or -1 when absent. */
     int findLinkByName(const std::string &name) const;
 
-    /** @return the tree node id of GPU @p gpu. */
-    int gpuNode(int gpu) const { return gpuNodes_[gpu]; }
-
     /** @return the device spec of GPU @p gpu. */
     const GpuSpec &gpuSpec(int gpu) const { return *gpuSpecs_[gpu]; }
 

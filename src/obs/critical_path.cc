@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "base/json.hh"
@@ -85,16 +84,14 @@ attributeStep(const TraceRecorder &trace)
 {
     MOBIUS_PROF_ZONE("obs.critical_path");
     StepAttribution out;
+    // In recording order, so spans[id - 1] is span `id`.
     std::vector<TraceSpan> spans = trace.spans();
     if (spans.empty())
         return out;
     out.spanCount = spans.size();
 
-    std::unordered_map<SpanId, const TraceSpan *> byId;
-    byId.reserve(spans.size());
     const TraceSpan *last = nullptr;
     for (const auto &s : spans) {
-        byId.emplace(s.id, &s);
         out.totalQueueWait += s.queueWait() + s.stretch();
         if (last == nullptr || s.end > last->end)
             last = &s;
@@ -104,13 +101,12 @@ attributeStep(const TraceRecorder &trace)
     // Backward walk from the step-ending span. `cursor` is the upper
     // edge of the not-yet-attributed prefix [0, cursor]; every
     // iteration peels disjoint intervals off it, so the categories
-    // partition [0, stepTime] and sum to it exactly.
+    // partition [0, stepTime] and sum to it exactly. A dependency
+    // is always an earlier span, so ids strictly decrease along the
+    // walk and it ends.
     double cursor = out.stepTime;
     const TraceSpan *cur = last;
-    std::unordered_set<SpanId> visited;
     while (cur != nullptr && cursor > 0.0) {
-        if (!visited.insert(cur->id).second)
-            break; // defensive: a cycle would mean a broken trace
         // Gap between this span's end and the span it enables.
         if (cursor > cur->end) {
             out.critical.bubble += cursor - cur->end;
@@ -151,13 +147,9 @@ attributeStep(const TraceRecorder &trace)
         // finished last is the one this span actually waited for.
         const TraceSpan *binding = nullptr;
         for (SpanId d : cur->deps) {
-            auto it = byId.find(d);
-            if (it == byId.end())
-                continue;
-            if (binding == nullptr ||
-                it->second->end > binding->end) {
-                binding = it->second;
-            }
+            const TraceSpan &dep = spans[d - 1];
+            if (binding == nullptr || dep.end > binding->end)
+                binding = &dep;
         }
         cur = binding;
     }

@@ -65,18 +65,21 @@ TraceRecorder::record(TraceSpan span)
     rec.work = span.work;
     rec.gpu = span.gpu;
     rec.stage = span.stage;
-    rec.id = span.id == kNoSpan ? nextId_++ : span.id;
-    if (span.id != kNoSpan && span.id >= nextId_)
-        nextId_ = span.id + 1;
+    const SpanId id = spans_.size() + 1;
     rec.depOff = static_cast<std::uint32_t>(depArena_.size());
     for (SpanId d : span.deps) {
-        if (d != kNoSpan) {
-            depArena_.push_back(d);
-            ++rec.depCount;
+        if (d == kNoSpan)
+            continue;
+        if (d >= id) {
+            panic("span '%s' depends on span %llu, which is not an "
+                  "earlier span", span.name.c_str(),
+                  static_cast<unsigned long long>(d));
         }
+        depArena_.push_back(d);
+        ++rec.depCount;
     }
     spans_.push_back(rec);
-    return rec.id;
+    return id;
 }
 
 void
@@ -91,7 +94,7 @@ TraceRecorder::recordCounter(TraceCounter counter)
 }
 
 TraceSpan
-TraceRecorder::materialise(const SpanRec &rec) const
+TraceRecorder::materialise(const SpanRec &rec, SpanId id) const
 {
     TraceSpan s;
     s.track = strings_[rec.track];
@@ -101,7 +104,7 @@ TraceRecorder::materialise(const SpanRec &rec) const
     s.end = rec.end;
     s.queuedAt = rec.queuedAt;
     s.work = rec.work;
-    s.id = rec.id;
+    s.id = id;
     s.gpu = rec.gpu;
     s.stage = rec.stage;
     s.deps.assign(depArena_.begin() + rec.depOff,
@@ -112,7 +115,7 @@ TraceRecorder::materialise(const SpanRec &rec) const
 TraceSpan
 TraceRecorder::span(std::size_t index) const
 {
-    return materialise(spans_.at(index));
+    return materialise(spans_.at(index), index + 1);
 }
 
 std::vector<TraceSpan>
@@ -120,29 +123,18 @@ TraceRecorder::spans() const
 {
     std::vector<TraceSpan> out;
     out.reserve(spans_.size());
-    for (const auto &rec : spans_)
-        out.push_back(materialise(rec));
+    for (std::size_t i = 0; i < spans_.size(); ++i)
+        out.push_back(materialise(spans_[i], i + 1));
     return out;
 }
 
 bool
 TraceRecorder::findSpan(SpanId id, TraceSpan &out) const
 {
-    // Ids the recorder assigns are dense from 1, so span `id` is
-    // usually at index id - 1; a caller-assigned id sends the lookup
-    // to the scan.
-    if (id != kNoSpan && id <= spans_.size() &&
-        spans_[id - 1].id == id) {
-        out = materialise(spans_[id - 1]);
-        return true;
-    }
-    for (const auto &rec : spans_) {
-        if (rec.id == id) {
-            out = materialise(rec);
-            return true;
-        }
-    }
-    return false;
+    if (id == kNoSpan || id > spans_.size())
+        return false;
+    out = materialise(spans_[id - 1], id);
+    return true;
 }
 
 SimTime
@@ -165,7 +157,6 @@ TraceRecorder::clear()
     depArena_.clear();
     strings_.clear();
     internIndex_.clear();
-    nextId_ = 1;
 }
 
 void
@@ -183,9 +174,9 @@ TraceRecorder::onTrack(const std::string &track) const
     if (it == internIndex_.end())
         return out;
     std::uint32_t want = it->second;
-    for (const auto &rec : spans_) {
-        if (rec.track == want)
-            out.push_back(materialise(rec));
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        if (spans_[i].track == want)
+            out.push_back(materialise(spans_[i], i + 1));
     }
     std::sort(out.begin(), out.end(),
               [](const TraceSpan &a, const TraceSpan &b) {
@@ -198,9 +189,9 @@ std::vector<TraceSpan>
 TraceRecorder::named(const std::string &name) const
 {
     std::vector<TraceSpan> out;
-    for (const auto &rec : spans_) {
-        if (nameOf(rec) == name)
-            out.push_back(materialise(rec));
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        if (nameOf(spans_[i]) == name)
+            out.push_back(materialise(spans_[i], i + 1));
     }
     std::sort(out.begin(), out.end(),
               [](const TraceSpan &a, const TraceSpan &b) {
@@ -243,7 +234,8 @@ TraceRecorder::toChromeJson(const std::string &metadata_json) const
            << "\"tid\":" << tid << ",\"args\":{\"name\":\""
            << json::escape(strings_[track]) << "\"}}";
     }
-    for (const auto &rec : spans_) {
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        const SpanRec &rec = spans_[i];
         if (!first)
             os << ",";
         first = false;
@@ -252,7 +244,7 @@ TraceRecorder::toChromeJson(const std::string &metadata_json) const
            << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
            << tids.at(rec.track) << ",\"ts\":" << rec.start * 1e6
            << ",\"dur\":" << (rec.end - rec.start) * 1e6
-           << ",\"args\":{\"id\":" << rec.id
+           << ",\"args\":{\"id\":" << i + 1
            << ",\"gpu\":" << rec.gpu << ",\"stage\":" << rec.stage;
         // Causal fields in seconds, derived exactly as the TraceSpan
         // accessors do, so trace_diff reproduces attribution sums.
@@ -269,18 +261,10 @@ TraceRecorder::toChromeJson(const std::string &metadata_json) const
     // One flow-event pair per dependency edge: "s" anchored at the
     // producing span's end, "f" (binding "e" = enclosing slice) at
     // the consumer's start. Perfetto renders these as arrows.
-    std::unordered_map<SpanId, const SpanRec *> byId;
-    byId.reserve(spans_.size());
-    for (const auto &rec : spans_)
-        byId.emplace(rec.id, &rec);
     std::uint64_t edge = 1;
     for (const auto &rec : spans_) {
         for (std::uint32_t k = 0; k < rec.depCount; ++k) {
-            SpanId d = depArena_[rec.depOff + k];
-            auto it = byId.find(d);
-            if (it == byId.end())
-                continue;
-            const SpanRec &src = *it->second;
+            const SpanRec &src = spans_[depArena_[rec.depOff + k] - 1];
             os << ",{\"name\":\"dep\",\"cat\":\"dep\",\"ph\":\"s\","
                << "\"id\":" << edge << ",\"pid\":1,\"tid\":"
                << tids.at(src.track) << ",\"ts\":" << src.end * 1e6
@@ -330,9 +314,10 @@ buildSpanDag(const TraceRecorder &trace)
                       return a.end < b.end;
                   return a.id < b.id;
               });
-    dag.index.reserve(dag.spans.size());
+    // pos[id - 1] = position of span `id` in dag.spans.
+    std::vector<std::size_t> pos(dag.spans.size());
     for (std::size_t i = 0; i < dag.spans.size(); ++i)
-        dag.index.emplace(dag.spans[i].id, i);
+        pos[dag.spans[i].id - 1] = i;
 
     std::unordered_map<std::string, std::size_t> engines;
     dag.preds.resize(dag.spans.size());
@@ -345,11 +330,8 @@ buildSpanDag(const TraceRecorder &trace)
             dag.engineNames.push_back(s.track);
         dag.engine[i] = it->second;
         dag.preds[i].reserve(s.deps.size());
-        for (SpanId d : s.deps) {
-            auto di = dag.index.find(d);
-            if (di != dag.index.end())
-                dag.preds[i].push_back(di->second);
-        }
+        for (SpanId d : s.deps)
+            dag.preds[i].push_back(pos[d - 1]);
     }
     return dag;
 }

@@ -7,13 +7,13 @@
  * emits counter samples (named time series, e.g. "xfer.queue.depth")
  * that Perfetto renders as live graphs.
  *
- * Every recorded span gets a stable SpanId, and producers may attach
- * *why* the span started when it did:
+ * Every recorded span's SpanId is its recording position + 1, and
+ * producers may attach *why* the span started when it did:
  *
- *  - `deps`     — ids of spans that causally enabled this one (the
- *                 activation transfer a compute waited for, the weight
- *                 chunks of a prefetch, the compute that freed memory
- *                 for a stage load);
+ *  - `deps`     — ids of earlier spans that causally enabled this one
+ *                 (the activation transfer a compute waited for, the
+ *                 weight chunks of a prefetch, the compute that freed
+ *                 memory for a stage load);
  *  - `queuedAt` — when the work was ready to occupy its resource;
  *                 `start - queuedAt` is time spent queued behind other
  *                 work on the same engine or link (contention);
@@ -49,7 +49,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "simcore/event_queue.hh"
@@ -72,10 +71,10 @@ struct TraceSpan
     SimTime start = 0.0;   //!< span begin (simulated seconds)
     SimTime end = 0.0;     //!< span end (simulated seconds)
 
-    /** Assigned by TraceRecorder::record() when left at kNoSpan. */
+    /** Set by TraceRecorder::record(): recording position + 1. */
     SpanId id = kNoSpan;
-    /** Spans that causally enabled this one (kNoSpan entries are
-     *  dropped on record). */
+    /** Earlier spans that causally enabled this one (kNoSpan entries
+     *  are dropped on record). */
     std::vector<SpanId> deps;
     /**
      * When the work could first have occupied its resource (all
@@ -138,10 +137,12 @@ class TraceRecorder
   public:
     /**
      * Record a completed span; interns its track/category strings.
-     * kNoSpan entries in @p span.deps are dropped. When the recorder
-     * is disabled (setEnabled(false)) the span is discarded and
-     * kNoSpan returned.
-     * @return the span's id (assigned when @p span.id is kNoSpan).
+     * kNoSpan entries in @p span.deps are dropped; panic() on a dep
+     * that names no earlier span. When the recorder is disabled
+     * (setEnabled(false)) the span is discarded and kNoSpan
+     * returned.
+     * @return the span's id: its recording position + 1 (any
+     *         @p span.id is ignored).
      */
     SpanId record(TraceSpan span);
 
@@ -178,10 +179,7 @@ class TraceRecorder
     std::vector<TraceSpan> spans() const;
 
     /**
-     * Materialise the span with id @p id. O(1) for ids the recorder
-     * assigned; a caller-assigned id may cost a scan. Ids are
-     * expected to be unique: if a caller assigns one twice, either
-     * span may be returned.
+     * Materialise the span with id @p id, i.e. at index id - 1.
      * @return true and fill @p out when found.
      */
     bool findSpan(SpanId id, TraceSpan &out) const;
@@ -270,13 +268,13 @@ class TraceRecorder
         SimTime end = 0.0;
         SimTime queuedAt = -1.0;
         double work = -1.0;
-        SpanId id = kNoSpan;
         std::int32_t gpu = -1;
         std::int32_t stage = -1;
     };
 
     std::uint32_t intern(const std::string &s);
-    TraceSpan materialise(const SpanRec &rec) const;
+    /** @p rec as a TraceSpan with id @p id (its index + 1). */
+    TraceSpan materialise(const SpanRec &rec, SpanId id) const;
     /** The arena-backed name slice of @p rec. */
     std::string_view
     nameOf(const SpanRec &rec) const
@@ -294,7 +292,6 @@ class TraceRecorder
     /** Interned track/category strings; index is the intern id. */
     std::vector<std::string> strings_;
     std::map<std::string, std::uint32_t> internIndex_;
-    SpanId nextId_ = 1;
     bool enabled_ = true;
 };
 
@@ -320,10 +317,6 @@ struct SpanDag
 
     /** Track name per dense engine id. */
     std::vector<std::string> engineNames;
-
-    /** Position of a span id within spans (dropped deps resolve to
-     *  nothing and are absent from preds). */
-    std::unordered_map<SpanId, std::size_t> index;
 
     /** @return max span end — the traced step's makespan. */
     double stepTime() const;

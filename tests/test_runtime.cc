@@ -12,6 +12,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "runtime/api.hh"
@@ -288,8 +289,8 @@ TEST(ZeroExecutor, LayerSyncOffStillCompletes)
 TEST(Headline, MobiusBeatsDeepSpeedOnCommodity)
 {
     // The paper's main result (Fig. 5): 3.8-5.1x on commodity
-    // topologies. Allow a generous band around it.
-    for (auto cfg : {gpt8b(), gpt15b()}) {
+    // topologies; every Table 3 model reads 3.75-5.49x here.
+    for (const auto &cfg : table3Models()) {
         for (const auto &groups :
              {std::vector<int>{2, 2}, std::vector<int>{1, 3},
               std::vector<int>{4}}) {
@@ -301,9 +302,10 @@ TEST(Headline, MobiusBeatsDeepSpeedOnCommodity)
             StepStats ds =
                 runStep(System::DeepSpeed, server, work.cost()).stats;
             double speedup = ds.stepTime / mob.stepTime;
-            EXPECT_GT(speedup, 2.5)
+            EXPECT_GE(speedup, 3.5)
                 << cfg.name << " groups=" << groups.size();
-            EXPECT_LT(speedup, 8.0) << cfg.name;
+            EXPECT_LE(speedup, 6.0)
+                << cfg.name << " groups=" << groups.size();
         }
     }
 }
@@ -363,20 +365,36 @@ TEST(Pipeline, OneFOneBNoSlowerThanGPipe)
 
 TEST(Mapping, CrossMappingNoSlowerOnEightGpus)
 {
-    // Fig. 10: cross mapping reduces per-step time on the 8-GPU box
-    // (four GPUs per root complex).
+    // Fig. 10: on the 8-GPU box (four GPUs per root complex) cross
+    // mapping is faster at every microbatch size, and its gain
+    // shrinks as the microbatch grows (cross/seq reads 0.943, 0.961,
+    // 0.985 for 8B and 0.922, 0.951, 0.957 for 15B).
     Server server = makeCommodityServer({4, 4});
-    Workload work(gpt8b(), server);
-    PlanOptions cross_opts;
-    cross_opts.mapping = MappingAlgo::Cross;
-    PlanOptions seq_opts;
-    seq_opts.mapping = MappingAlgo::Sequential;
-    MobiusPlan cross = planMobius(server, work.cost(), cross_opts);
-    MobiusPlan seq = planMobius(server, work.cost(), seq_opts);
-    StepStats sc =
-        runStep(System::Mobius, server, work.cost(), &cross).stats;
-    StepStats ss = runStep(System::Mobius, server, work.cost(), &seq).stats;
-    EXPECT_LE(sc.stepTime, ss.stepTime * 1.001);
+    auto step = [&](const GptConfig &cfg, int mbs, MappingAlgo algo) {
+        Workload work(cfg, server, mbs);
+        PlanOptions opts;
+        opts.mapping = algo;
+        MobiusPlan plan = planMobius(server, work.cost(), opts);
+        return runStep(System::Mobius, server, work.cost(), &plan)
+            .stats.stepTime;
+    };
+    struct Sweep
+    {
+        GptConfig cfg;
+        std::vector<int> mbs;
+    };
+    for (const Sweep &c :
+         {Sweep{gpt8b(), {2, 4, 8}}, Sweep{gpt15b(), {1, 2, 3}}}) {
+        double prev_ratio = 0.0;
+        for (int mbs : c.mbs) {
+            double ratio = step(c.cfg, mbs, MappingAlgo::Cross) /
+                step(c.cfg, mbs, MappingAlgo::Sequential);
+            EXPECT_LT(ratio, 1.0) << c.cfg.name << " mbs " << mbs;
+            EXPECT_GT(ratio, prev_ratio)
+                << c.cfg.name << " mbs " << mbs;
+            prev_ratio = ratio;
+        }
+    }
 }
 
 TEST(PartitionAblation, MipNoSlowerThanBaselinesExecuted)
@@ -414,6 +432,25 @@ TEST(DataCenter, DeepSpeedCompetitiveWithNvlink)
     Workload cw(gpt8b(), c, 2);
     StepStats cds = runStep(System::DeepSpeed, c, cw.cost()).stats;
     EXPECT_LT(ds.stepTime, cds.stepTime);
+
+    // Fig. 16: NVLink takes DeepSpeed's collectives off the host
+    // links (49.9 GiB cross the host vs 191.9 GiB moved on 2+2), and
+    // Mobius's host flows still see less contention (median 12.8 vs
+    // 6.5 GB/s).
+    auto host = [](const StepStats &st) {
+        std::vector<BandwidthSample> out;
+        for (const BandwidthSample &b : st.traffic.samples()) {
+            if (!b.peerOnly)
+                out.push_back(b);
+        }
+        return out;
+    };
+    Bytes ds_host_bytes = 0;
+    for (const BandwidthSample &b : host(ds))
+        ds_host_bytes += b.bytes;
+    EXPECT_LT(ds_host_bytes, cds.traffic.totalBytes() / 2);
+    EXPECT_GT(BandwidthCdf(host(mob)).quantile(0.5),
+              BandwidthCdf(host(ds)).quantile(0.5));
 }
 
 TEST(DataCenter, PricePerStepFavoursCommodity)
@@ -437,7 +474,8 @@ TEST(DataCenter, PricePerStepFavoursCommodity)
 TEST(Scalability, ThroughputScalesWithGpus)
 {
     // Fig. 14: batch grows with GPU count (M = N), throughput
-    // (samples/s) scales at least linearly from 2 to 8 GPUs.
+    // (samples/s) scales at least linearly from 2 to 8 GPUs (the
+    // paper's range; from 13 GPUs on it reads 0.97-1.00x).
     auto throughput = [&](int gpus) {
         Server server =
             makeCommodityServer({gpus / 2, gpus - gpus / 2});
@@ -447,11 +485,9 @@ TEST(Scalability, ThroughputScalesWithGpus)
             runStep(System::Mobius, server, work.cost(), &plan).stats;
         return gpus * 1.0 / s.stepTime;
     };
-    double t2 = throughput(2);
-    double t4 = throughput(4);
-    double t8 = throughput(8);
-    EXPECT_GT(t4, t2 * 1.6);
-    EXPECT_GT(t8, t4 * 1.6);
+    const double per_gpu = throughput(2) / 2.0;
+    for (int gpus = 3; gpus <= 8; ++gpus)
+        EXPECT_GE(throughput(gpus), per_gpu * gpus) << gpus << " GPUs";
 }
 
 TEST(GpuMemoryLedger, BasicInvariants)
