@@ -118,9 +118,7 @@ FaultInjector::stop()
     if (!openSpans_.empty() && trace_) {
         // Clamp still-open windows to the workload's last span end
         // so decorative fault spans never extend the step.
-        double max_end = 0.0;
-        for (std::size_t i = 0; i < trace_->spanCount(); ++i)
-            max_end = std::max(max_end, trace_->span(i).end);
+        const double max_end = trace_->maxEnd();
         for (const OpenSpan &o : openSpans_) {
             TraceSpan s;
             s.track = "fault.events";
@@ -241,9 +239,8 @@ FaultInjector::armCheckpoint()
             if (mCheckpointSeconds_)
                 mCheckpointSeconds_->add(plan_.checkpointCost);
             for (ComputeEngine *ce : compute_) {
-                ce->injectFront(
-                    plan_.checkpointCost, "fault",
-                    strfmt("ckpt@%.4g", queue_.now()));
+                ce->injectFront(plan_.checkpointCost,
+                                strfmt("ckpt@%.4g", queue_.now()));
             }
             lastCheckpoint_ = queue_.now();
             armCheckpoint();
@@ -268,7 +265,7 @@ FaultInjector::armCrash(const GpuCrash &c)
             mRecoverySeconds_->add(recovery);
         for (ComputeEngine *ce : compute_) {
             ce->injectFront(
-                recovery, "fault",
+                recovery,
                 strfmt("recover gpu%d@%.4g", c.gpu, queue_.now()));
         }
     });
@@ -306,11 +303,11 @@ FaultInjector::submitAttempt(TransferRequest req, int attempt,
         counters_.failures++;
         if (mFailures_)
             mFailures_->add();
-        TraceSpan fs;
-        if (trace_ && trace_->findSpan(failed, fs)) {
-            counters_.lostSeconds += fs.duration();
+        if (trace_ && failed != kNoSpan) {
+            const double lost = trace_->view(failed - 1).duration();
+            counters_.lostSeconds += lost;
             if (mLostSeconds_)
-                mLostSeconds_->add(fs.duration());
+                mLostSeconds_->add(lost);
         }
         if (attempt > plan_.retryBudget) {
             fatal("transfer '%s' failed %d times; retry budget %d "

@@ -19,7 +19,7 @@ namespace
 /** Add @p seconds of on-path span body to @p b under the span's
  *  category; contention stretch always lands on queue. */
 void
-addBody(AttributionBreakdown &b, const TraceSpan &s, double body)
+addBody(AttributionBreakdown &b, const SpanView &s, double body)
 {
     double w = std::min(s.workSeconds(), body);
     if (w < 0.0)
@@ -84,19 +84,22 @@ attributeStep(const TraceRecorder &trace)
 {
     MOBIUS_PROF_ZONE("obs.critical_path");
     StepAttribution out;
-    // In recording order, so spans[id - 1] is span `id`.
-    std::vector<TraceSpan> spans = trace.spans();
-    if (spans.empty())
+    // The walk reads spans in place (SpanView); the recorder does
+    // not change while it runs, so the views stay valid, and only
+    // the path entries copy strings.
+    const std::size_t n = trace.spanCount();
+    if (n == 0)
         return out;
-    out.spanCount = spans.size();
+    out.spanCount = n;
 
-    const TraceSpan *last = nullptr;
-    for (const auto &s : spans) {
+    SpanView last = trace.view(0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const SpanView s = trace.view(i);
         out.totalQueueWait += s.queueWait() + s.stretch();
-        if (last == nullptr || s.end > last->end)
-            last = &s;
+        if (s.end > last.end)
+            last = s;
     }
-    out.stepTime = last->end;
+    out.stepTime = last.end;
 
     // Backward walk from the step-ending span. `cursor` is the upper
     // edge of the not-yet-attributed prefix [0, cursor]; every
@@ -105,53 +108,60 @@ attributeStep(const TraceRecorder &trace)
     // is always an earlier span, so ids strictly decrease along the
     // walk and it ends.
     double cursor = out.stepTime;
-    const TraceSpan *cur = last;
-    while (cur != nullptr && cursor > 0.0) {
+    SpanView cur = last;
+    bool more = true;
+    while (more && cursor > 0.0) {
         // Gap between this span's end and the span it enables.
-        if (cursor > cur->end) {
-            out.critical.bubble += cursor - cur->end;
-            out.stages[-1].bubble += cursor - cur->end;
-            cursor = cur->end;
+        if (cursor > cur.end) {
+            out.critical.bubble += cursor - cur.end;
+            out.stages[-1].bubble += cursor - cur.end;
+            cursor = cur.end;
         }
         // Span body [start, cursor]: intrinsic work by category,
         // fair-share stretch as queue.
         double body = std::max(0.0, cursor - std::max(0.0,
-                                                      cur->start));
-        addBody(out.critical, *cur, body);
-        addBody(out.stages[cur->stage], *cur, body);
+                                                      cur.start));
+        addBody(out.critical, cur, body);
+        addBody(out.stages[cur.stage], cur, body);
         // Wait [ready, start]: the work was runnable but its engine
         // or link was busy — contention.
-        double ready = cur->readyTime();
-        double wait = std::min(cur->start, cursor) -
+        double ready = cur.readyTime();
+        double wait = std::min(cur.start, cursor) -
             std::min(ready, cursor);
         if (wait > 0.0) {
             out.critical.queue += wait;
-            out.stages[cur->stage].queue += wait;
+            out.stages[cur.stage].queue += wait;
         }
         cursor = std::min(cursor, ready);
 
         CriticalPathEntry e;
-        e.id = cur->id;
-        e.track = cur->track;
-        e.name = cur->name;
-        e.category = cur->category;
-        e.gpu = cur->gpu;
-        e.stage = cur->stage;
-        e.start = cur->start;
-        e.end = cur->end;
+        e.id = cur.id;
+        e.track = cur.track;
+        e.name = cur.name;
+        e.category = cur.category;
+        e.gpu = cur.gpu;
+        e.stage = cur.stage;
+        e.start = cur.start;
+        e.end = cur.end;
         e.queueWait = wait > 0.0 ? wait : 0.0;
-        e.stretch = body - std::min(cur->workSeconds(), body);
+        e.stretch = body - std::min(cur.workSeconds(), body);
         out.path.push_back(std::move(e));
 
         // Follow the binding dependency: the predecessor that
         // finished last is the one this span actually waited for.
-        const TraceSpan *binding = nullptr;
-        for (SpanId d : cur->deps) {
-            const TraceSpan &dep = spans[d - 1];
-            if (binding == nullptr || dep.end > binding->end)
-                binding = &dep;
+        more = !cur.deps.empty();
+        if (more) {
+            SpanId binding = cur.deps.front();
+            double bindingEnd = trace.view(binding - 1).end;
+            for (SpanId d : cur.deps.subspan(1)) {
+                double end = trace.view(d - 1).end;
+                if (end > bindingEnd) {
+                    binding = d;
+                    bindingEnd = end;
+                }
+            }
+            cur = trace.view(binding - 1);
         }
-        cur = binding;
     }
     if (cursor > 0.0) {
         // Head of the step before the first caused span: warm-up
@@ -165,7 +175,8 @@ attributeStep(const TraceRecorder &trace)
     // compute, so take interval unions.
     std::map<int, std::vector<std::pair<double, double>>> computeIv;
     std::map<int, std::vector<std::pair<double, double>>> xferIv;
-    for (const auto &s : spans) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const SpanView s = trace.view(i);
         if (s.gpu < 0 || s.duration() <= 0.0)
             continue;
         if (s.category == "compute")

@@ -22,6 +22,12 @@
  * invariant bench_attribution enforces. Aggregate (off-path) queue
  * waits are also summed, since a schedule can hide contention off the
  * critical path.
+ *
+ * The walk reads the recorder's stored spans in place through
+ * TraceRecorder::view() and compares categories as string views, so
+ * it builds no TraceSpan; only the returned path entries copy their
+ * strings. tests/critical_path_reference.hh keeps the walk over
+ * materialised spans as the bit-for-bit oracle.
  */
 
 #ifndef MOBIUS_OBS_CRITICAL_PATH_HH
@@ -119,7 +125,8 @@ struct StepAttribution
 
 /**
  * Walk @p trace's completed-span DAG and attribute the step's time.
- * Robust to empty traces (returns all-zero attribution).
+ * Robust to empty traces (returns all-zero attribution). @p trace
+ * must not change during the call (the walk holds views into it).
  */
 StepAttribution attributeStep(const TraceRecorder &trace);
 

@@ -98,35 +98,36 @@ class CpuOptimizer
         if (busy_ || tasks_.empty())
             return;
         busy_ = true;
-        Task task = std::move(tasks_.front());
+        running_ = std::move(tasks_.front());
         tasks_.pop_front();
-        double effective = task.duration / throttle_;
+        double effective = running_.duration / throttle_;
         busyTime_ += effective;
-        double start = queue_.now();
-        queue_.scheduleAfter(
-            effective,
-            [this, start, label = std::move(task.label),
-             deps = std::move(task.deps), stage = task.stage,
-             queuedAt = task.queuedAt, work = task.duration] {
-                if (trace_) {
-                    TraceSpan s;
-                    s.track = "cpu.optim";
-                    s.name = label;
-                    s.category = "optimizer";
-                    s.start = start;
-                    s.end = queue_.now();
-                    s.deps = deps;
-                    s.queuedAt = queuedAt;
-                    // Jitter-stretched updates keep intrinsic work
-                    // so the slowdown reads as contention.
-                    if (queue_.now() - start > work)
-                        s.work = work;
-                    s.stage = stage;
-                    trace_->record(std::move(s));
-                }
-                busy_ = false;
-                startNext();
-            });
+        runningStart_ = queue_.now();
+        // The running task stays here, so the event captures only
+        // `this`.
+        queue_.scheduleAfter(effective, [this] { retire(); });
+    }
+
+    /** Complete running_: record its span, start the next update. */
+    void
+    retire()
+    {
+        if (trace_) {
+            SpanFields s;
+            s.name = running_.label;
+            s.start = runningStart_;
+            s.end = queue_.now();
+            s.deps = running_.deps;
+            s.queuedAt = running_.queuedAt;
+            // Jitter-stretched updates keep intrinsic work so the
+            // slowdown reads as contention.
+            if (s.end - s.start > running_.duration)
+                s.work = running_.duration;
+            s.stage = running_.stage;
+            trace_->record(track_, category_, s);
+        }
+        busy_ = false;
+        startNext();
     }
 
     EventQueue &queue_;
@@ -136,6 +137,10 @@ class CpuOptimizer
     bool busy_ = false;
     double busyTime_ = 0.0;
     std::deque<Task> tasks_;
+    Task running_{};           //!< valid while busy_
+    SimTime runningStart_ = 0.0;
+    TraceName track_{"cpu.optim"};
+    TraceName category_{"optimizer"};
 };
 
 } // namespace mobius

@@ -243,7 +243,7 @@ MobiusExecutor::pump(int gpu)
             req.onComplete = [this, gpu, ep, bytes] {
                 onWeightChunk(gpu, ep, bytes);
             };
-            ctx_.submitXfer(req);
+            ctx_.submitXfer(std::move(req));
         }
         if (e.transferBytes == 0 && e.ready())
             onEntryReady(&e);
@@ -332,7 +332,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
         off.label = spanLabel("ckpt", stage, ',', mb);
         off.deps = {s.lastFwdSpan};
         off.stage = stage;
-        ctx_.submitXfer(off);
+        ctx_.submitXfer(std::move(off));
     }
 
     // Hand the boundary activation to the next stage.
@@ -361,7 +361,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
                     ctx_.xfer().lastSpanId();
                 tryScheduleFwd(nstage);
             };
-            ctx_.submitXfer(act);
+            ctx_.submitXfer(std::move(act));
         }
     } else if (s.fwdDone == M_) {
         // Loss computed; the last stage's backward may begin on all
@@ -444,7 +444,7 @@ MobiusExecutor::askCheckpoint(int stage, int mb, SpanId trigger)
             ctx_.xfer().lastSpanId();
         tryScheduleBwd(stage);
     };
-    ctx_.submitXfer(up);
+    ctx_.submitXfer(std::move(up));
 }
 
 void
@@ -517,7 +517,7 @@ MobiusExecutor::onBwdCompute(int stage, int mb)
                     ctx_.xfer().lastSpanId();
                 tryScheduleBwd(pstage);
             };
-            ctx_.submitXfer(g);
+            ctx_.submitXfer(std::move(g));
         }
     }
 
@@ -567,7 +567,7 @@ MobiusExecutor::finishBwdStage(int stage)
                 {ctx_.xfer().lastSpanId()}, stage_idx);
             pump(gpu);
         };
-        ctx_.submitXfer(flush);
+        ctx_.submitXfer(std::move(flush));
     }
     pump(gpu);
 }

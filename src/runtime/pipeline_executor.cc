@@ -171,7 +171,7 @@ PipelineExecutor::onFwdCompute(int stage, int mb)
                 ctx_.xfer().lastSpanId();
             schedule(stages_[nstage].gpu);
         };
-        ctx_.submitXfer(act);
+        ctx_.submitXfer(std::move(act));
     }
     schedule(s.gpu);
 }
@@ -205,7 +205,7 @@ PipelineExecutor::onBwdCompute(int stage, int mb)
                 ctx_.xfer().lastSpanId();
             schedule(stages_[pstage].gpu);
         };
-        ctx_.submitXfer(g);
+        ctx_.submitXfer(std::move(g));
     }
     schedule(s.gpu);
 }

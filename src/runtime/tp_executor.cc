@@ -169,7 +169,7 @@ TensorParallelExecutor::onCompute(int gpu, int slot)
                     ctx_.xfer().lastSpanId());
                 onPiece(d, slot);
             };
-            ctx_.submitXfer(req);
+            ctx_.submitXfer(std::move(req));
         }
     }
 }
@@ -214,7 +214,7 @@ TensorParallelExecutor::onPiece(int gpu, int slot)
                         {ctx_.xfer().lastSpanId()}, lyr);
                 }
             };
-            ctx_.submitXfer(flush);
+            ctx_.submitXfer(std::move(flush));
             if (mGradFlushes_)
                 mGradFlushes_->add();
         }

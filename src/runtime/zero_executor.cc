@@ -119,7 +119,7 @@ ZeroHeteroExecutor::pump(int gpu)
                 .push_back(ctx_.xfer().lastSpanId());
             onShard(gpu, k);
         };
-        ctx_.submitXfer(req);
+        ctx_.submitXfer(std::move(req));
 
         // Backward additionally uploads the layer's checkpointed
         // input activation (A_DeepSpeed).
@@ -133,7 +133,7 @@ ZeroHeteroExecutor::pump(int gpu)
             up.label = spanLabel("c", layer);
             up.deps = {g.memFreedBy};
             up.stage = layer;
-            ctx_.submitXfer(up);
+            ctx_.submitXfer(std::move(up));
         }
     }
 }
@@ -169,7 +169,7 @@ ZeroHeteroExecutor::sendPeerPiece(int src, int dst, int k)
             .push_back(ctx_.xfer().lastSpanId());
         onPiece(dst, k);
     };
-    ctx_.submitXfer(req);
+    ctx_.submitXfer(std::move(req));
 }
 
 void
@@ -265,7 +265,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             off.label = spanLabel("ckpt", layer);
             off.deps = {g.lastComputeSpan};
             off.stage = layer;
-            ctx_.submitXfer(off);
+            ctx_.submitXfer(std::move(off));
         }
     } else {
         // Reduce-scatter this rank's FP16 layer gradients: (N-1)/N
@@ -290,7 +290,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             rs.label = spanLabel("rs", layer, ':', gpu, '>', other);
             rs.deps = {g.lastComputeSpan};
             rs.stage = layer;
-            ctx_.submitXfer(rs);
+            ctx_.submitXfer(std::move(rs));
         }
         TransferRequest grad;
         grad.src = Endpoint::gpuAt(gpu);
@@ -310,7 +310,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
                     {ctx_.xfer().lastSpanId()}, lyr);
             }
         };
-        ctx_.submitXfer(grad);
+        ctx_.submitXfer(std::move(grad));
     }
 
     // Release the slot's memory and refill the prefetch window.

@@ -1,6 +1,7 @@
 #include "simcore/trace.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <unordered_map>
 
@@ -13,16 +14,33 @@
 namespace mobius
 {
 
+std::uint64_t
+TraceRecorder::newTable()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::uint32_t
-TraceRecorder::intern(const std::string &s)
+TraceRecorder::intern(std::string_view s)
 {
     auto it = internIndex_.find(s);
     if (it != internIndex_.end())
         return it->second;
     std::uint32_t id = static_cast<std::uint32_t>(strings_.size());
-    strings_.push_back(s);
+    strings_.emplace_back(s);
     internIndex_.emplace(s, id);
     return id;
+}
+
+std::uint32_t
+TraceRecorder::idOf(TraceName &name)
+{
+    if (name.table_ != table_) {
+        name.id_ = intern(name.text_);
+        name.table_ = table_;
+    }
+    return name.id_;
 }
 
 void
@@ -35,17 +53,43 @@ TraceRecorder::reserve(std::size_t spans, std::size_t name_bytes,
 }
 
 SpanId
-TraceRecorder::record(TraceSpan span)
+TraceRecorder::record(TraceName &track, TraceName &category,
+                      const SpanFields &span)
 {
     if (!enabled_)
         return kNoSpan;
+    const std::uint32_t t = idOf(track);
+    return store(t, idOf(category), span);
+}
+
+SpanId
+TraceRecorder::record(const TraceSpan &span)
+{
+    if (!enabled_)
+        return kNoSpan;
+    SpanFields f;
+    static_cast<SpanTiming &>(f) = span;
+    f.name = span.name;
+    f.deps = span.deps;
+    f.gpu = span.gpu;
+    f.stage = span.stage;
+    const std::uint32_t t = intern(span.track);
+    return store(t, intern(span.category), f);
+}
+
+SpanId
+TraceRecorder::store(std::uint32_t track, std::uint32_t category,
+                     const SpanFields &span)
+{
     MOBIUS_PROF_ZONE("simcore.span_record");
+    const std::size_t name_len =
+        span.name.size() + span.nameSuffix.size();
     // Large runs record hundreds of thousands of spans; grow the
     // record array and both arenas in coarse steps from the start
     // instead of doubling from 1.
     if (spans_.size() == spans_.capacity())
         spans_.reserve(spans_.empty() ? 1024 : spans_.size() * 2);
-    if (nameArena_.size() + span.name.size() > nameArena_.capacity())
+    if (nameArena_.size() + name_len > nameArena_.capacity())
         nameArena_.reserve(std::max<std::size_t>(
             16384, nameArena_.capacity() * 2));
     if (depArena_.size() + span.deps.size() > depArena_.capacity())
@@ -53,12 +97,14 @@ TraceRecorder::record(TraceSpan span)
             4096, depArena_.capacity() * 2));
 
     SpanRec rec;
-    rec.track = intern(span.track);
-    rec.category = intern(span.category);
+    rec.track = track;
+    rec.category = category;
     rec.nameOff = static_cast<std::uint32_t>(nameArena_.size());
-    rec.nameLen = static_cast<std::uint32_t>(span.name.size());
+    rec.nameLen = static_cast<std::uint32_t>(name_len);
     nameArena_.insert(nameArena_.end(), span.name.begin(),
                       span.name.end());
+    nameArena_.insert(nameArena_.end(), span.nameSuffix.begin(),
+                      span.nameSuffix.end());
     rec.start = span.start;
     rec.end = span.end;
     rec.queuedAt = span.queuedAt;
@@ -71,8 +117,11 @@ TraceRecorder::record(TraceSpan span)
         if (d == kNoSpan)
             continue;
         if (d >= id) {
-            panic("span '%s' depends on span %llu, which is not an "
-                  "earlier span", span.name.c_str(),
+            panic("span '%.*s%.*s' depends on span %llu, which is "
+                  "not an earlier span",
+                  static_cast<int>(span.name.size()), span.name.data(),
+                  static_cast<int>(span.nameSuffix.size()),
+                  span.nameSuffix.data(),
                   static_cast<unsigned long long>(d));
         }
         depArena_.push_back(d);
@@ -128,15 +177,6 @@ TraceRecorder::spans() const
     return out;
 }
 
-bool
-TraceRecorder::findSpan(SpanId id, TraceSpan &out) const
-{
-    if (id == kNoSpan || id > spans_.size())
-        return false;
-    out = materialise(spans_[id - 1], id);
-    return true;
-}
-
 SimTime
 TraceRecorder::maxEnd() const
 {
@@ -157,6 +197,7 @@ TraceRecorder::clear()
     depArena_.clear();
     strings_.clear();
     internIndex_.clear();
+    table_ = newTable();
 }
 
 void

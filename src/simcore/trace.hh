@@ -31,8 +31,20 @@
  *
  * Track and category strings are interned: each span stores two
  * 32-bit ids instead of two heap strings, which keeps large-run
- * traces from dominating simulator memory. The string API is
- * preserved on record and on export.
+ * traces from dominating simulator memory. Where interning happens:
+ *
+ *  - engines that record a span per event (transfer, compute, CPU
+ *    optimizer) hold their track and category as TraceName values,
+ *    each interned at the producer's first span into this recorder
+ *    and re-interned after clear() or moveInto(); every later span
+ *    passes the cached ids plus its name and deps as views, so it
+ *    builds no string and no vector;
+ *  - record(TraceSpan) interns the span's strings itself (a map
+ *    lookup each); tests and rarely-called producers use it.
+ *
+ * Both paths store through one routine, interning the track before
+ * the category, so ids are handed out in first-record order whichever
+ * path a span took.
  *
  * Span storage is arena-backed: names live in one contiguous char
  * arena and dependency lists in one contiguous SpanId arena, so the
@@ -40,15 +52,26 @@
  * heap allocation once the arenas are warm. Large sweeps can presize
  * the arenas with reserve() and recycle a recorder across replicas
  * with clear() (which keeps the arena capacity).
+ *
+ * Readers that walk every span (critical-path attribution) use
+ * view(), which reads a stored span in place: its strings are views
+ * of the intern table and name arena and its deps a view of the
+ * dependency arena. A view is valid until the recorder next changes
+ * (any record, clear(), moveInto() or reserve()), since growing an
+ * arena or the intern table moves what it points at. span() and
+ * spans() copy instead.
  */
 
 #ifndef MOBIUS_SIMCORE_TRACE_HH
 #define MOBIUS_SIMCORE_TRACE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hh"
@@ -62,20 +85,14 @@ using SpanId = std::uint64_t;
 /** The null span id. */
 constexpr SpanId kNoSpan = 0;
 
-/** One traced interval. */
-struct TraceSpan
+/**
+ * A span's interval and causal timing fields and what they derive;
+ * shared by the owning TraceSpan and the in-place SpanView.
+ */
+struct SpanTiming
 {
-    std::string track;     //!< e.g. "gpu0.compute"
-    std::string name;      //!< e.g. "F3,2" or "load S5"
-    std::string category;  //!< "compute" | "transfer" | ...
     SimTime start = 0.0;   //!< span begin (simulated seconds)
     SimTime end = 0.0;     //!< span end (simulated seconds)
-
-    /** Set by TraceRecorder::record(): recording position + 1. */
-    SpanId id = kNoSpan;
-    /** Earlier spans that causally enabled this one (kNoSpan entries
-     *  are dropped on record). */
-    std::vector<SpanId> deps;
     /**
      * When the work could first have occupied its resource (all
      * inputs present, request issued); < 0 means "at start", i.e. no
@@ -88,8 +105,6 @@ struct TraceSpan
      * `duration() - work` is contention-induced stretch.
      */
     double work = -1.0;
-    int gpu = -1;   //!< owning GPU, -1 = none (e.g. CPU optimizer)
-    int stage = -1; //!< pipeline stage (or layer) gated, -1 = none
 
     /** @return span length in simulated seconds. */
     double duration() const { return end - start; }
@@ -120,6 +135,74 @@ struct TraceSpan
     double stretch() const { return duration() - workSeconds(); }
 };
 
+/** One traced interval. */
+struct TraceSpan : SpanTiming
+{
+    std::string track;     //!< e.g. "gpu0.compute"
+    std::string name;      //!< e.g. "F3,2" or "load S5"
+    std::string category;  //!< "compute" | "transfer" | ...
+
+    /** Set by TraceRecorder::record(): recording position + 1. */
+    SpanId id = kNoSpan;
+    /** Earlier spans that causally enabled this one (kNoSpan entries
+     *  are dropped on record). */
+    std::vector<SpanId> deps;
+    int gpu = -1;   //!< owning GPU, -1 = none (e.g. CPU optimizer)
+    int stage = -1; //!< pipeline stage (or layer) gated, -1 = none
+};
+
+/**
+ * A stored span read in place (TraceRecorder::view()): the strings
+ * and deps point into the recorder and are valid until it next
+ * changes.
+ */
+struct SpanView : SpanTiming
+{
+    SpanId id = kNoSpan;
+    std::string_view track;
+    std::string_view name;
+    std::string_view category;
+    std::span<const SpanId> deps;
+    int gpu = -1;
+    int stage = -1;
+};
+
+/**
+ * The per-span fields of a span recorded by interned track and
+ * category (TraceRecorder::record(TraceName &, TraceName &, ...)).
+ * The views need only live through the call, and must not point into
+ * the recorder itself: record() copies them, growing its arenas
+ * first.
+ */
+struct SpanFields : SpanTiming
+{
+    std::string_view name;
+    std::string_view nameSuffix; //!< appended to name, e.g. "!fail"
+    /** kNoSpan entries are dropped, as for TraceSpan::deps. */
+    std::span<const SpanId> deps;
+    int gpu = -1;
+    int stage = -1;
+};
+
+/**
+ * A track or category a producer records many spans under. The
+ * recorder interns it at the first span and caches the id here,
+ * tagged with the recorder's string table; clear() and moveInto()
+ * start a new table, so the next span re-interns it.
+ */
+class TraceName
+{
+  public:
+    TraceName() = default;
+    explicit TraceName(std::string text) : text_(std::move(text)) {}
+
+  private:
+    friend class TraceRecorder;
+    std::string text_;
+    std::uint64_t table_ = 0; //!< table id_ belongs to; 0 = none yet
+    std::uint32_t id_ = 0;
+};
+
 /**
  * One sample of a named time series ("ph":"C" in Chrome tracing;
  * Perfetto draws each name as a stacked-area counter track).
@@ -136,15 +219,23 @@ class TraceRecorder
 {
   public:
     /**
-     * Record a completed span; interns its track/category strings.
-     * kNoSpan entries in @p span.deps are dropped; panic() on a dep
-     * that names no earlier span. When the recorder is disabled
-     * (setEnabled(false)) the span is discarded and kNoSpan
-     * returned.
-     * @return the span's id: its recording position + 1 (any
-     *         @p span.id is ignored).
+     * Record a completed span under @p track and @p category,
+     * interning each at its first use with this recorder's string
+     * table (see TraceName). kNoSpan entries in @p span.deps are
+     * dropped; panic() on a dep that names no earlier span. When the
+     * recorder is disabled (setEnabled(false)) nothing is interned
+     * or stored and kNoSpan is returned.
+     * @return the span's id: its recording position + 1.
      */
-    SpanId record(TraceSpan span);
+    SpanId record(TraceName &track, TraceName &category,
+                  const SpanFields &span);
+
+    /**
+     * Record @p span, interning its track and category strings
+     * (a lookup each); otherwise as the TraceName overload. Any
+     * @p span.id is ignored.
+     */
+    SpanId record(const TraceSpan &span);
 
     /**
      * Turn recording on (the default) or off. Long request-driven
@@ -175,14 +266,31 @@ class TraceRecorder
     /** Materialise the span at @p index (recording order). */
     TraceSpan span(std::size_t index) const;
 
+    /**
+     * Read the span at @p index (recording order) in place, without
+     * copying; valid until the recorder next changes.
+     */
+    SpanView
+    view(std::size_t index) const
+    {
+        const SpanRec &rec = spans_.at(index);
+        SpanView v;
+        v.start = rec.start;
+        v.end = rec.end;
+        v.queuedAt = rec.queuedAt;
+        v.work = rec.work;
+        v.id = index + 1;
+        v.track = strings_[rec.track];
+        v.name = nameOf(rec);
+        v.category = strings_[rec.category];
+        v.deps = {depArena_.data() + rec.depOff, rec.depCount};
+        v.gpu = rec.gpu;
+        v.stage = rec.stage;
+        return v;
+    }
+
     /** Materialise every recorded span, in recording order. */
     std::vector<TraceSpan> spans() const;
-
-    /**
-     * Materialise the span with id @p id, i.e. at index id - 1.
-     * @return true and fill @p out when found.
-     */
-    bool findSpan(SpanId id, TraceSpan &out) const;
 
     /**
      * @return the latest end time over all recorded spans (0 when
@@ -205,7 +313,10 @@ class TraceRecorder
         return spans_.empty() && counters_.empty();
     }
 
-    /** Forget all recorded spans and counter samples. */
+    /**
+     * Forget all recorded spans and counter samples. The string
+     * table starts over, so producers re-intern their TraceNames.
+     */
     void clear();
 
     /**
@@ -214,7 +325,9 @@ class TraceRecorder
      * this recorder empty. This is the cheap span-retention hook:
      * a caller that wants a run's trace to outlive its RunContext
      * (e.g. the fleet retaining step spans for attribution) takes
-     * the arenas wholesale instead of materialising spans.
+     * the arenas wholesale instead of materialising spans. Producers
+     * of either recorder re-intern their TraceNames at their next
+     * span.
      */
     void moveInto(TraceRecorder &dst);
 
@@ -272,7 +385,13 @@ class TraceRecorder
         std::int32_t stage = -1;
     };
 
-    std::uint32_t intern(const std::string &s);
+    std::uint32_t intern(std::string_view s);
+    /** @p name's id in the current string table, interned on first
+     *  use. */
+    std::uint32_t idOf(TraceName &name);
+    /** The one storage path behind both record() overloads. */
+    SpanId store(std::uint32_t track, std::uint32_t category,
+                 const SpanFields &span);
     /** @p rec as a TraceSpan with id @p id (its index + 1). */
     TraceSpan materialise(const SpanRec &rec, SpanId id) const;
     /** The arena-backed name slice of @p rec. */
@@ -291,8 +410,13 @@ class TraceRecorder
     std::vector<SpanId> depArena_;
     /** Interned track/category strings; index is the intern id. */
     std::vector<std::string> strings_;
-    std::map<std::string, std::uint32_t> internIndex_;
+    std::map<std::string, std::uint32_t, std::less<>> internIndex_;
+    /** Process-unique tag of strings_; TraceName caches key on it. */
+    std::uint64_t table_ = newTable();
     bool enabled_ = true;
+
+    /** @return a string-table tag no recorder has used. */
+    static std::uint64_t newTable();
 };
 
 /**

@@ -75,20 +75,20 @@ class ComputeEngine
     }
 
     /**
-     * Push a task to the *front* of the queue under an arbitrary
-     * span category — the fault injector's hook for checkpoint and
-     * crash-recovery work (category "fault"), which must run before
-     * any queued kernels. The running kernel is not preempted. The
-     * task's span seeds a causal edge into the next span this engine
-     * records, so recovery time sits on the critical path.
+     * Push a fault task to the *front* of the queue — the fault
+     * injector's hook for checkpoint and crash-recovery work (span
+     * category "fault"), which must run before any queued kernels.
+     * The running kernel is not preempted. The task's span seeds a
+     * causal edge into the next span this engine records, so
+     * recovery time sits on the critical path.
      */
     void
-    injectFront(double duration, std::string category,
-                std::string label, std::vector<SpanId> deps = {})
+    injectFront(double duration, std::string label,
+                std::vector<SpanId> deps = {})
     {
         tasks_.push_front(Task{duration / speedFactor_, nullptr,
                                std::move(label), std::move(deps), -1,
-                               queue_.now(), std::move(category)});
+                               queue_.now(), true});
         if (!busy_)
             startNext();
     }
@@ -135,7 +135,7 @@ class ComputeEngine
         std::vector<SpanId> deps;
         int stage = -1;
         SimTime queuedAt = -1.0;
-        std::string category = "compute";
+        bool fault = false; //!< an injectFront() task, not a kernel
     };
 
     void
@@ -147,20 +147,20 @@ class ComputeEngine
         if (busy_ || tasks_.empty())
             return;
         busy_ = true;
-        Task task = std::move(tasks_.front());
+        running_ = std::move(tasks_.front());
         tasks_.pop_front();
-        // The straggler throttle applies at start time; task.duration
-        // stays the intrinsic (nominal-speed) cost so the slowdown
-        // shows up as contention stretch in attribution.
-        const bool kernel = task.category == "compute";
         // An injected fault task ran when it did because this serial
         // engine was busy until now: chain it to the span that just
         // retired so the backward critical-path walk continues
         // through it instead of dead-ending at a depless span.
-        if (!kernel && lastSpan_ != kNoSpan)
-            task.deps.push_back(lastSpan_);
-        double effective = task.duration / throttle_;
-        if (kernel) {
+        if (running_.fault && lastSpan_ != kNoSpan)
+            running_.deps.push_back(lastSpan_);
+        // The straggler throttle applies at start time;
+        // running_.duration stays the intrinsic (nominal-speed) cost
+        // so the slowdown shows up as contention stretch in
+        // attribution.
+        double effective = running_.duration / throttle_;
+        if (!running_.fault) {
             if (usage_)
                 usage_->computeBegin(gpu_);
             if (mKernels_) {
@@ -169,58 +169,62 @@ class ComputeEngine
             }
             busyTime_ += effective;
         }
-        double start = queue_.now();
-        queue_.scheduleAfter(
-            effective,
-            [this, start, kernel, cb = std::move(task.onComplete),
-             label = std::move(task.label),
-             deps = std::move(task.deps), stage = task.stage,
-             queuedAt = task.queuedAt,
-             category = std::move(task.category),
-             work = task.duration]() mutable {
-                if (kernel && usage_)
-                    usage_->computeEnd(gpu_);
-                if (trace_ && trace_->enabled()) {
-                    TraceSpan s;
-                    s.track = track_;
-                    s.name = std::move(label);
-                    s.category = std::move(category);
-                    s.start = start;
-                    s.end = queue_.now();
-                    s.deps = std::move(deps);
-                    if (pendingFaultDep_ != kNoSpan)
-                        s.deps.push_back(pendingFaultDep_);
-                    pendingFaultDep_ = kNoSpan;
-                    s.queuedAt = queuedAt;
-                    // Throttled kernels keep their intrinsic work so
-                    // the straggler stretch reads as contention;
-                    // fault tasks are all work by definition.
-                    if (kernel)
-                        s.work = queue_.now() - start > work
-                            ? work
-                            : -1.0;
-                    s.gpu = gpu_;
-                    s.stage = stage;
-                    lastSpan_ = trace_->record(std::move(s));
-                    if (!kernel)
-                        pendingFaultDep_ = lastSpan_;
-                } else {
-                    // What a disabled recorder's kNoSpan would leave.
-                    lastSpan_ = kNoSpan;
-                    pendingFaultDep_ = kNoSpan;
-                }
-                busy_ = false;
-                if (cb)
-                    cb();
-                startNext();
-            });
+        runningStart_ = queue_.now();
+        // The running task stays in the engine, so the event
+        // captures only `this` and fits std::function's inline
+        // storage.
+        queue_.scheduleAfter(effective, [this] { retire(); });
+    }
+
+    /** Complete running_: record its span, then fire its callback. */
+    void
+    retire()
+    {
+        const bool kernel = !running_.fault;
+        if (kernel && usage_)
+            usage_->computeEnd(gpu_);
+        if (trace_ && trace_->enabled()) {
+            if (pendingFaultDep_ != kNoSpan)
+                running_.deps.push_back(pendingFaultDep_);
+            pendingFaultDep_ = kNoSpan;
+            SpanFields s;
+            s.name = running_.label;
+            s.start = runningStart_;
+            s.end = queue_.now();
+            s.deps = running_.deps;
+            s.queuedAt = running_.queuedAt;
+            // Throttled kernels keep their intrinsic work so the
+            // straggler stretch reads as contention; fault tasks are
+            // all work by definition.
+            if (kernel && s.end - s.start > running_.duration)
+                s.work = running_.duration;
+            s.gpu = gpu_;
+            s.stage = running_.stage;
+            lastSpan_ = trace_->record(
+                track_, kernel ? computeCategory_ : faultCategory_, s);
+            if (!kernel)
+                pendingFaultDep_ = lastSpan_;
+        } else {
+            // What a disabled recorder's kNoSpan would leave.
+            lastSpan_ = kNoSpan;
+            pendingFaultDep_ = kNoSpan;
+        }
+        busy_ = false;
+        // The callback may submit work, which starts the next task
+        // and overwrites running_.
+        std::function<void()> cb = std::move(running_.onComplete);
+        if (cb)
+            cb();
+        startNext();
     }
 
     EventQueue &queue_;
     UsageTracker *usage_;
     int gpu_;
     TraceRecorder *trace_;
-    std::string track_; //!< "gpuN.compute", the spans' track
+    TraceName track_; //!< "gpuN.compute", the spans' track
+    TraceName computeCategory_{"compute"};
+    TraceName faultCategory_{"fault"};
     double speedFactor_ = 1.0;
     double throttle_ = 1.0;
     Counter *mKernels_ = nullptr;
@@ -231,6 +235,8 @@ class ComputeEngine
     /** Span of the last fault task; next span records it as a dep. */
     SpanId pendingFaultDep_ = kNoSpan;
     std::deque<Task> tasks_;
+    Task running_{};           //!< valid while busy_
+    SimTime runningStart_ = 0.0;
 };
 
 } // namespace mobius

@@ -141,11 +141,14 @@ TransferEngine::buildRoutes()
 
             // Spans land on the GPU-side engine track.
             if (r.peerOnly)
-                r.track = "gpu" + std::to_string(src.gpu) + ".nvlink";
+                r.track = TraceName("gpu" + std::to_string(src.gpu) +
+                                    ".nvlink");
             else if (!dst.isDram)
-                r.track = "gpu" + std::to_string(dst.gpu) + ".h2d";
+                r.track = TraceName("gpu" + std::to_string(dst.gpu) +
+                                    ".h2d");
             else
-                r.track = "gpu" + std::to_string(src.gpu) + ".d2h";
+                r.track = TraceName("gpu" + std::to_string(src.gpu) +
+                                    ".d2h");
         }
     }
 }
@@ -566,20 +569,18 @@ TransferEngine::finish(FlowId id)
     }
 
     if (trace_ && trace_->enabled()) {
-        TraceSpan s;
-        s.track = route.track;
+        SpanFields s;
         s.name = flow.req.label.empty()
-            ? trafficKindName(flow.req.kind)
-            : flow.req.label;
+            ? std::string_view(trafficKindName(flow.req.kind))
+            : std::string_view(flow.req.label);
         // A doomed attempt consumed the link for nothing: its whole
         // interval is fault time, and the retry records it as a
         // causal dependency (fault/fault_injector.hh).
-        s.category = flow.req.willFail ? "fault" : "transfer";
         if (flow.req.willFail)
-            s.name += "!fail";
+            s.nameSuffix = "!fail";
         s.start = flow.dataStart;
         s.end = queue_.now();
-        s.deps = std::move(flow.req.deps);
+        s.deps = flow.req.deps;
         // Ready once submitted and past the fixed setup cost; any
         // later start is queueing behind other DMA on the engines.
         s.queuedAt = flow.submitTime + cfg_.setupLatency;
@@ -589,7 +590,9 @@ TransferEngine::finish(FlowId id)
                 bottleneck;
         s.gpu = flow.req.statsGpu;
         s.stage = flow.req.stage;
-        lastSpan_ = trace_->record(std::move(s));
+        lastSpan_ = trace_->record(
+            routes_[static_cast<std::size_t>(flow.route)].track,
+            flow.req.willFail ? faultCategory_ : transferCategory_, s);
     } else {
         lastSpan_ = kNoSpan; // what a disabled recorder returns
     }

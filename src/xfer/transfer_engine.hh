@@ -219,7 +219,7 @@ class TransferEngine
         int commGpus[2] = {-1, -1};  //!< GPUs for usage tracking
         int numCommGpus = 0;
         bool peerOnly = false;       //!< pure-NVLink route
-        std::string track;           //!< trace track of its spans
+        TraceName track;             //!< trace track of its spans
     };
 
     struct Flow
@@ -362,6 +362,8 @@ class TransferEngine
     FairShareWorkspace fsWork_;
     std::uint64_t nextSeq_ = 1;
     SpanId lastSpan_ = kNoSpan;
+    TraceName transferCategory_{"transfer"};
+    TraceName faultCategory_{"fault"};
 
     /**
      * Metric handles, cached at construction (all null when metrics

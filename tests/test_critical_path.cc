@@ -2,14 +2,20 @@
  * @file
  * Critical-path attribution tests: synthetic span DAGs with known
  * blame tables, the categories-sum-to-step-time invariant on every
- * executor, and the JSON/table render paths.
+ * executor, the in-place walk against the frozen materialising
+ * oracle (critical_path_reference.hh), and the JSON/table render
+ * paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "base/json.hh"
+#include "critical_path_reference.hh"
+#include "fault/fault_plan.hh"
 #include "obs/critical_path.hh"
 #include "runtime/api.hh"
 
@@ -245,6 +251,133 @@ TEST(AttributionExecutors, CrossMappingReducesQueueWait)
     double cross = queueWait(
         crossMapping(server.topo, plan.stageCount()).mapping);
     EXPECT_LT(cross, seq);
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+void
+expectSameBreakdown(const AttributionBreakdown &got,
+                    const AttributionBreakdown &want)
+{
+    EXPECT_EQ(bits(got.compute), bits(want.compute));
+    EXPECT_EQ(bits(got.transfer), bits(want.transfer));
+    EXPECT_EQ(bits(got.queue), bits(want.queue));
+    EXPECT_EQ(bits(got.optimizer), bits(want.optimizer));
+    EXPECT_EQ(bits(got.fault), bits(want.fault));
+    EXPECT_EQ(bits(got.bubble), bits(want.bubble));
+    EXPECT_EQ(bits(got.other), bits(want.other));
+}
+
+/** attributeStep(@p trace) equals the oracle's, bit for bit. */
+void
+expectMatchesReference(const TraceRecorder &trace)
+{
+    const StepAttribution got = attributeStep(trace);
+    const StepAttribution want = reference::attributeStep(trace);
+    ASSERT_GT(want.spanCount, 0u);
+    EXPECT_EQ(got.spanCount, want.spanCount);
+    EXPECT_EQ(bits(got.stepTime), bits(want.stepTime));
+    EXPECT_EQ(bits(got.totalQueueWait), bits(want.totalQueueWait));
+    expectSameBreakdown(got.critical, want.critical);
+
+    ASSERT_EQ(got.stages.size(), want.stages.size());
+    for (auto g = got.stages.begin(), w = want.stages.begin();
+         g != got.stages.end(); ++g, ++w) {
+        SCOPED_TRACE(testing::Message() << "stage " << w->first);
+        EXPECT_EQ(g->first, w->first);
+        expectSameBreakdown(g->second, w->second);
+    }
+
+    ASSERT_EQ(got.gpus.size(), want.gpus.size());
+    for (std::size_t i = 0; i < want.gpus.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "gpu entry " << i);
+        EXPECT_EQ(got.gpus[i].gpu, want.gpus[i].gpu);
+        EXPECT_EQ(bits(got.gpus[i].compute), bits(want.gpus[i].compute));
+        EXPECT_EQ(bits(got.gpus[i].exposed), bits(want.gpus[i].exposed));
+        EXPECT_EQ(bits(got.gpus[i].bubble), bits(want.gpus[i].bubble));
+        EXPECT_EQ(bits(got.gpus[i].bubbleFraction),
+                  bits(want.gpus[i].bubbleFraction));
+    }
+
+    ASSERT_EQ(got.path.size(), want.path.size());
+    ASSERT_FALSE(want.path.empty());
+    for (std::size_t i = 0; i < want.path.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "path entry " << i);
+        const CriticalPathEntry &g = got.path[i];
+        const CriticalPathEntry &w = want.path[i];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.track, w.track);
+        EXPECT_EQ(g.name, w.name);
+        EXPECT_EQ(g.category, w.category);
+        EXPECT_EQ(g.gpu, w.gpu);
+        EXPECT_EQ(g.stage, w.stage);
+        EXPECT_EQ(bits(g.start), bits(w.start));
+        EXPECT_EQ(bits(g.end), bits(w.end));
+        EXPECT_EQ(bits(g.queueWait), bits(w.queueWait));
+        EXPECT_EQ(bits(g.stretch), bits(w.stretch));
+    }
+}
+
+/** The trace of one @p system step of @p cfg, faulted by @p spec. */
+TraceRecorder
+stepTrace(System system, const GptConfig &cfg,
+          std::initializer_list<int> topo, const std::string &spec)
+{
+    Server server = makeCommodityServer(topo);
+    Workload work(cfg, server);
+    MobiusPlan plan;
+    if (system == System::Mobius)
+        plan = planMobius(server, work.cost());
+    FaultPlan faults;
+    if (!spec.empty())
+        faults = parseFaultSpec(spec, server);
+    TraceRecorder trace;
+    StepRunOptions opts;
+    opts.faults = &faults;
+    opts.faultSeed = 3;
+    opts.traceOut = &trace;
+    runStep(system, server, work.cost(),
+            system == System::Mobius ? &plan : nullptr, opts);
+    return trace;
+}
+
+TEST(AttributionOracle, CleanStepsMatchReference)
+{
+    for (const GptConfig &cfg : table3Models()) {
+        for (System system : {System::Mobius, System::DeepSpeed}) {
+            for (auto topo : {std::initializer_list<int>{2, 2},
+                              std::initializer_list<int>{4, 4}}) {
+                SCOPED_TRACE(testing::Message()
+                             << cfg.name << " " << systemName(system)
+                             << " " << topo.size() << " root "
+                             << "complexes of " << *topo.begin());
+                expectMatchesReference(
+                    stepTrace(system, cfg, topo, ""));
+            }
+        }
+    }
+}
+
+TEST(AttributionOracle, FaultedStepsMatchReference)
+{
+    // Failed attempts, backoffs and checkpoint tasks (category
+    // "fault"), and a straggler window still open when the step
+    // ends (its clamped fault.events span).
+    for (const char *spec :
+         {"xfail=0.02;retry=10+0.0001;ckpt=0.8+0.02",
+          "degrade:gpu1=0.5@0+10",
+          "degrade:gpu0=0.8@0+10;xfail=0.05;retry=20+0.0001"}) {
+        for (System system : {System::Mobius, System::DeepSpeed}) {
+            SCOPED_TRACE(testing::Message()
+                         << spec << " " << systemName(system));
+            expectMatchesReference(
+                stepTrace(system, gpt8b(), {2, 2}, spec));
+        }
+    }
 }
 
 TEST(AttributionExport, JsonParsesAndMatchesBreakdown)

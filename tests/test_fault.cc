@@ -230,6 +230,22 @@ TEST(FaultDeterminism, DifferentSeedDifferentFailures)
     EXPECT_TRUE(differs);
 }
 
+/**
+ * The fault.events span of window @p name: when the window outlives
+ * the step, FaultInjector::stop() clamps it to the workload's last
+ * span end, i.e. the step time.
+ */
+void
+expectWindowSpan(const FaultedRun &r, const std::string &name,
+                 double start, double end)
+{
+    auto v = r.ctx->trace().named(name);
+    ASSERT_EQ(v.size(), 1u) << name;
+    EXPECT_EQ(v[0].track, "fault.events");
+    EXPECT_EQ(v[0].start, start);
+    EXPECT_EQ(v[0].end, end);
+}
+
 TEST(FaultEffects, DegradeWindowSlowsTheStep)
 {
     FaultedRun clean = runMobius("", 1);
@@ -237,11 +253,14 @@ TEST(FaultEffects, DegradeWindowSlowsTheStep)
         runMobius("degrade:transfer=0.25@0+10", 1);
     EXPECT_GT(degraded.stats.stepTime,
               clean.stats.stepTime + 1e-6);
+    expectWindowSpan(degraded, "degrade transfer x0.25", 0.0,
+                     degraded.stats.stepTime);
     // Restored capacity: a window that ends before the step does
     // costs less than one that covers it entirely.
     FaultedRun brief = runMobius("degrade:transfer=0.25@0+0.2", 1);
     EXPECT_GT(brief.stats.stepTime, clean.stats.stepTime + 1e-6);
     EXPECT_LT(brief.stats.stepTime, degraded.stats.stepTime);
+    expectWindowSpan(brief, "degrade transfer x0.25", 0.0, 0.2);
 }
 
 TEST(FaultEffects, StragglerThrottleSlowsTheStep)
@@ -250,6 +269,8 @@ TEST(FaultEffects, StragglerThrottleSlowsTheStep)
     FaultedRun straggler = runMobius("degrade:gpu1=0.5@0+10", 1);
     EXPECT_GT(straggler.stats.stepTime,
               clean.stats.stepTime + 1e-6);
+    expectWindowSpan(straggler, "degrade gpu1 x0.5", 0.0,
+                     straggler.stats.stepTime);
 }
 
 TEST(FaultEffects, StragglerDemotionWithRetriesIsPinned)

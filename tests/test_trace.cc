@@ -1,9 +1,11 @@
 /**
  * @file
- * Trace recorder tests, plus trace-driven verification that the
- * *executed* Mobius and 1F1B schedules satisfy the paper's
- * pipeline-order constraints (Eq. 8-11) — both on span timestamps
- * and causally, as reachability over the recorded `deps` DAG.
+ * Trace recorder tests — both record() overloads, the in-place view,
+ * re-interning after clear()/moveInto(), allocation-free engine
+ * spans — plus trace-driven verification that the *executed* Mobius
+ * and 1F1B schedules satisfy the paper's pipeline-order constraints
+ * (Eq. 8-11), both on span timestamps and causally, as reachability
+ * over the recorded `deps` DAG.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +13,12 @@
 #include <map>
 #include <set>
 
+#include "alloc_counter.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "runtime/api.hh"
 #include "simcore/trace.hh"
+#include "xfer/compute_engine.hh"
 
 namespace mobius
 {
@@ -152,20 +156,18 @@ TEST(TraceRecorder, AssignsStableIdsAndDropsNullDeps)
     EXPECT_NE(a, kNoSpan);
     EXPECT_NE(bid, a);
 
-    TraceSpan out;
-    ASSERT_TRUE(rec.findSpan(bid, out));
+    TraceSpan out = rec.span(bid - 1);
+    EXPECT_EQ(out.id, bid);
     ASSERT_EQ(out.deps.size(), 2u); // kNoSpan dropped
     EXPECT_EQ(out.deps[0], a);
-    EXPECT_FALSE(rec.findSpan(kNoSpan, out));
-    EXPECT_FALSE(rec.findSpan(bid + 1, out));
 
     // Ids are recording positions + 1; a preset id is ignored.
     TraceSpan c = mkSpan("gpu1.compute", "C", "compute", 0.0, 1.0);
     c.id = 7;
     EXPECT_EQ(rec.record(c), 3u);
-    ASSERT_TRUE(rec.findSpan(3, out));
-    EXPECT_EQ(out.name, "C");
-    EXPECT_EQ(out.id, 3u);
+    EXPECT_EQ(rec.span(2).name, "C");
+    EXPECT_EQ(rec.span(2).id, 3u);
+    EXPECT_EQ(rec.view(2).id, 3u);
 }
 
 TEST(TraceRecorderDeathTest, DepOnALaterSpanPanics)
@@ -238,6 +240,179 @@ TEST(TraceRecorder, ChromeJsonParsesAndRoundTripsEscapes)
     // One flow pair per dependency edge.
     EXPECT_EQ(flow_s, 1);
     EXPECT_EQ(flow_f, 1);
+}
+
+TEST(TraceRecorder, RecordByNameMatchesRecordTraceSpan)
+{
+    // Tracks first seen out of name order, so the intern order shows
+    // in toChromeJson's thread_name events.
+    struct Spec
+    {
+        const char *track, *name, *suffix, *category;
+        double start, end, queuedAt, work;
+        int gpu, stage;
+        std::vector<SpanId> deps;
+    };
+    const std::vector<Spec> specs = {
+        {"gpu1.h2d", "S0.fwd", "", "transfer", 0.0, 1.0, 0.0, 0.5, 1,
+         0, {}},
+        {"gpu0.compute", "F0,0", "", "compute", 1.0, 2.0, -1.0, -1.0,
+         0, 0, {1, kNoSpan}},
+        {"gpu1.h2d", "S1.fwd", "!fail", "fault", 1.0, 1.5, 0.5, 0.25,
+         1, 1, {1}},
+        {"cpu.optim", "adam", "", "optimizer", 2.0, 3.0, 1.5, 0.75,
+         -1, 1, {2, 3}},
+        {"gpu0.compute", "F1,0", "", "compute", 2.0, 2.5, 1.5, -1.0,
+         0, 1, {2}},
+    };
+
+    TraceRecorder byName, bySpan;
+    // One TraceName per producer and string, as the engines hold.
+    std::map<std::string, TraceName> names;
+    for (const Spec &p : specs) {
+        for (const char *s : {p.track, p.category})
+            names.try_emplace(s, s);
+        SpanFields f;
+        f.name = p.name;
+        f.nameSuffix = p.suffix;
+        f.deps = p.deps;
+        f.start = p.start;
+        f.end = p.end;
+        f.queuedAt = p.queuedAt;
+        f.work = p.work;
+        f.gpu = p.gpu;
+        f.stage = p.stage;
+        SpanId a = byName.record(names.at(p.track),
+                                 names.at(p.category), f);
+
+        TraceSpan t = mkSpan(p.track, std::string(p.name) + p.suffix,
+                             p.category, p.start, p.end);
+        t.deps = p.deps;
+        t.queuedAt = p.queuedAt;
+        t.work = p.work;
+        t.gpu = p.gpu;
+        t.stage = p.stage;
+        EXPECT_EQ(a, bySpan.record(t));
+    }
+
+    ASSERT_EQ(byName.spanCount(), specs.size());
+    ASSERT_EQ(bySpan.spanCount(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "span " << i);
+        const TraceSpan a = byName.span(i);
+        const TraceSpan b = bySpan.span(i);
+        EXPECT_EQ(a.track, b.track);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.category, b.category);
+        EXPECT_EQ(a.start, b.start);
+        EXPECT_EQ(a.end, b.end);
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.deps, b.deps);
+        EXPECT_EQ(a.queuedAt, b.queuedAt);
+        EXPECT_EQ(a.work, b.work);
+        EXPECT_EQ(a.gpu, b.gpu);
+        EXPECT_EQ(a.stage, b.stage);
+
+        // The in-place view reads the same span.
+        const SpanView v = byName.view(i);
+        EXPECT_EQ(v.id, a.id);
+        EXPECT_EQ(v.track, a.track);
+        EXPECT_EQ(v.name, a.name);
+        EXPECT_EQ(v.category, a.category);
+        EXPECT_EQ(std::vector<SpanId>(v.deps.begin(), v.deps.end()),
+                  a.deps);
+        EXPECT_EQ(v.start, a.start);
+        EXPECT_EQ(v.end, a.end);
+        EXPECT_EQ(v.queuedAt, a.queuedAt);
+        EXPECT_EQ(v.work, a.work);
+        EXPECT_EQ(v.gpu, a.gpu);
+        EXPECT_EQ(v.stage, a.stage);
+    }
+    EXPECT_EQ(byName.span(2).name, "S1.fwd!fail");
+    EXPECT_EQ(byName.span(1).deps, std::vector<SpanId>{1});
+    EXPECT_EQ(spanFingerprint(byName), spanFingerprint(bySpan));
+    EXPECT_EQ(byName.toChromeJson(), bySpan.toChromeJson());
+}
+
+TEST(TraceRecorder, NamesReinternAfterClearAndMoveInto)
+{
+    SpanFields f;
+    f.name = "F0,0";
+    f.end = 1.0;
+    TraceName track("gpu0.compute");
+    TraceName category("compute");
+    // Another producer takes the fresh table's first ids (0 and 1),
+    // so a stale cached id would store the span under its strings.
+    auto expectRecordedUnderOwnNames = [&](TraceRecorder &rec) {
+        rec.record(mkSpan("gpu9.h2d", "other", "transfer", 0.0, 1.0));
+        SpanId id = rec.record(track, category, f);
+        ASSERT_NE(id, kNoSpan);
+        const SpanView v = rec.view(id - 1);
+        EXPECT_EQ(v.track, "gpu0.compute");
+        EXPECT_EQ(v.category, "compute");
+        EXPECT_EQ(v.name, "F0,0");
+    };
+
+    TraceRecorder rec;
+    rec.record(track, category, f); // caches ids 0 and 1
+    rec.clear();
+    expectRecordedUnderOwnNames(rec);
+
+    // The emptied source of a moveInto() starts a fresh table...
+    TraceRecorder kept;
+    rec.moveInto(kept);
+    expectRecordedUnderOwnNames(rec);
+
+    // ...and its destination's producers re-intern into the table
+    // it received: ids 0 and 1 there now name gpu9.h2d/transfer.
+    TraceRecorder dst;
+    TraceName dstTrack("gpu3.d2h");
+    TraceName dstCategory("transfer");
+    dst.record(dstTrack, dstCategory, f);
+    TraceRecorder src;
+    src.record(mkSpan("gpu9.h2d", "other", "compute", 0.0, 1.0));
+    src.moveInto(dst);
+    SpanId id = dst.record(dstTrack, dstCategory, f);
+    ASSERT_EQ(id, 2u);
+    EXPECT_EQ(dst.view(1).track, "gpu3.d2h");
+    EXPECT_EQ(dst.view(1).category, "transfer");
+    EXPECT_EQ(dst.view(0).track, "gpu9.h2d");
+}
+
+TEST(TraceRecorderAlloc, WarmRecorderRecordsEngineSpansWithoutAllocating)
+{
+    EventQueue q;
+    TraceRecorder trace;
+    trace.reserve(1024, 1 << 16, 4096);
+    ComputeEngine engine(q, nullptr, 0, &trace);
+    int done = 0;
+    auto submitBatch = [&] {
+        for (int i = 0; i < 64; ++i) {
+            std::vector<SpanId> deps;
+            if (trace.spanCount() > 0)
+                deps = {1, trace.spanCount()};
+            engine.submit(1e-3, [&done] { ++done; }, "F12,3",
+                          std::move(deps), 3);
+        }
+    };
+    // Warm-up: the track and category get interned, and the event
+    // queue and the engine's task queue grow.
+    submitBatch();
+    q.run();
+
+    submitBatch();
+    const std::size_t before = g_new_calls.load();
+    q.run();
+    const std::size_t allocs = g_new_calls.load() - before;
+    EXPECT_EQ(allocs, 0u);
+    // Not vacuous: every kernel retired and recorded a span with its
+    // deps.
+    EXPECT_EQ(done, 128);
+    ASSERT_EQ(trace.spanCount(), 128u);
+    const SpanView last = trace.view(127);
+    EXPECT_EQ(last.track, "gpu0.compute");
+    EXPECT_EQ(last.name, "F12,3");
+    EXPECT_EQ(last.deps.size(), 2u);
 }
 
 /** Runs one Mobius step and exposes the trace. */
