@@ -94,7 +94,6 @@ BM_TransferEngineChurn(benchmark::State &state)
             eng.submit(std::move(req));
         }
         q.run();
-        eng.stats().clear(); // keep the sample log from growing
     }
     benchmark::DoNotOptimize(q.now());
     state.SetItemsProcessed(

@@ -35,19 +35,44 @@ struct RunResult
 };
 
 /** Run @p system end to end: plan (Mobius only, with @p opts), then
- *  execute one step. */
+ *  execute one step. @p samples keeps every flow's bandwidth sample
+ *  in the step's stats; only the CDF figures ask for it (Figs. 2, 7
+ *  and 11 here, Fig. 16 through simulateJobStep()). */
 RunResult
 run(System system, const GptConfig &cfg, const Server &server,
     int microbatch = -1, int num_microbatches = -1,
-    const PlanOptions &opts = {})
+    const PlanOptions &opts = {}, bool samples = false)
 {
     Workload work(cfg, server, microbatch, num_microbatches);
     std::optional<MobiusPlan> plan;
     if (system == System::Mobius)
         plan = planMobius(server, work.cost(), opts);
-    return RunResult{
-        runStep(system, server, work.cost(), plan ? &*plan : nullptr)
-            .stats};
+    StepRunOptions step;
+    step.xfer.bandwidthSamples = samples;
+    return RunResult{runStep(system, server, work.cost(),
+                             plan ? &*plan : nullptr, step)
+                         .stats};
+}
+
+/** run() of a CDF figure's step, which keeps bandwidth samples. */
+RunResult
+runSampled(System system, const GptConfig &cfg, const Server &server,
+           int microbatch = -1, const PlanOptions &opts = {})
+{
+    return run(system, cfg, server, microbatch, -1, opts, true);
+}
+
+/** A CDF of @p samples; fatal() when there are none, since every
+ *  CDF figure's runs move bytes (a run that kept no samples would
+ *  otherwise print quantiles of 0). */
+BandwidthCdf
+nonEmptyCdf(const std::string &what,
+            const std::vector<BandwidthSample> &samples)
+{
+    BandwidthCdf cdf(samples);
+    if (cdf.empty())
+        fatal("%s: no bandwidth samples", what.c_str());
+    return cdf;
 }
 
 /** run(), with a FatalError (Fig. 5's OOM) as a marked result. */
@@ -75,12 +100,8 @@ void
 printCdf(const std::string &label,
          const std::vector<BandwidthSample> &samples)
 {
-    BandwidthCdf cdf(samples);
+    BandwidthCdf cdf = nonEmptyCdf(label, samples);
     std::printf("  %-28s", (label + ":").c_str());
-    if (cdf.empty()) {
-        std::printf(" (no samples)\n");
-        return;
-    }
     for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
         std::printf("  p%-2.0f=%5.1f GB/s", q * 100,
                     cdf.quantile(q) / 1e9);
@@ -142,9 +163,9 @@ fig2()
     bench::section(
         "Figure 2: DeepSpeed bandwidth CDF, 15B on 4x3090-Ti (2+2)");
     Server server = makeCommodityServer({2, 2});
-    auto r = run(System::DeepSpeed, gpt15b(), server);
+    auto r = runSampled(System::DeepSpeed, gpt15b(), server);
 
-    BandwidthCdf cdf(r.stats.traffic.samples());
+    BandwidthCdf cdf = nonEmptyCdf("Figure 2", r.stats.traffic.samples());
     std::printf("%10s %10s\n", "GB/s", "CDF");
     for (double bw = 1.0; bw <= 14.0; bw += 1.0) {
         std::printf("%10.1f %10.3f\n", bw,
@@ -264,8 +285,8 @@ fig7()
         for (const std::string topo : {"4", "2+2", "1+3"}) {
             Server server =
                 makeCommodityServer(parseTopoGroups(topo));
-            auto ds = run(System::DeepSpeed, cfg, server);
-            auto mob = run(System::Mobius, cfg, server);
+            auto ds = runSampled(System::DeepSpeed, cfg, server);
+            auto mob = runSampled(System::Mobius, cfg, server);
             printCdf("DeepSpeed Topo " + topo,
                      ds.stats.traffic.samples());
             printCdf("Mobius    Topo " + topo,
@@ -395,8 +416,9 @@ figs10And11()
             cross.mapping = MappingAlgo::Cross;
             out.push_back(
                 {mbs,
-                 run(System::Mobius, c.cfg, server, mbs, -1, seq).stats,
-                 run(System::Mobius, c.cfg, server, mbs, -1, cross)
+                 runSampled(System::Mobius, c.cfg, server, mbs, seq)
+                     .stats,
+                 runSampled(System::Mobius, c.cfg, server, mbs, cross)
                      .stats});
         }
     }
@@ -615,7 +637,9 @@ figs15And16()
         spec.groups = on_dc ? std::vector<int>{4}
                             : std::vector<int>{2, 2};
         spec.microbatchSize = 2;
-        JobStepResult r = simulateJobStep(spec, &cache);
+        // Fig. 16 reads the DC cells' bandwidth samples.
+        JobStepResult r =
+            simulateJobStep(spec, &cache, nullptr, nullptr, on_dc);
         double t = r.stats.stepTime;
         double price =
             t / 3600.0 * buildJobServer(spec).dollarsPerHour;

@@ -154,7 +154,7 @@ FleetSim::run()
                 simulateJobStep(jobs_[i], cache, faults, &tr);
             stepAttrib[i] = attribCache_.get(
                 jobSimKey(jobs_[i]),
-                [&] { return attributeStep(tr).critical; });
+                [&] { return criticalBreakdown(tr); });
         },
         {opts_.threads});
 

@@ -75,7 +75,8 @@ jobSimKey(const JobSpec &spec)
 
 JobStepResult
 simulateJobStep(const JobSpec &spec, PlanCache *cache,
-                const FaultPlan *faults, TraceRecorder *trace_out)
+                const FaultPlan *faults, TraceRecorder *trace_out,
+                bool bandwidth_samples)
 {
     using clock = std::chrono::steady_clock;
 
@@ -116,6 +117,7 @@ simulateJobStep(const JobSpec &spec, PlanCache *cache,
     run.faults = faults;
     run.faultSeed = spec.faultSeed;
     run.traceOut = trace_out;
+    run.xfer.bandwidthSamples = bandwidth_samples;
     StepRunResult step = runStep(spec.system, server, work.cost(),
                                  mobius ? &res.plan : nullptr, run);
     res.stats = std::move(step.stats);

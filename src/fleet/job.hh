@@ -113,12 +113,15 @@ struct JobStepResult
  * any thread. @p faults may be null for a clean run. When
  * @p trace_out is non-null the step's span trace is retained into
  * it (moved wholesale, see StepRunOptions::traceOut) so callers can
- * run critical-path attribution on it.
+ * run critical-path attribution on it. @p bandwidth_samples keeps
+ * the step's per-flow bandwidth samples in stats.traffic
+ * (TransferEngineConfig::bandwidthSamples); it changes nothing else.
  */
 JobStepResult simulateJobStep(const JobSpec &spec,
                               PlanCache *cache = nullptr,
                               const FaultPlan *faults = nullptr,
-                              TraceRecorder *trace_out = nullptr);
+                              TraceRecorder *trace_out = nullptr,
+                              bool bandwidth_samples = false);
 
 } // namespace mobius
 

@@ -77,75 +77,60 @@ exposedSeconds(std::vector<std::pair<double, double>> &iv,
     return unionSeconds(both) - unionSeconds(mask);
 }
 
-} // namespace
-
-StepAttribution
-attributeStep(const TraceRecorder &trace)
+/** The span that ends the step: the first with the largest end. */
+SpanView
+stepEndSpan(const TraceRecorder &trace)
 {
-    MOBIUS_PROF_ZONE("obs.critical_path");
-    StepAttribution out;
-    // The walk reads spans in place (SpanView); the recorder does
-    // not change while it runs, so the views stay valid, and only
-    // the path entries copy strings.
-    const std::size_t n = trace.spanCount();
-    if (n == 0)
-        return out;
-    out.spanCount = n;
-
     SpanView last = trace.view(0);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 1; i < trace.spanCount(); ++i) {
         const SpanView s = trace.view(i);
-        out.totalQueueWait += s.queueWait() + s.stretch();
         if (s.end > last.end)
             last = s;
     }
-    out.stepTime = last.end;
+    return last;
+}
 
-    // Backward walk from the step-ending span. `cursor` is the upper
-    // edge of the not-yet-attributed prefix [0, cursor]; every
-    // iteration peels disjoint intervals off it, so the categories
-    // partition [0, stepTime] and sum to it exactly. A dependency
-    // is always an earlier span, so ids strictly decrease along the
-    // walk and it ends.
-    double cursor = out.stepTime;
+/**
+ * The backward walk attributeStep() and criticalBreakdown() share,
+ * from @p last, the span that ends the step. `cursor` is the upper
+ * edge of the not-yet-attributed prefix [0, cursor]; every iteration
+ * peels disjoint intervals off it into the returned breakdown, so
+ * the categories partition [0, last.end] and sum to it exactly. A
+ * dependency is always an earlier span, so ids strictly decrease
+ * along the walk and it ends. Each idle gap is also passed to
+ * @p on_bubble(seconds), and each path span to
+ * @p on_span(span, body, wait) after its own seconds are added.
+ */
+template <typename OnBubble, typename OnSpan>
+AttributionBreakdown
+walkCriticalPath(const TraceRecorder &trace, SpanView last,
+                 OnBubble &&on_bubble, OnSpan &&on_span)
+{
+    AttributionBreakdown critical;
+    double cursor = last.end;
     SpanView cur = last;
     bool more = true;
     while (more && cursor > 0.0) {
         // Gap between this span's end and the span it enables.
         if (cursor > cur.end) {
-            out.critical.bubble += cursor - cur.end;
-            out.stages[-1].bubble += cursor - cur.end;
+            critical.bubble += cursor - cur.end;
+            on_bubble(cursor - cur.end);
             cursor = cur.end;
         }
         // Span body [start, cursor]: intrinsic work by category,
         // fair-share stretch as queue.
         double body = std::max(0.0, cursor - std::max(0.0,
                                                       cur.start));
-        addBody(out.critical, cur, body);
-        addBody(out.stages[cur.stage], cur, body);
+        addBody(critical, cur, body);
         // Wait [ready, start]: the work was runnable but its engine
         // or link was busy — contention.
         double ready = cur.readyTime();
         double wait = std::min(cur.start, cursor) -
             std::min(ready, cursor);
-        if (wait > 0.0) {
-            out.critical.queue += wait;
-            out.stages[cur.stage].queue += wait;
-        }
+        if (wait > 0.0)
+            critical.queue += wait;
+        on_span(cur, body, wait);
         cursor = std::min(cursor, ready);
-
-        CriticalPathEntry e;
-        e.id = cur.id;
-        e.track = cur.track;
-        e.name = cur.name;
-        e.category = cur.category;
-        e.gpu = cur.gpu;
-        e.stage = cur.stage;
-        e.start = cur.start;
-        e.end = cur.end;
-        e.queueWait = wait > 0.0 ? wait : 0.0;
-        e.stretch = body - std::min(cur.workSeconds(), body);
-        out.path.push_back(std::move(e));
 
         // Follow the binding dependency: the predecessor that
         // finished last is the one this span actually waited for.
@@ -166,9 +151,58 @@ attributeStep(const TraceRecorder &trace)
     if (cursor > 0.0) {
         // Head of the step before the first caused span: warm-up
         // idle with no recorded predecessor.
-        out.critical.bubble += cursor;
-        out.stages[-1].bubble += cursor;
+        critical.bubble += cursor;
+        on_bubble(cursor);
     }
+    return critical;
+}
+
+} // namespace
+
+StepAttribution
+attributeStep(const TraceRecorder &trace)
+{
+    MOBIUS_PROF_ZONE("obs.critical_path");
+    StepAttribution out;
+    // The walk reads spans in place (SpanView); the recorder does
+    // not change while it runs, so the views stay valid, and only
+    // the path entries copy strings.
+    const std::size_t n = trace.spanCount();
+    if (n == 0)
+        return out;
+    out.spanCount = n;
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const SpanView s = trace.view(i);
+        out.totalQueueWait += s.queueWait() + s.stretch();
+    }
+    const SpanView last = stepEndSpan(trace);
+    out.stepTime = last.end;
+
+    // The critical path, with each piece also split by stage and
+    // each span recorded as a path entry.
+    out.critical = walkCriticalPath(
+        trace, last,
+        [&out](double gap) { out.stages[-1].bubble += gap; },
+        [&out](const SpanView &cur, double body, double wait) {
+            AttributionBreakdown &stage = out.stages[cur.stage];
+            addBody(stage, cur, body);
+            if (wait > 0.0)
+                stage.queue += wait;
+
+            CriticalPathEntry e;
+            e.id = cur.id;
+            e.track = cur.track;
+            e.name = cur.name;
+            e.category = cur.category;
+            e.gpu = cur.gpu;
+            e.stage = cur.stage;
+            e.start = cur.start;
+            e.end = cur.end;
+            e.queueWait = wait > 0.0 ? wait : 0.0;
+            e.stretch = body - std::min(cur.workSeconds(), body);
+            out.path.push_back(std::move(e));
+        });
 
     // Per-GPU occupancy: compute spans never overlap on a GPU, so a
     // plain sum is exact; transfers can overlap each other and
@@ -211,6 +245,17 @@ attributeStep(const TraceRecorder &trace)
         out.gpus.push_back(ga);
     }
     return out;
+}
+
+AttributionBreakdown
+criticalBreakdown(const TraceRecorder &trace)
+{
+    MOBIUS_PROF_ZONE("obs.critical_path");
+    if (trace.spanCount() == 0)
+        return {};
+    return walkCriticalPath(trace, stepEndSpan(trace),
+                            [](double) {},
+                            [](const SpanView &, double, double) {});
 }
 
 namespace

@@ -26,7 +26,8 @@
  * The walk reads the recorder's stored spans in place through
  * TraceRecorder::view() and compares categories as string views, so
  * it builds no TraceSpan; only the returned path entries copy their
- * strings. tests/critical_path_reference.hh keeps the walk over
+ * strings. criticalBreakdown() runs the same walk for the blame
+ * table alone. tests/critical_path_reference.hh keeps the walk over
  * materialised spans as the bit-for-bit oracle.
  */
 
@@ -129,6 +130,14 @@ struct StepAttribution
  * must not change during the call (the walk holds views into it).
  */
 StepAttribution attributeStep(const TraceRecorder &trace);
+
+/**
+ * attributeStep(@p trace).critical, bit for bit (the same backward
+ * walk), without the path entries, per-stage map, per-GPU interval
+ * unions or off-path queue sum: for callers that keep only the blame
+ * table, such as the fleet's per-job attribution.
+ */
+AttributionBreakdown criticalBreakdown(const TraceRecorder &trace);
 
 /** Serialise @p a as a JSON object (stable field names, see
  *  EXPERIMENTS.md "BENCH_attribution.json"). @p top_k caps the

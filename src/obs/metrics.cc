@@ -7,7 +7,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "base/json.hh"
@@ -63,16 +65,24 @@ Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 int
 Histogram::bucketIndex(double value)
 {
-    // frexp: value = m * 2^e with m in [0.5, 1).
-    int e = 0;
-    double m = std::frexp(value, &e);
+    // A positive double is 1.f * 2^(E - 1023), E its exponent field:
+    // frexp's m = 1.f / 2 and e = E - 1022. Then (m - 0.5) * 2 *
+    // kSubBuckets = f * kSubBuckets exactly, so the sub-bucket is the
+    // mantissa field's top bits. Subnormals (E = 0) land in bucket 0,
+    // as frexp's e <= -1022 does.
+    constexpr int kMantissaBits = 52;
+    constexpr int kSubBits = std::countr_zero(
+        static_cast<unsigned>(kSubBuckets));
+    static_assert(1 << kSubBits == kSubBuckets);
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const int e = static_cast<int>(bits >> kMantissaBits) - 1022;
     if (e < kMinExp)
         return 0;
     if (e >= kMaxExp)
         return kNumBuckets - 1;
-    // Map mantissa [0.5, 1) onto [0, kSubBuckets).
-    int sub = static_cast<int>((m - 0.5) * 2.0 * kSubBuckets);
-    sub = std::clamp(sub, 0, kSubBuckets - 1);
+    const int sub = static_cast<int>(
+        (bits >> (kMantissaBits - kSubBits)) &
+        static_cast<std::uint64_t>(kSubBuckets - 1));
     return (e - kMinExp) * kSubBuckets + sub;
 }
 

@@ -147,9 +147,6 @@ class Histogram
     /** @return the registry name. */
     const std::string &name() const { return name_; }
 
-  private:
-    friend class MetricsRegistry;
-
     /** Linear sub-buckets per power of two. */
     static constexpr int kSubBuckets = 32;
     /** Smallest representable exponent (frexp convention). */
@@ -159,7 +156,18 @@ class Histogram
     static constexpr int kNumBuckets =
         (kMaxExp - kMinExp) * kSubBuckets;
 
+    /**
+     * @return the bucket of positive finite @p value: with
+     * value = m * 2^e, m in [0.5, 1) (std::frexp), it is
+     * (e - kMinExp) * kSubBuckets + floor((m - 0.5) * 2 * kSubBuckets),
+     * clamped to [0, kNumBuckets). Read off the IEEE-754 exponent
+     * and top mantissa bits rather than computed with frexp.
+     */
     static int bucketIndex(double value);
+
+  private:
+    friend class MetricsRegistry;
+
     static double bucketMid(int index);
 
     std::string name_;

@@ -23,7 +23,9 @@ struct StepStats
     double stepTime = 0.0;    //!< seconds per training step
     int numGpus = 0;          //!< GPUs that participated
 
-    TrafficStats traffic;     //!< volumes + bandwidth samples
+    /** Volumes, plus bandwidth samples when the run kept them
+     *  (TransferEngineConfig::bandwidthSamples). */
+    TrafficStats traffic;
 
     double computeTime = 0.0;       //!< sum over GPUs, seconds
     double exposedCommTime = 0.0;   //!< comm not overlapped (Fig. 8)

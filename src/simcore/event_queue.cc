@@ -26,7 +26,38 @@ makeId(std::uint32_t handle, std::uint32_t gen)
         (static_cast<EventId>(handle) + 1);
 }
 
+/** pendingHandle()'s "not pending" answer (never a handle index). */
+constexpr std::uint32_t kNotPending = 0xffffffffu;
+
 } // namespace
+
+SimTime
+EventQueue::clampToNow(SimTime when)
+{
+    if (when < now_) {
+        // Tolerate tiny floating-point backsliding from the fluid-flow
+        // solver; anything larger is a scheduling bug.
+        if (when < now_ - 1e-9)
+            panic("scheduling event in the past: %.12f < %.12f",
+                  when, now_);
+        ++clamped_;
+        maxDrift_ = std::max(maxDrift_, now_ - when);
+        when = now_;
+    }
+    return when;
+}
+
+std::uint32_t
+EventQueue::pendingHandle(EventId id) const
+{
+    std::uint32_t low = static_cast<std::uint32_t>(id);
+    if (low == 0 || low - 1 >= handles_.size())
+        return kNotPending;
+    const Handle &h = handles_[low - 1];
+    if (h.gen != static_cast<std::uint32_t>(id >> 32) || h.slot < 0)
+        return kNotPending;
+    return low - 1;
+}
 
 std::uint32_t
 EventQueue::allocHandle()
@@ -93,16 +124,7 @@ EventQueue::siftDown(std::size_t slot)
 EventId
 EventQueue::schedule(SimTime when, std::function<void()> fn)
 {
-    if (when < now_) {
-        // Tolerate tiny floating-point backsliding from the fluid-flow
-        // solver; anything larger is a scheduling bug.
-        if (when < now_ - 1e-9)
-            panic("scheduling event in the past: %.12f < %.12f",
-                  when, now_);
-        ++clamped_;
-        maxDrift_ = std::max(maxDrift_, now_ - when);
-        when = now_;
-    }
+    when = clampToNow(when);
     std::uint32_t handle = allocHandle();
     EventId id = makeId(handle, handles_[handle].gen);
     handles_[handle].fn = std::move(fn);
@@ -121,17 +143,11 @@ EventQueue::schedule(SimTime when, std::function<void()> fn)
 bool
 EventQueue::cancel(EventId id)
 {
-    std::uint32_t low = static_cast<std::uint32_t>(id);
-    if (low == 0)
-        return false;
-    std::uint32_t idx = low - 1;
-    if (idx >= handles_.size())
-        return false;
-    const Handle &h = handles_[idx];
-    if (h.gen != static_cast<std::uint32_t>(id >> 32) || h.slot < 0)
+    const std::uint32_t idx = pendingHandle(id);
+    if (idx == kNotPending)
         return false;
 
-    std::size_t slot = static_cast<std::size_t>(h.slot);
+    std::size_t slot = static_cast<std::size_t>(handles_[idx].slot);
     releaseHandle(idx);
     std::size_t last = heap_.size() - 1;
     if (slot != last) {
@@ -147,6 +163,33 @@ EventQueue::cancel(EventId id)
         heap_.pop_back();
     }
     return true;
+}
+
+EventId
+EventQueue::reschedule(EventId id, SimTime when)
+{
+    const std::uint32_t idx = pendingHandle(id);
+    if (idx == kNotPending)
+        panic("reschedule: event %llu is not pending",
+              static_cast<unsigned long long>(id));
+    when = clampToNow(when);
+    // cancel() would bump the generation and free the handle, and
+    // schedule() would take the same handle straight back off the
+    // free list: only the generation changes.
+    Handle &h = handles_[idx];
+    ++h.gen;
+    const std::size_t slot = static_cast<std::size_t>(h.slot);
+    Entry &e = heap_[slot];
+    const bool earlier = when < e.when;
+    e.when = when;
+    e.seq = nextSeq_++;
+    // The fresh seq sorts after every pending event's, so at an equal
+    // or later time the entry can only sink.
+    if (earlier)
+        siftUp(slot);
+    else
+        siftDown(slot);
+    return makeId(idx, h.gen);
 }
 
 std::function<void()>

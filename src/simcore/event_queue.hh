@@ -5,10 +5,10 @@
  * The engine keeps a time-ordered queue of callbacks. Components (copy
  * engines, compute engines, the fluid-flow rate solver) schedule events
  * at absolute simulated times; ties are broken by insertion order so the
- * simulation is fully deterministic. Events can be cancelled — the
- * transfer engine reschedules flow-completion events whenever the
- * fair-share rate of any in-flight flow changes — so cancel is as hot
- * a path as schedule.
+ * simulation is fully deterministic. Events can be cancelled or moved
+ * — the transfer engine moves flow-completion events whenever the
+ * fair-share rate of an in-flight flow changes — so reschedule is as
+ * hot a path as schedule.
  *
  * The queue is an **indexed binary min-heap**: 24-byte ordering keys
  * live in one contiguous array ordered by (time, schedule sequence),
@@ -16,11 +16,11 @@
  * cancel() can remove an arbitrary pending event in O(log n) without
  * scanning. Callbacks are parked in the handle table, so sift
  * operations move only trivially-copyable keys.
- * schedule(), cancel(), and each pop in run() are all O(log n) with
- * no per-event node allocation (the `std::map`-backed original, kept
- * as ReferenceEventQueue in event_queue_reference.hh, paid two
- * red-black-tree inserts plus two erases per event; bench_simcore
- * tracks the speedup).
+ * schedule(), cancel(), reschedule() and each pop in run() are all
+ * O(log n) with no per-event node allocation (the `std::map`-backed
+ * original, kept as ReferenceEventQueue in event_queue_reference.hh,
+ * paid two red-black-tree inserts plus two erases per event;
+ * bench_simcore tracks the speedup).
  *
  * Tie-break contract: events scheduled at equal times fire in
  * schedule() call order, globally — the comparison key is the pair
@@ -30,6 +30,16 @@
  * the reference implementation did. Handles are recycled through a
  * free list but carry a generation counter, so a stale EventId (fired
  * or cancelled) can never cancel a later event that reuses its slot.
+ *
+ * reschedule(id, when) is cancel(id) followed by schedule(when) of
+ * the same callback, under the same contract: it stamps a fresh seq
+ * (the event goes to the back of its new tick), bumps the handle's
+ * generation and returns the id that pair would have returned (the
+ * cancel frees the handle and the schedule takes it straight back),
+ * and clamps a tiny backslide the same way. It sifts the heap entry
+ * once in place and never touches the callback, which is what makes
+ * the transfer engine's rate updates cheap: most of them move
+ * already-pending completions.
  */
 
 #ifndef MOBIUS_SIMCORE_EVENT_QUEUE_HH
@@ -83,6 +93,15 @@ class EventQueue
      * @return true if the event existed and was removed.
      */
     bool cancel(EventId id);
+
+    /**
+     * Move pending event @p id to absolute time @p when, exactly as
+     * cancel(@p id) then schedule(@p when) of its callback would
+     * (see the tie-break contract above); panics unless @p id is
+     * pending.
+     * @return the event's new handle; @p id is stale afterwards.
+     */
+    EventId reschedule(EventId id, SimTime when);
 
     /** @return true if no events are pending. */
     bool empty() const { return heap_.empty(); }
@@ -154,6 +173,10 @@ class EventQueue
         return a.seq < b.seq;
     }
 
+    /** Clamp a tiny backslide of @p when to now(); panic on more. */
+    SimTime clampToNow(SimTime when);
+    /** Handle index of pending event @p id, or all ones if none. */
+    std::uint32_t pendingHandle(EventId id) const;
     std::uint32_t allocHandle();
     void releaseHandle(std::uint32_t idx);
     void siftUp(std::size_t slot);

@@ -78,7 +78,8 @@ void
 TrafficStats::record(const BandwidthSample &sample)
 {
     bytes_[static_cast<std::size_t>(sample.kind)] += sample.bytes;
-    samples_.push_back(sample);
+    if (keepSamples_)
+        samples_.push_back(sample);
 }
 
 Bytes
@@ -94,13 +95,6 @@ Bytes
 TrafficStats::bytesOf(TrafficKind kind) const
 {
     return bytes_[static_cast<std::size_t>(kind)];
-}
-
-void
-TrafficStats::clear()
-{
-    bytes_.fill(0);
-    samples_.clear();
 }
 
 UsageTracker::UsageTracker(EventQueue &queue, int num_gpus)

@@ -4,6 +4,12 @@
  * bandwidth samples (for the CDF figures 2/7/11/16), and a per-GPU
  * usage tracker that measures communication time not overlapped by
  * computation (figure 8).
+ *
+ * The byte totals are always kept. The sample log is opt-in
+ * (TrafficStats(true), which the transfer engine builds when
+ * TransferEngineConfig::bandwidthSamples is set): it grows by one
+ * entry per transfer, tens of thousands per serving op, and only the
+ * CDF figures read it.
  */
 
 #ifndef MOBIUS_XFER_STATS_HH
@@ -39,7 +45,7 @@ struct BandwidthSample
 {
     Bytes bytes = 0;         //!< payload size
     double bandwidth = 0.0;  //!< achieved bytes/second (excl. setup)
-    SimTime start = 0.0;     //!< submit time
+    SimTime start = 0.0;     //!< data start (after setup latency)
     SimTime finish = 0.0;    //!< completion time
     int gpu = -1;            //!< GPU the transfer is attributed to
     TrafficKind kind = TrafficKind::Other; //!< traffic accounting
@@ -77,10 +83,22 @@ class BandwidthCdf
     std::vector<std::pair<double, double>> points_;
 };
 
-/** Accumulates traffic volume and bandwidth samples during a run. */
+/**
+ * Accumulates traffic volume during a run and, when asked to, one
+ * bandwidth sample per transfer.
+ */
 class TrafficStats
 {
   public:
+    /** Byte totals only; samples() stays empty. */
+    TrafficStats() = default;
+
+    /** Byte totals, plus the sample log when @p keep_samples. */
+    explicit TrafficStats(bool keep_samples)
+        : keepSamples_(keep_samples)
+    {
+    }
+
     /** Account one completed transfer. */
     void record(const BandwidthSample &sample);
 
@@ -90,19 +108,17 @@ class TrafficStats
     /** Logical bytes moved for one kind. */
     Bytes bytesOf(TrafficKind kind) const;
 
-    /** All recorded samples, in completion order. */
+    /** Recorded samples in completion order; empty unless kept. */
     const std::vector<BandwidthSample> &
     samples() const
     {
         return samples_;
     }
 
-    /** Reset all accumulated traffic. */
-    void clear();
-
   private:
     std::array<Bytes, static_cast<std::size_t>(TrafficKind::NumKinds)>
         bytes_{};
+    bool keepSamples_ = false;
     std::vector<BandwidthSample> samples_;
 };
 

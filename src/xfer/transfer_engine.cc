@@ -24,7 +24,7 @@ TransferEngine::TransferEngine(EventQueue &queue, const Topology &topo,
                                TraceRecorder *trace,
                                MetricsRegistry *metrics)
     : queue_(queue), topo_(topo), usage_(usage), cfg_(cfg),
-      trace_(trace)
+      trace_(trace), stats_(cfg.bandwidthSamples)
 {
     // PCIe H2D/D2H engines plus dedicated NVLink send/receive
     // engines per GPU.
@@ -465,20 +465,22 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
         flowAt(compFlows_[i]).rate = fsRates_[i];
 
     // Reschedule completions in submission order, as a full
-    // recompute would: equal-time events fire in schedule order.
+    // recompute would: equal-time events fire in schedule order. A
+    // pending completion moves in place; only the flow that just
+    // started moving schedules a new one.
     std::sort(compFlows_.begin(), compFlows_.end());
     for (FlowId fid : compFlows_) {
         Flow &f = flowAt(fid);
-        if (f.pendingEvent != kNoEvent) {
-            queue_.cancel(f.pendingEvent);
-            f.pendingEvent = kNoEvent;
-        }
         if (f.rate <= 0)
             panic("flow %llu got zero rate",
                   static_cast<unsigned long long>(f.id));
         double eta = static_cast<double>(f.remaining) / f.rate;
-        f.pendingEvent =
-            queue_.scheduleAfter(eta, [this, fid] { finish(fid); });
+        if (f.pendingEvent != kNoEvent)
+            f.pendingEvent =
+                queue_.reschedule(f.pendingEvent, queue_.now() + eta);
+        else
+            f.pendingEvent = queue_.scheduleAfter(
+                eta, [this, fid] { finish(fid); });
     }
 
     if (cfg_.fairShareCrossCheck)
@@ -525,8 +527,9 @@ TransferEngine::finish(FlowId id)
     flow.pendingEvent = kNoEvent;
     flow.remaining = 0;
 
-    // Record the achieved-bandwidth sample (setup latency excluded so
-    // tiny transfers do not read as absurdly slow links).
+    // Account the bytes and the achieved-bandwidth sample, which the
+    // stats keep only when the sample log is on (setup latency
+    // excluded so tiny transfers do not read as absurdly slow links).
     double duration = queue_.now() - flow.dataStart;
     BandwidthSample sample;
     sample.bytes = flow.req.bytes;

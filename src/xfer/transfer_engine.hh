@@ -37,7 +37,10 @@
  * full solve (maxMinFairRates) after every update and panics on
  * any divergence. Completions are rescheduled in ascending FlowId
  * order across all the re-solved components, as a full recompute
- * would.
+ * would. A re-solved flow whose completion is already pending moves
+ * it with EventQueue::reschedule(), which keeps the event's callback
+ * and sifts its heap entry once; the result is what cancelling it
+ * and scheduling a new one gives, seq and id included.
  *
  * **No rebuilding or rescanning per flow.** The per-flow path reuses
  * what it can compute once and looks only at the state a change can
@@ -62,7 +65,9 @@
  * A rate re-solve (including setLinkCapacityFactor, and one that
  * spans several components) makes no heap allocation once the
  * scratch has grown to the largest update. Spans are built only
- * when the recorder is enabled.
+ * when the recorder is enabled, and a finished flow's bandwidth
+ * sample is kept only when TransferEngineConfig::bandwidthSamples
+ * is set; the per-kind byte totals are always kept.
  */
 
 #ifndef MOBIUS_XFER_TRANSFER_ENGINE_HH
@@ -132,6 +137,14 @@ struct TransferEngineConfig
      * for tests and the bench_simcore quick gate, not production.
      */
     bool fairShareCrossCheck = false;
+    /**
+     * Keep one BandwidthSample per finished transfer in stats() (the
+     * bandwidth CDFs of Figs. 2, 7, 11 and 16). Off, stats() keeps
+     * only the per-kind byte totals: the log grows by one entry per
+     * flow, and nothing but the CDF figures reads it. Moves no
+     * simulated number either way.
+     */
+    bool bandwidthSamples = false;
 };
 
 /**
@@ -184,7 +197,7 @@ class TransferEngine
     /** @return number of flows currently moving data. */
     int dataActiveFlows() const { return movingCount_; }
 
-    TrafficStats &stats() { return stats_; }
+    /** Bytes moved per kind, plus the sample log when it is on. */
     const TrafficStats &stats() const { return stats_; }
 
     const Topology &topo() const { return topo_; }

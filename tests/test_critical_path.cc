@@ -46,6 +46,7 @@ TEST(Attribution, EmptyTraceIsAllZero)
     EXPECT_EQ(a.spanCount, 0u);
     EXPECT_EQ(a.critical.total(), 0.0);
     EXPECT_TRUE(a.path.empty());
+    EXPECT_EQ(criticalBreakdown(rec).total(), 0.0);
 }
 
 TEST(Attribution, SingleSpanPlusLeadingIdle)
@@ -272,7 +273,8 @@ expectSameBreakdown(const AttributionBreakdown &got,
     EXPECT_EQ(bits(got.other), bits(want.other));
 }
 
-/** attributeStep(@p trace) equals the oracle's, bit for bit. */
+/** attributeStep(@p trace), and criticalBreakdown(@p trace) for its
+ *  blame table, equal the oracle's, bit for bit. */
 void
 expectMatchesReference(const TraceRecorder &trace)
 {
@@ -283,6 +285,10 @@ expectMatchesReference(const TraceRecorder &trace)
     EXPECT_EQ(bits(got.stepTime), bits(want.stepTime));
     EXPECT_EQ(bits(got.totalQueueWait), bits(want.totalQueueWait));
     expectSameBreakdown(got.critical, want.critical);
+    {
+        SCOPED_TRACE("criticalBreakdown");
+        expectSameBreakdown(criticalBreakdown(trace), want.critical);
+    }
 
     ASSERT_EQ(got.stages.size(), want.stages.size());
     for (auto g = got.stages.begin(), w = want.stages.begin();

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,6 +170,55 @@ TEST(Histogram, IgnoresNonFinite)
     h.record(-std::numeric_limits<double>::infinity());
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.quantile(0.5), 0.0);
+}
+
+/** The std::frexp formula Histogram::bucketIndex() replaced. */
+int
+frexpBucketIndex(double value)
+{
+    int e = 0;
+    double m = std::frexp(value, &e);
+    if (e < Histogram::kMinExp)
+        return 0;
+    if (e >= Histogram::kMaxExp)
+        return Histogram::kNumBuckets - 1;
+    int sub = static_cast<int>((m - 0.5) * 2.0 * Histogram::kSubBuckets);
+    sub = std::clamp(sub, 0, Histogram::kSubBuckets - 1);
+    return (e - Histogram::kMinExp) * Histogram::kSubBuckets + sub;
+}
+
+TEST(Histogram, BucketIndexMatchesFrexpFormula)
+{
+    // Every sub-bucket edge of every binade, and its neighbours one
+    // ulp either side, from below the smallest subnormal to above the
+    // largest finite double; then random positive bit patterns.
+    std::size_t checked = 0;
+    std::size_t mismatches = 0;
+    double first = 0.0;
+    auto check = [&](double v) {
+        if (!(v > 0.0) || !std::isfinite(v))
+            return;
+        ++checked;
+        if (Histogram::bucketIndex(v) != frexpBucketIndex(v) &&
+            mismatches++ == 0)
+            first = v;
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int e = -1080; e <= 1030; ++e) {
+        for (int sub = 0; sub < Histogram::kSubBuckets; ++sub) {
+            const double edge = std::ldexp(
+                1.0 + sub / static_cast<double>(Histogram::kSubBuckets),
+                e);
+            check(edge);
+            check(std::nextafter(edge, 0.0));
+            check(std::nextafter(edge, kInf));
+        }
+    }
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < (1 << 20); ++i)
+        check(std::bit_cast<double>(rng() >> 1)); // sign bit clear
+    EXPECT_EQ(mismatches, 0u) << "first at " << std::hexfloat << first;
+    EXPECT_GT(checked, 1000000u);
 }
 
 /** Assert every brace/bracket in @p json closes in order. */

@@ -48,6 +48,29 @@ mobiusStep(const GptConfig &cfg, const std::vector<int> &groups,
     return stats;
 }
 
+/** Step options that keep every flow's bandwidth sample. */
+StepRunOptions
+sampled()
+{
+    StepRunOptions opts;
+    opts.xfer.bandwidthSamples = true;
+    return opts;
+}
+
+/**
+ * @p s kept a bandwidth sample for every byte it moved, so a CDF
+ * over them is not vacuous (an empty CDF's quantiles are 0).
+ */
+void
+expectCompleteSampleLog(const StepStats &s)
+{
+    ASSERT_FALSE(s.traffic.samples().empty());
+    Bytes sum = 0;
+    for (const BandwidthSample &b : s.traffic.samples())
+        sum += b.bytes;
+    EXPECT_EQ(sum, s.traffic.totalBytes());
+}
+
 /**
  * One step of @p system built by hand from a RunContext and the
  * system's executor, the way runStep() is documented to build it.
@@ -269,9 +292,43 @@ TEST(ZeroExecutor, ContentionHalvesObservedBandwidth)
     // bandwidth on Topo 2+2.
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
-    StepStats s = runStep(System::DeepSpeed, server, work.cost()).stats;
+    StepStats s =
+        runStep(System::DeepSpeed, server, work.cost(), nullptr,
+                sampled())
+            .stats;
+    expectCompleteSampleLog(s);
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.quantile(0.5), 0.55 * kPcie3x16Bw);
+}
+
+TEST(Traffic, DefaultStepKeepsNoSamplesAndMovesNothingElse)
+{
+    // The sample log is opt-in and observes only: without it a step
+    // has the same byte totals, step time and spans.
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt8b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    for (System system : {System::Mobius, System::DeepSpeed}) {
+        SCOPED_TRACE(systemName(system));
+        const MobiusPlan *p =
+            system == System::Mobius ? &plan : nullptr;
+        StepRunResult plain = runStep(system, server, work.cost(), p);
+        StepRunResult kept =
+            runStep(system, server, work.cost(), p, sampled());
+        EXPECT_TRUE(plain.stats.traffic.samples().empty());
+        expectCompleteSampleLog(kept.stats);
+        EXPECT_GT(plain.stats.traffic.totalBytes(), 0u);
+        for (int k = 0; k < static_cast<int>(TrafficKind::NumKinds);
+             ++k) {
+            const auto kind = static_cast<TrafficKind>(k);
+            EXPECT_EQ(plain.stats.traffic.bytesOf(kind),
+                      kept.stats.traffic.bytesOf(kind))
+                << trafficKindName(kind);
+        }
+        EXPECT_EQ(plain.stats.stepTime, kept.stats.stepTime);
+        EXPECT_EQ(plain.spanCount, kept.spanCount);
+        EXPECT_EQ(plain.spanHash, kept.spanHash);
+    }
 }
 
 TEST(ZeroExecutor, LayerSyncOffStillCompletes)
@@ -330,7 +387,10 @@ TEST(Headline, MobiusBandwidthNearLinkPeak)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runStep(System::Mobius, server, work.cost(), &plan).stats;
+    StepStats s =
+        runStep(System::Mobius, server, work.cost(), &plan, sampled())
+            .stats;
+    expectCompleteSampleLog(s);
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.fractionAtOrBelow(12e9), 0.5);
     EXPECT_NEAR(cdf.maxBandwidth(), kPcie3x16Bw, 0.05 * kPcie3x16Bw);
@@ -423,9 +483,14 @@ TEST(DataCenter, DeepSpeedCompetitiveWithNvlink)
     Server dc = makeDataCenterServer(4);
     Workload work(gpt8b(), dc, 2);
     MobiusPlan plan = planMobius(dc, work.cost());
-    StepStats mob = runStep(System::Mobius, dc, work.cost(), &plan).stats;
-    StepStats ds = runStep(System::DeepSpeed, dc, work.cost()).stats;
+    StepStats mob =
+        runStep(System::Mobius, dc, work.cost(), &plan, sampled()).stats;
+    StepStats ds =
+        runStep(System::DeepSpeed, dc, work.cost(), nullptr, sampled())
+            .stats;
     EXPECT_LT(ds.stepTime, mob.stepTime);
+    expectCompleteSampleLog(mob);
+    expectCompleteSampleLog(ds);
 
     // And both beat the commodity box in absolute time.
     Server c = makeCommodityServer({2, 2});

@@ -290,6 +290,18 @@ TEST(ServeSim, SpanRecordingIsOptIn)
         traced.ctx().trace().onTrack("serve.batcher").empty());
 }
 
+TEST(ServeSim, KeepsNoBandwidthSamples)
+{
+    // Serving reads byte totals only; its flows log no samples.
+    ServeSim sim(smallOptions());
+    sim.submitOpenLoop(proto(), 8, {{4.0, 1.0}}, 5);
+    const ServeMetrics m = sim.run();
+    ASSERT_GT(m.swapBytes, 0u);
+    const TrafficStats &traffic = sim.ctx().xfer().stats();
+    EXPECT_GT(traffic.totalBytes(), 0u);
+    EXPECT_TRUE(traffic.samples().empty());
+}
+
 TEST(ServeSim, FingerprintIdenticalAcrossReplicaWidths)
 {
     // The bench's determinism gate in miniature: the same seeded

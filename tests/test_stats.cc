@@ -64,7 +64,7 @@ TEST(BandwidthCdf, ZeroByteSamplesIgnoredInWeight)
 
 TEST(TrafficStats, AccumulatesByKind)
 {
-    TrafficStats stats;
+    TrafficStats stats(true);
     stats.record(sample(100, 1e9, TrafficKind::Parameter));
     stats.record(sample(50, 1e9, TrafficKind::Gradient));
     stats.record(sample(25, 1e9, TrafficKind::Parameter));
@@ -72,9 +72,18 @@ TEST(TrafficStats, AccumulatesByKind)
     EXPECT_EQ(stats.bytesOf(TrafficKind::Parameter), 125u);
     EXPECT_EQ(stats.bytesOf(TrafficKind::Gradient), 50u);
     EXPECT_EQ(stats.bytesOf(TrafficKind::Activation), 0u);
-    EXPECT_EQ(stats.samples().size(), 3u);
-    stats.clear();
-    EXPECT_EQ(stats.totalBytes(), 0u);
+    ASSERT_EQ(stats.samples().size(), 3u);
+    EXPECT_EQ(stats.samples()[1].bytes, 50u);
+}
+
+TEST(TrafficStats, SampleLogIsOptIn)
+{
+    // Byte totals are always kept; samples only when asked for.
+    TrafficStats stats;
+    stats.record(sample(100, 1e9, TrafficKind::Parameter));
+    stats.record(sample(50, 1e9, TrafficKind::Gradient));
+    EXPECT_EQ(stats.totalBytes(), 150u);
+    EXPECT_EQ(stats.bytesOf(TrafficKind::Gradient), 50u);
     EXPECT_TRUE(stats.samples().empty());
 }
 

@@ -38,6 +38,7 @@ class TransferEngineTest : public ::testing::Test
     {
         TransferEngineConfig c;
         c.setupLatency = 0.0; // exact arithmetic in most tests
+        c.bandwidthSamples = true; // stats checks read the samples
         return c;
     }
 
