@@ -8,15 +8,16 @@
  * Three sections:
  *
  *  1. Plan-cache speedup. A 200-job homogeneous Poisson fleet
- *     (GPT-3B jobs on commodity 2+2 servers) runs uncached-serial,
- *     cached-serial, and cached at several --threads widths. The
- *     planner (MIP partition + cross-mapping search) dominates an
- *     uncached homogeneous fleet, so the PlanCache must buy >= 3x
- *     (CPU and wall), with a >= 90% hit rate — and the fleet
+ *     (GPT-3B jobs on commodity 2+2 servers) runs uncached-serial
+ *     and cached-serial twice each, interleaved, then cached at the
+ *     other --threads widths. The planner (MIP partition +
+ *     cross-mapping search) dominates an uncached homogeneous fleet,
+ *     so the PlanCache must buy >= 3x (min CPU of the 2 repeats each
+ *     way, and wall), with a >= 90% hit rate — and the fleet
  *     fingerprint (per-job timings + trace digests, job-id order)
- *     must be bit-identical across every width *and* vs the
- *     uncached run (a cache hit is indistinguishable from a fresh
- *     solve).
+ *     must be bit-identical across every width and repeat *and* vs
+ *     the uncached run (a cache hit is indistinguishable from a
+ *     fresh solve).
  *
  *  2. Mobius vs ZeRO fleet. The same arrival process run once with
  *     Mobius jobs and once with DeepSpeed-style ZeRO jobs; reports
@@ -255,27 +256,51 @@ main(int argc, char **argv)
                               "on 4x commodity 2+2",
                               jobs));
 
-        FleetRun uncached = runHomogeneous(
-            jobs, 1, false, System::Mobius);
-        std::printf("\n  uncached serial: %6.2fs wall, %6.2fs cpu "
-                    "(%5.1f jobs/sec)\n",
-                    uncached.wall, uncached.cpu,
-                    jobs / std::max(uncached.wall, 1e-9));
+        auto report = [jobs](const char *what, const FleetRun &r) {
+            std::printf("  %s: %6.2fs wall, %6.2fs cpu (%5.1f "
+                        "jobs/sec, hit rate %.3f)\n",
+                        what, r.wall, r.cpu,
+                        jobs / std::max(r.wall, 1e-9),
+                        r.m.planHitRate);
+        };
 
-        std::vector<FleetRun> cached;
+        // Uncached and cached serial, min CPU of 2 repeats each way
+        // (std::clock, so a loaded `ctest -j` cannot fail the gate
+        // on wall noise). The repeats alternate uncached, cached,
+        // uncached, cached: a host-load spike over two consecutive
+        // runs then slows one run of each side, which each side's
+        // min skips. cached[i] is the first run at widths[i]
+        // (widths[0] is 1); the second repeats land in `repeats`.
+        std::printf("\n");
+        FleetRun uncached;
+        std::vector<FleetRun> cached, repeats;
+        double uncached_cpu = 1e300, cached_cpu = 1e300;
+        for (int rep = 0; rep < (no_cache ? 1 : 2); ++rep) {
+            FleetRun u = runHomogeneous(jobs, 1, false,
+                                        System::Mobius);
+            report("uncached serial", u);
+            uncached_cpu = std::min(uncached_cpu, u.cpu);
+            if (rep == 0)
+                uncached = u;
+            else
+                repeats.push_back(u);
+            if (no_cache)
+                continue;
+            FleetRun c = runHomogeneous(jobs, 1, true,
+                                        System::Mobius);
+            report("cached  1-thread", c);
+            cached_cpu = std::min(cached_cpu, c.cpu);
+            (rep == 0 ? cached : repeats).push_back(c);
+        }
         double best_wall = uncached.wall;
         if (!no_cache) {
-            for (int w : widths) {
+            best_wall = std::min(best_wall, cached.front().wall);
+            for (std::size_t i = 1; i < widths.size(); ++i) {
                 cached.push_back(runHomogeneous(
-                    jobs, w, true, System::Mobius));
-                const FleetRun &r = cached.back();
-                std::printf("  cached %2d-thread: %6.2fs wall, "
-                            "%6.2fs cpu (%5.1f jobs/sec, hit rate "
-                            "%.3f)\n",
-                            w, r.wall, r.cpu,
-                            jobs / std::max(r.wall, 1e-9),
-                            r.m.planHitRate);
-                best_wall = std::min(best_wall, r.wall);
+                    jobs, widths[i], true, System::Mobius));
+                report(strfmt("cached %2d-thread", widths[i]).c_str(),
+                       cached.back());
+                best_wall = std::min(best_wall, cached.back().wall);
             }
         }
 
@@ -286,27 +311,28 @@ main(int argc, char **argv)
             const FleetRun &serial = cached.front();
             hit_rate = serial.m.planHitRate;
             hit_ok = hit_rate >= kMinHitRate;
-            speedup_cpu =
-                uncached.cpu / std::max(serial.cpu, 1e-9);
+            speedup_cpu = uncached_cpu / std::max(cached_cpu, 1e-9);
             speedup_wall =
                 uncached.wall / std::max(best_wall, 1e-9);
             speedup_ok = speedup_cpu >= kMinSpeedup &&
                 speedup_wall >= kMinSpeedup;
-            for (const FleetRun &r : cached)
-                ident_ok =
-                    ident_ok && sameMetrics(r.m, serial.m);
             // A cache hit must be indistinguishable from a fresh
-            // solve: the uncached fleet is the oracle.
-            ident_ok = ident_ok && sameMetrics(uncached.m, serial.m);
+            // solve: the uncached fleet is the oracle for every
+            // width and every repeat.
+            for (const auto *runs : {&cached, &repeats}) {
+                for (const FleetRun &r : *runs)
+                    ident_ok = ident_ok && sameMetrics(r.m, uncached.m);
+            }
 
-            std::printf("\n  plan-cache speedup: %.2fx cpu, %.2fx "
-                        "wall (>= %.1fx): %s\n",
+            std::printf("\n  plan-cache speedup: %.2fx cpu (min "
+                        "of 2 each way), %.2fx wall (>= %.1fx): "
+                        "%s\n",
                         speedup_cpu, speedup_wall, kMinSpeedup,
                         speedup_ok ? "ok" : "FAIL");
             std::printf("  hit rate %.3f (>= %.2f): %s\n", hit_rate,
                         kMinHitRate, hit_ok ? "ok" : "FAIL");
-            std::printf("  fingerprints across %zu widths + "
-                        "uncached: %s\n",
+            std::printf("  fingerprints across %zu widths, the "
+                        "repeats + uncached: %s\n",
                         cached.size(),
                         ident_ok ? "bit-identical"
                                  : "NONDETERMINISTIC");
@@ -496,14 +522,14 @@ main(int argc, char **argv)
             uncached.wall);
         json += strfmt(
             ",\n  \"uncached_serial_cpu_seconds\": %.17g",
-            uncached.cpu);
+            uncached_cpu);
         if (!no_cache) {
             json += strfmt(
                 ",\n  \"cached_serial_wall_seconds\": %.17g",
                 cached.front().wall);
             json += strfmt(
                 ",\n  \"cached_serial_cpu_seconds\": %.17g",
-                cached.front().cpu);
+                cached_cpu);
             json += strfmt(",\n  \"plan_speedup_cpu\": %.17g",
                            speedup_cpu);
             json += strfmt(",\n  \"plan_speedup_wall\": %.17g",

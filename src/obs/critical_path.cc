@@ -81,13 +81,7 @@ exposedSeconds(std::vector<std::pair<double, double>> &iv,
 SpanView
 stepEndSpan(const TraceRecorder &trace)
 {
-    SpanView last = trace.view(0);
-    for (std::size_t i = 1; i < trace.spanCount(); ++i) {
-        const SpanView s = trace.view(i);
-        if (s.end > last.end)
-            last = s;
-    }
-    return last;
+    return trace.view(trace.latestEnding());
 }
 
 /**
@@ -172,10 +166,6 @@ attributeStep(const TraceRecorder &trace)
         return out;
     out.spanCount = n;
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const SpanView s = trace.view(i);
-        out.totalQueueWait += s.queueWait() + s.stretch();
-    }
     const SpanView last = stepEndSpan(trace);
     out.stepTime = last.end;
 
@@ -206,11 +196,13 @@ attributeStep(const TraceRecorder &trace)
 
     // Per-GPU occupancy: compute spans never overlap on a GPU, so a
     // plain sum is exact; transfers can overlap each other and
-    // compute, so take interval unions.
+    // compute, so take interval unions. The same pass sums every
+    // span's contention, in recording order.
     std::map<int, std::vector<std::pair<double, double>>> computeIv;
     std::map<int, std::vector<std::pair<double, double>>> xferIv;
     for (std::size_t i = 0; i < n; ++i) {
         const SpanView s = trace.view(i);
+        out.totalQueueWait += s.queueWait() + s.stretch();
         if (s.gpu < 0 || s.duration() <= 0.0)
             continue;
         if (s.category == "compute")

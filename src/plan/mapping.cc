@@ -1,5 +1,6 @@
 #include "plan/mapping.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <numeric>
@@ -12,38 +13,77 @@ namespace mobius
 namespace
 {
 
-/** shared(g1, g2) table: common root-complex group size or 0. */
-std::vector<std::vector<int>>
-sharedTable(const Topology &topo)
+/**
+ * Eq. 13 over one topology and stage count S, on precomputed terms.
+ * shared() is a root-complex group size or 0, so the term of stages
+ * i < j is terms_[shared * S + (j - i)]: row s of the term table holds
+ * s / d at column d, and row 0, the unshared one, is +0.0 throughout.
+ * rowOf_ is shared() as a flat n x n table of those row offsets.
+ */
+class ContentionSum
 {
-    int n = topo.numGpus();
-    std::vector<std::vector<int>> shared(
-        static_cast<std::size_t>(n),
-        std::vector<int>(static_cast<std::size_t>(n), 0));
-    for (int a = 0; a < n; ++a) {
-        for (int b = 0; b < n; ++b)
-            shared[a][b] = topo.sharedRootComplexDegree(a, b);
-    }
-    return shared;
-}
-
-double
-degree(const std::vector<std::vector<int>> &shared,
-       const std::vector<int> &order, int num_stages)
-{
-    const int n = static_cast<int>(order.size());
-    double total = 0.0;
-    for (int i = 0; i < num_stages; ++i) {
-        int gi = order[i % n];
-        for (int j = i + 1; j < num_stages; ++j) {
-            int gj = order[j % n];
-            int s = shared[gi][gj];
-            if (s > 0)
-                total += static_cast<double>(s) / (j - i);
+  public:
+    ContentionSum(const Topology &topo, int num_stages)
+        : n_(topo.numGpus()), stages_(std::max(num_stages, 0)),
+          rowOf_(static_cast<std::size_t>(n_) * n_),
+          gpuAt_(static_cast<std::size_t>(stages_))
+    {
+        int widest = 0;
+        for (int a = 0; a < n_; ++a) {
+            for (int b = 0; b < n_; ++b) {
+                const int s = topo.sharedRootComplexDegree(a, b);
+                widest = std::max(widest, s);
+                rowOf_[static_cast<std::size_t>(a) * n_ + b] =
+                    static_cast<std::size_t>(s) * stages_;
+            }
+        }
+        // The same int-to-double division Eq. 13 performs per pair.
+        terms_.assign(static_cast<std::size_t>(widest + 1) * stages_,
+                      0.0);
+        for (int s = 0; s <= widest; ++s) {
+            for (int d = 1; d < stages_; ++d)
+                terms_[static_cast<std::size_t>(s) * stages_ + d] =
+                    static_cast<double>(s) / d;
         }
     }
-    return total;
-}
+
+    /**
+     * Eq. 13 for @p order: the terms of every stage pair i < j,
+     * summed row by row. Every pair adds its term, +0.0 when
+     * unshared, with no data-dependent branch. That is exact: the
+     * sum starts at +0.0 and only grows, so adding +0.0 leaves its
+     * bits as they were, and the shared terms arrive in the order a
+     * loop skipping unshared pairs would add them.
+     */
+    double
+    degree(const std::vector<int> &order)
+    {
+        // Round-robin: stage k runs on order[k mod |order|].
+        const std::size_t len = order.size();
+        for (std::size_t k = 0, pos = 0; k < gpuAt_.size(); ++k) {
+            gpuAt_[k] = order[pos];
+            if (++pos == len)
+                pos = 0;
+        }
+        const int *gpu = gpuAt_.data();
+        const double *terms = terms_.data();
+        double total = 0.0;
+        for (int i = 0; i < stages_; ++i) {
+            const std::size_t *row =
+                rowOf_.data() + static_cast<std::size_t>(gpu[i]) * n_;
+            for (int j = i + 1; j < stages_; ++j)
+                total += terms[row[gpu[j]] + (j - i)];
+        }
+        return total;
+    }
+
+  private:
+    int n_;
+    int stages_;
+    std::vector<std::size_t> rowOf_; //!< a * n + b -> term-row offset
+    std::vector<double> terms_;      //!< row s at s * stages_
+    std::vector<int> gpuAt_;         //!< stage -> GPU of the order
+};
 
 } // namespace
 
@@ -53,7 +93,7 @@ contentionDegree(const Topology &topo,
 {
     if (gpu_order.empty())
         panic("contentionDegree: empty GPU order");
-    return degree(sharedTable(topo), gpu_order, num_stages);
+    return ContentionSum(topo, num_stages).degree(gpu_order);
 }
 
 Mapping
@@ -75,7 +115,7 @@ crossMapping(const Topology &topo, int num_stages)
     const int n = topo.numGpus();
     if (n == 0)
         panic("crossMapping: topology has no GPUs");
-    auto shared = sharedTable(topo);
+    ContentionSum sum(topo, num_stages);
 
     // shared() is the root-complex group size or 0, so Eq. 13 depends
     // only on the sequence of group labels along the order: two orders
@@ -90,7 +130,7 @@ crossMapping(const Topology &topo, int num_stages)
     std::vector<int> rank(group.size());
     std::vector<int> placed(group.size(), 0);
     for (int g = 0; g < n; ++g) {
-        while (shared[group[g]][g] == 0)
+        while (topo.sharedRootComplexDegree(group[g], g) == 0)
             ++group[g];
         rank[g] = placed[group[g]]++;
     }
@@ -108,7 +148,7 @@ crossMapping(const Topology &topo, int num_stages)
     auto visit = [&](auto &self, int pos) -> void {
         if (pos == n) {
             ++result.evaluated;
-            double d = degree(shared, order, num_stages);
+            double d = sum.degree(order);
             if (d < best - 1e-12) {
                 best = d;
                 result.mapping.gpuOrder = order;

@@ -8,6 +8,16 @@
  * depends only on the sequence of root-complex labels along an order,
  * so cross mapping searches exhaustively over those label sequences,
  * one canonical order each, rather than over all GPU permutations.
+ *
+ * contentionDegree() and crossMapping() share one Eq. 13 sum. It
+ * precomputes, per topology and stage count, shared(g1, g2) as a
+ * flat GPU x GPU table and a term table holding shared / (j - i) for
+ * every group size and stage distance, whose row for unshared pairs
+ * is +0.0. The sum then adds one looked-up term per stage pair, with
+ * no branch on whether the pair shares a root complex. Adding +0.0
+ * is exact: the running sum starts at +0.0 and only grows, so an
+ * unshared pair leaves its bits unchanged, and the result equals a
+ * sum that skips those pairs bit for bit.
  */
 
 #ifndef MOBIUS_PLAN_MAPPING_HH
@@ -65,6 +75,9 @@ struct MappingResult
  * order per distinct root-complex label sequence (each group's GPUs
  * in ascending order), N!/(n1!·n2!·...) for groups of n1, n2, ...
  * GPUs; the result is bit-identical to scoring all N! permutations.
+ * The term tables are built once per search, and every order is
+ * scored by the branch-free sum contentionDegree() uses, so the
+ * winner's contention equals contentionDegree() of its order.
  * panic() on a topology without GPUs.
  */
 MappingResult crossMapping(const Topology &topo, int num_stages);

@@ -19,8 +19,10 @@ PipelineCostEvaluator::PipelineCostEvaluator(const CostModel &cost,
 
     // Per-layer inputs of the table.
     const int L = cost.numLayers();
+    const double B = env_.avgBandwidth;
     std::vector<Bytes> param(L), grad(L), live_f(L), live_b(L);
     std::vector<double> tf(L), tb(L);
+    actTime_.resize(static_cast<std::size_t>(L));
     for (int i = 0; i < L; ++i) {
         param[i] = cost.paramBytes(i);
         grad[i] = cost.gradBytes(i);
@@ -29,6 +31,7 @@ PipelineCostEvaluator::PipelineCostEvaluator(const CostModel &cost,
         live_b[i] = 2 * io + cost.workBytes(i);
         tf[i] = cost.fwdTime(i);
         tb[i] = cost.bwdTime(i);
+        actTime_[i] = static_cast<double>(cost.actBytes(i)) / B;
     }
 
     // Row lo extends [lo, hi) one layer at a time: the same
@@ -47,6 +50,8 @@ PipelineCostEvaluator::PipelineCostEvaluator(const CostModel &cost,
             peak_b = std::max(peak_b, live_b[i]);
             c.memF = c.w + peak_f;
             c.memB = c.w + c.grad + peak_b;
+            c.upload = static_cast<double>(c.w) / B;
+            c.flush = static_cast<double>(c.grad) / B;
             table_.push_back(c);
         }
     }
@@ -68,9 +73,7 @@ PipelineCostEvaluator::loadStages(const Partition &partition,
             table_[e].memB > env_.gpuMemBytes)
             return static_cast<int>(j);
         scratch.entry[j] = e;
-        scratch.actTime[j] =
-            static_cast<double>(cost_->actBytes(st.hi - 1)) /
-            env_.avgBandwidth;
+        scratch.actTime[j] = actTime_[static_cast<std::size_t>(st.hi - 1)];
     }
     return -1;
 }
@@ -89,11 +92,27 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
     auto stage = [&](int j) -> const StageCosts & {
         return table_[entry[j]];
     };
+    // Seconds to upload what prefetch left of W_j. The table holds
+    // the whole upload, and 0 / B is +0.0, so only a partial
+    // prefetch divides.
+    auto rest = [B](const StageCosts &c, Bytes prefetched) {
+        if (prefetched == 0)
+            return c.upload;
+        if (prefetched == c.w)
+            return 0.0;
+        return static_cast<double>(c.w - prefetched) / B;
+    };
 
     scratch.fstart.resize(static_cast<std::size_t>(S) * M);
     scratch.bstart.resize(static_cast<std::size_t>(S) * M);
     double *fstart = scratch.fstart.data();
     double *bstart = scratch.bstart.data();
+
+    // Each row below folds the weight-ready time and the activation
+    // arrival (or the Eq. 11 barrier) before the serial Eq. 10 term
+    // row[m - 1] + T, so the chain through the row is one add and
+    // one max per microbatch. Every term is a finite double >= +0.0,
+    // so std::max returns the same bits in any operand order.
 
     // ---------------- Forward ---------------------------------------
     for (int j = 0; j < S; ++j) {
@@ -104,7 +123,7 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
         double ready;
         if (j < N) {
             // First stage on this GPU: blocking initial upload.
-            ready = static_cast<double>(c.w) / B;
+            ready = c.upload;
         } else {
             const StageCosts &prev = stage(j - N);
             const double *prev_row = fstart + (j - N) * M;
@@ -116,20 +135,22 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
             Bytes prefetched = std::min({c.w, reserve, by_time});
             if (detail)
                 detail[j].prefetchedFwd = prefetched;
-            ready = window_end +
-                static_cast<double>(c.w - prefetched) / B;
+            ready = window_end + rest(c, prefetched);
         }
 
-        // Eq. 8 inputs: the upstream stage's starts and time.
-        const double *up = j > 0 ? fstart + (j - 1) * M : nullptr;
-        const double up_tf = j > 0 ? stage(j - 1).tf : 0.0;
-        for (int m = 0; m < M; ++m) {
-            double t = ready;
-            if (m > 0) // Eq. 10
-                t = std::max(t, row[m - 1] + c.tf);
-            if (j > 0) // Eq. 8: activation arrival
-                t = std::max(t, up[m] + up_tf + act[j - 1]);
-            row[m] = t;
+        if (j == 0) {
+            row[0] = ready;
+            for (int m = 1; m < M; ++m) // Eq. 10
+                row[m] = std::max(ready, row[m - 1] + c.tf);
+        } else {
+            // Eq. 8: the upstream stage's activations arrive.
+            const double *up = fstart + (j - 1) * M;
+            const double up_tf = stage(j - 1).tf;
+            const double a = act[j - 1];
+            row[0] = std::max(ready, up[0] + up_tf + a);
+            for (int m = 1; m < M; ++m)
+                row[m] = std::max(std::max(ready, up[m] + up_tf + a),
+                                  row[m - 1] + c.tf);
         }
         if (detail) {
             detail[j].fwdReady = ready;
@@ -154,7 +175,7 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
         } else if (j >= S - N) {
             // Last-round stage that cannot stay resident: blocking
             // reload right after its own forward.
-            ready = fwd_end + static_cast<double>(c.w) / B;
+            ready = fwd_end + c.upload;
         } else {
             const StageCosts &next = stage(j + N);
             const double *next_row = bstart + (j + N) * M;
@@ -166,23 +187,24 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
             Bytes prefetched = std::min({c.w, reserve, by_time});
             if (detail)
                 detail[j].prefetchedBwd = prefetched;
-            ready = window_end +
-                static_cast<double>(c.w - prefetched) / B;
+            ready = window_end + rest(c, prefetched);
         }
 
-        const double *down = j < S - 1 ? bstart + (j + 1) * M : nullptr;
-        const double down_tb = j < S - 1 ? stage(j + 1).tb : 0.0;
-        for (int m = 0; m < M; ++m) {
-            double t = ready;
-            if (j == S - 1) {
-                // Eq. 11: backward begins once forward is complete.
-                t = std::max(t, fwd_end);
-            }
-            if (m > 0)
-                t = std::max(t, row[m - 1] + c.tb);
-            if (j < S - 1) // Eq. 8 backward direction
-                t = std::max(t, down[m] + down_tb + act[j]);
-            row[m] = t;
+        if (j == S - 1) {
+            // Eq. 11: backward begins once forward is complete.
+            const double first = std::max(ready, fwd_end);
+            row[0] = first;
+            for (int m = 1; m < M; ++m)
+                row[m] = std::max(first, row[m - 1] + c.tb);
+        } else {
+            // Eq. 8 backward direction.
+            const double *down = bstart + (j + 1) * M;
+            const double down_tb = stage(j + 1).tb;
+            const double a = act[j];
+            row[0] = std::max(ready, down[0] + down_tb + a);
+            for (int m = 1; m < M; ++m)
+                row[m] = std::max(std::max(ready, down[m] + down_tb + a),
+                                  row[m - 1] + c.tb);
         }
         const double bwd_end = row[M - 1] + c.tb;
         if (detail) {
@@ -191,8 +213,7 @@ PipelineCostEvaluator::schedule(PipelineScratch &scratch,
             detail[j].bwdStart = row[0];
             detail[j].bwdEnd = bwd_end;
         }
-        step = std::max(step,
-                        bwd_end + static_cast<double>(c.grad) / B);
+        step = std::max(step, bwd_end + c.flush);
     }
     return step;
 }

@@ -18,15 +18,29 @@
  * The partition search scores thousands of candidates per plan, so
  * the evaluator is table-driven. Construction tabulates every
  * stage range [lo, hi)'s constants (W_j, gradient bytes, S^f_j/S^b_j,
- * T^f_j/T^b_j): L(L+1)/2 entries of 48 B, about 110 KB for GPT-3B's
- * 67 layers. Each entry extends the previous range by one layer,
- * which performs the same left-to-right sums and running maxima as
- * CostModel::range* and stageMem*, so the entries are bit-identical
- * to them. One recurrence over flat S x M
- * start-time rows then serves two callers: evaluate() fills the full
- * PipelineEstimate, and the score-only stepTime() returns just the
- * makespan, writing nothing but a caller-owned PipelineScratch and
- * allocating nothing once that scratch has grown. The evaluator is
+ * T^f_j/T^b_j, and the upload and flush times W_j / B and
+ * gradient bytes / B): L(L+1)/2 entries of 64 B, about 146 KB for
+ * GPT-3B's 67 layers. Each entry extends the previous range by one
+ * layer, which performs the same left-to-right sums and running
+ * maxima as CostModel::range* and stageMem*, so the entries are
+ * bit-identical to them. A second table holds each layer's
+ * boundary-activation time (activation bytes / B). Both hold the
+ * divisions the recurrence would otherwise repeat per evaluation,
+ * so they yield the same bits; a schedule divides only for a
+ * weight upload that prefetch covered in part.
+ *
+ * One recurrence over flat S x M start-time rows then serves two
+ * callers: evaluate() fills the full PipelineEstimate, and the
+ * score-only stepTime() returns just the makespan, writing nothing
+ * but a caller-owned PipelineScratch and allocating nothing once
+ * that scratch has grown. Each start time is the max of a
+ * weight-ready time, an activation arrival (Eq. 8; the Eq. 11
+ * barrier for the last stage's backward) and the stage's previous
+ * microbatch (Eq. 10). The recurrence takes the max of the first two
+ * before adding the serial term, so the step from one microbatch to
+ * the next is one add and one max. That is exact: every operand is
+ * a finite double >= +0.0, never -0.0 or NaN, so std::max picks the
+ * same bits whatever order it sees them in. The evaluator is
  * immutable after construction, so one instance may be shared by
  * threads that each bring their own scratch.
  */
@@ -127,6 +141,8 @@ class PipelineCostEvaluator
         Bytes memB = 0;  //!< S^b_j
         double tf = 0.0; //!< T^f_j, one microbatch
         double tb = 0.0; //!< T^b_j, one microbatch
+        double upload = 0.0; //!< W_j / B, a blocking weight upload
+        double flush = 0.0;  //!< grad / B, the gradient flush
     };
 
     /** Index of [lo, hi)'s constants in table_. */
@@ -158,6 +174,8 @@ class PipelineCostEvaluator
     const CostModel *cost_;
     PipelineEnv env_;
     std::vector<StageCosts> table_;
+    /** Per layer: its output activation bytes / B (Eq. 8). */
+    std::vector<double> actTime_;
 };
 
 } // namespace mobius

@@ -177,13 +177,26 @@ TraceRecorder::spans() const
     return out;
 }
 
+std::size_t
+TraceRecorder::latestEnding() const
+{
+    if (spans_.empty())
+        panic("TraceRecorder::latestEnding: no span recorded");
+    std::size_t index = 0;
+    SimTime end = spans_[0].end;
+    for (std::size_t i = 1; i < spans_.size(); ++i) {
+        if (spans_[i].end > end) {
+            index = i;
+            end = spans_[i].end;
+        }
+    }
+    return index;
+}
+
 SimTime
 TraceRecorder::maxEnd() const
 {
-    SimTime t = 0.0;
-    for (const auto &rec : spans_)
-        t = std::max(t, rec.end);
-    return t;
+    return spans_.empty() ? 0.0 : spans_[latestEnding()].end;
 }
 
 void

@@ -293,9 +293,16 @@ class TraceRecorder
     std::vector<TraceSpan> spans() const;
 
     /**
+     * @return the index (recording order) of the first span with the
+     *         largest end time, the span that ends a traced step.
+     *         panic() when no span is recorded.
+     */
+    std::size_t latestEnding() const;
+
+    /**
      * @return the latest end time over all recorded spans (0 when
-     *         empty) — the traced step's makespan, without
-     *         materialising any span.
+     *         empty) — the traced step's makespan, read from span
+     *         latestEnding() without materialising any span.
      */
     SimTime maxEnd() const;
 

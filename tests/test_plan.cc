@@ -462,8 +462,9 @@ class PipelineCostOracle : public ::testing::TestWithParam<int>
 
 TEST_P(PipelineCostOracle, TableModelsMatchFrozenEvaluatorAndSearch)
 {
-    // Every Table-3 model, at M = N and M = 3 microbatches, with the
-    // resident tail on and off.
+    // Every Table-3 model, at M = N, M = 3 and M = 1 microbatches
+    // (where the first microbatch's row is the whole schedule), with
+    // the resident tail on and off.
     const Server server = kOracleServers[GetParam()].make();
     const int N = server.topo.numGpus();
     const GpuSpec &gpu = server.topo.gpuSpec(0);
@@ -471,7 +472,7 @@ TEST_P(PipelineCostOracle, TableModelsMatchFrozenEvaluatorAndSearch)
     OracleCoverage coverage;
     for (const GptConfig &cfg : table3Models()) {
         const ModelDesc model = makeGptModel(cfg);
-        for (int microbatches : {N, 3}) {
+        for (int microbatches : {N, 3, 1}) {
             TrainConfig tc;
             tc.microbatchSize = cfg.microbatchSize;
             tc.numMicrobatches = microbatches;
@@ -769,6 +770,65 @@ TEST(CrossMappingOracleRandom, InterleavedHandBuiltTopologies)
     // The commodity sweep covers consecutive numbering; most trials
     // here must not (28 of 40 interleave with this seed).
     EXPECT_GE(interleaved, 20);
+}
+
+/** shared(g1, g2) of @p topo as the frozen sum's nested table. */
+std::vector<std::vector<int>>
+sharedTable(const Topology &topo)
+{
+    const int n = topo.numGpus();
+    std::vector<std::vector<int>> shared(
+        static_cast<std::size_t>(n),
+        std::vector<int>(static_cast<std::size_t>(n), 0));
+    for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b)
+            shared[a][b] = topo.sharedRootComplexDegree(a, b);
+    }
+    return shared;
+}
+
+TEST(Mapping, ContentionDegreeMatchesFrozenSum)
+{
+    // Five topologies: four commodity shapes and one whose root
+    // complexes interleave in GPU numbering (rc0 rc1 rc0 rc2 rc1 rc0).
+    std::vector<std::pair<std::string, Topology>> topos;
+    for (const std::vector<int> &groups :
+         {std::vector<int>{2, 2}, {4, 4}, {1, 3}, {8, 8}}) {
+        Server s = makeCommodityServer(groups);
+        topos.emplace_back(s.name, s.topo);
+    }
+    Topology mixed;
+    std::vector<int> rcs;
+    for (int r = 0; r < 3; ++r)
+        rcs.push_back(mixed.addRootComplex(strfmt("rc%d", r),
+                                           kPcie3x16Bw));
+    int g = 0;
+    for (int r : {0, 1, 0, 2, 1, 0})
+        mixed.addGpu(rcs[r], strfmt("gpu%d", g++), kPcie3x16Bw,
+                     rtx3090Ti());
+    ASSERT_TRUE(interleaves(mixed));
+    topos.emplace_back("interleaved", mixed);
+
+    Rng rng(13);
+    for (const auto &[name, topo] : topos) {
+        const auto shared = sharedTable(topo);
+        const int n = topo.numGpus();
+        std::vector<int> order(static_cast<std::size_t>(n));
+        for (int k = 0; k < 200; ++k) {
+            std::iota(order.begin(), order.end(), 0);
+            for (int i = n - 1; i > 0; --i)
+                std::swap(order[i], order[rng.below(i + 1)]);
+            for (int stages : {0, 1, n - 1, n, n + 1, 80}) {
+                const double got =
+                    contentionDegree(topo, order, stages);
+                const double want = reference::bruteForceDegree(
+                    shared, order, stages);
+                EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+                    << name << ", order " << k << ", " << stages
+                    << " stages: " << got << " vs " << want;
+            }
+        }
+    }
 }
 
 TEST(Mapping, RoundRobinAssignment)
