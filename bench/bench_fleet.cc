@@ -7,17 +7,18 @@
  *
  * Three sections:
  *
- *  1. Plan-cache speedup. A 200-job homogeneous Poisson fleet
- *     (GPT-3B jobs on commodity 2+2 servers) runs uncached-serial
- *     and cached-serial twice each, interleaved, then cached at the
- *     other --threads widths. The planner (MIP partition +
- *     cross-mapping search) dominates an uncached homogeneous fleet,
- *     so the PlanCache must buy >= 3x (min CPU of the 2 repeats each
- *     way, and wall), with a >= 90% hit rate — and the fleet
- *     fingerprint (per-job timings + trace digests, job-id order)
- *     must be bit-identical across every width and repeat *and* vs
- *     the uncached run (a cache hit is indistinguishable from a
- *     fresh solve).
+ *  1. Plan-cache speedup. A 200-job homogeneous Poisson fleet (GPT-3B
+ *     jobs on commodity 2+2 servers, one plan key and one step key)
+ *     runs uncached-serial and cached-serial twice each,
+ *     interleaved, then cached at the other --threads widths. The
+ *     uncached run plans and simulates every job; the cached one
+ *     plans and simulates the one distinct job once, so it must be
+ *     >= 3x cheaper (min CPU of the 2 repeats each way, and wall),
+ *     with a >= 90% plan hit rate — and the fleet fingerprint
+ *     (per-job timings + trace digests, job-id order) must be
+ *     bit-identical across every width and repeat *and* vs the
+ *     uncached run (a memoized result is indistinguishable from a
+ *     fresh one).
  *
  *  2. Mobius vs ZeRO fleet. The same arrival process run once with
  *     Mobius jobs and once with DeepSpeed-style ZeRO jobs; reports
@@ -32,19 +33,20 @@
  *     bit-identical across thread widths — the preemption
  *     determinism gate.
  *
- *  4. Timeline tracing overhead + identity. The cached-serial
- *     section-1 fleet reruns with FleetOptions::trace enabled:
- *     recording overhead must stay <= 5% CPU (min of 2 repeats
- *     each way, interleaved; the `fleet.trace.overhead` scalar),
+ *  4. Timeline tracing overhead + identity. Ten uncached serial
+ *     homogeneous fleets of --jobs/10 jobs each (every job planned,
+ *     simulated and, traced, attributed) per side, alternating with
+ *     and without FleetOptions::trace: recording overhead must stay
+ *     <= 5% CPU (min of 2 such repeats each way; the
+ *     `fleet.trace.overhead` scalar),
  *     tracing must not perturb the run (traced and untraced
  *     fingerprints bit-identical), the section-3 fleet's
  *     decision-log/report JSONL must be byte-identical across
- *     thread widths and with the plan cache on or off, and every
+ *     thread widths and with the memo on or off, and every
  *     job's attribution categories must sum to its JCT within 1e-9.
  *
  * Usage: bench_fleet [--quick] [--out FILE] [--threads N]
- *                    [--jobs N] [--no-plan-cache]
- *                    [--timeline FILE]
+ *                    [--jobs N] [--timeline FILE]
  *
  *   --quick         smaller fleets; this is the tier-1 ctest smoke.
  *                   Exits nonzero when any gate fails. Speed gates
@@ -53,8 +55,6 @@
  *   --threads       width list override: 0 (default) sweeps
  *                   {1, 4, hw}; N > 0 sweeps {1, N}.
  *   --jobs          size of the section-1 fleet (default 200).
- *   --no-plan-cache diagnostic: skip the cached runs and gates,
- *                   report only the uncached baseline.
  *   --timeline      write the section-4 faulted fleet's Chrome
  *                   timeline to FILE (open in Perfetto) and its
  *                   report JSONL next to it (.json -> .jsonl; feed
@@ -91,6 +91,8 @@ constexpr double kMinHitRate = 0.90;
  *  so micro-noise on a sub-second baseline cannot trip the gate. */
 constexpr double kMaxTraceOverhead = 0.05;
 constexpr double kTraceOverheadSlack = 0.02;
+/** Alternating untraced/traced fleets per overhead repeat. */
+constexpr int kTraceChunks = 10;
 /** Per-job attribution drift bound: |sum(categories) - jct|. */
 constexpr double kMaxAttribDrift = 1e-9;
 
@@ -126,8 +128,8 @@ timedRun(FleetSim &sim)
 }
 
 /** Build and fill (but do not run) the section-1 homogeneous
- *  fleet. Returned by pointer: FleetSim pins a mutex-holding plan
- *  cache, and section 4 inspects sims after their run. */
+ *  fleet. Returned by pointer: section 4 keeps a sim after its run
+ *  to inspect its attribution. */
 std::unique_ptr<FleetSim>
 makeHomogeneous(int jobs, int threads, bool plan_cache,
                 System system, FleetTraceConfig trace = {})
@@ -229,7 +231,6 @@ main(int argc, char **argv)
         const bool quick = args.has("quick");
         const std::string out = args.get("out", "BENCH_fleet.json");
         const int threads = bench::threadsArg(args);
-        const bool no_cache = args.has("no-plan-cache");
         const int jobs = static_cast<int>(
             args.getInt("jobs", quick ? 200 : 600));
         const std::string timeline_out = args.get("timeline", "");
@@ -251,7 +252,7 @@ main(int argc, char **argv)
                 widths.push_back(hw);
         }
 
-        // --- Section 1: plan-cache + parallel step-sim speedup.
+        // --- Section 1: plan/step memo + parallel speedup.
         bench::section(strfmt("Fleet: %d homogeneous GPT-3B jobs "
                               "on 4x commodity 2+2",
                               jobs));
@@ -275,7 +276,7 @@ main(int argc, char **argv)
         FleetRun uncached;
         std::vector<FleetRun> cached, repeats;
         double uncached_cpu = 1e300, cached_cpu = 1e300;
-        for (int rep = 0; rep < (no_cache ? 1 : 2); ++rep) {
+        for (int rep = 0; rep < 2; ++rep) {
             FleetRun u = runHomogeneous(jobs, 1, false,
                                         System::Mobius);
             report("uncached serial", u);
@@ -284,59 +285,48 @@ main(int argc, char **argv)
                 uncached = u;
             else
                 repeats.push_back(u);
-            if (no_cache)
-                continue;
             FleetRun c = runHomogeneous(jobs, 1, true,
                                         System::Mobius);
             report("cached  1-thread", c);
             cached_cpu = std::min(cached_cpu, c.cpu);
             (rep == 0 ? cached : repeats).push_back(c);
         }
-        double best_wall = uncached.wall;
-        if (!no_cache) {
-            best_wall = std::min(best_wall, cached.front().wall);
-            for (std::size_t i = 1; i < widths.size(); ++i) {
-                cached.push_back(runHomogeneous(
-                    jobs, widths[i], true, System::Mobius));
-                report(strfmt("cached %2d-thread", widths[i]).c_str(),
-                       cached.back());
-                best_wall = std::min(best_wall, cached.back().wall);
-            }
+        double best_wall = std::min(uncached.wall, cached.front().wall);
+        for (std::size_t i = 1; i < widths.size(); ++i) {
+            cached.push_back(runHomogeneous(jobs, widths[i], true,
+                                            System::Mobius));
+            report(strfmt("cached %2d-thread", widths[i]).c_str(),
+                   cached.back());
+            best_wall = std::min(best_wall, cached.back().wall);
         }
 
-        bool hit_ok = true, speedup_ok = true, ident_ok = true;
-        double speedup_cpu = 1.0, speedup_wall = 1.0;
-        double hit_rate = 0.0;
-        if (!no_cache) {
-            const FleetRun &serial = cached.front();
-            hit_rate = serial.m.planHitRate;
-            hit_ok = hit_rate >= kMinHitRate;
-            speedup_cpu = uncached_cpu / std::max(cached_cpu, 1e-9);
-            speedup_wall =
-                uncached.wall / std::max(best_wall, 1e-9);
-            speedup_ok = speedup_cpu >= kMinSpeedup &&
-                speedup_wall >= kMinSpeedup;
-            // A cache hit must be indistinguishable from a fresh
-            // solve: the uncached fleet is the oracle for every
-            // width and every repeat.
-            for (const auto *runs : {&cached, &repeats}) {
-                for (const FleetRun &r : *runs)
-                    ident_ok = ident_ok && sameMetrics(r.m, uncached.m);
-            }
-
-            std::printf("\n  plan-cache speedup: %.2fx cpu (min "
-                        "of 2 each way), %.2fx wall (>= %.1fx): "
-                        "%s\n",
-                        speedup_cpu, speedup_wall, kMinSpeedup,
-                        speedup_ok ? "ok" : "FAIL");
-            std::printf("  hit rate %.3f (>= %.2f): %s\n", hit_rate,
-                        kMinHitRate, hit_ok ? "ok" : "FAIL");
-            std::printf("  fingerprints across %zu widths, the "
-                        "repeats + uncached: %s\n",
-                        cached.size(),
-                        ident_ok ? "bit-identical"
-                                 : "NONDETERMINISTIC");
+        const double hit_rate = cached.front().m.planHitRate;
+        const bool hit_ok = hit_rate >= kMinHitRate;
+        const double speedup_cpu =
+            uncached_cpu / std::max(cached_cpu, 1e-9);
+        const double speedup_wall =
+            uncached.wall / std::max(best_wall, 1e-9);
+        const bool speedup_ok = speedup_cpu >= kMinSpeedup &&
+            speedup_wall >= kMinSpeedup;
+        // A memoized result must be indistinguishable from a fresh
+        // one: the uncached fleet is the oracle for every width and
+        // every repeat.
+        bool ident_ok = true;
+        for (const auto *runs : {&cached, &repeats}) {
+            for (const FleetRun &r : *runs)
+                ident_ok = ident_ok && sameMetrics(r.m, uncached.m);
         }
+
+        std::printf("\n  plan-cache speedup: %.2fx cpu (min of 2 "
+                    "each way), %.2fx wall (>= %.1fx): %s\n",
+                    speedup_cpu, speedup_wall, kMinSpeedup,
+                    speedup_ok ? "ok" : "FAIL");
+        std::printf("  hit rate %.3f (>= %.2f): %s\n", hit_rate,
+                    kMinHitRate, hit_ok ? "ok" : "FAIL");
+        std::printf("  fingerprints across %zu widths, the "
+                    "repeats + uncached: %s\n",
+                    cached.size(),
+                    ident_ok ? "bit-identical" : "NONDETERMINISTIC");
         std::printf("  JCT p50 %.1fs p99 %.1fs, wait p99 %.1fs, "
                     "utilization %.2f, makespan %.0fs\n",
                     uncached.m.jctP50, uncached.m.jctP99,
@@ -395,43 +385,50 @@ main(int argc, char **argv)
         // --- Section 4: timeline tracing — overhead + identity.
         bench::section("Fleet: timeline tracing overhead + "
                        "identity");
+
         FleetTraceConfig tcfg;
         tcfg.enabled = true;
 
-        // Recording overhead on the cached-serial homogeneous
-        // fleet, min CPU of 2 repeats each way (std::clock, so a
-        // loaded `ctest -j` cannot fail the gate on wall noise).
-        // The repeats alternate untraced, traced, untraced, traced:
-        // a host-load spike over two consecutive runs then slows
-        // one run of each side, which each side's min skips.
+        // Recording overhead on uncached serial fleets, min CPU of 2
+        // repeats each way (std::clock, so a loaded `ctest -j`
+        // cannot fail the gate on wall noise). Uncached, every job
+        // is planned, simulated and, when traced, attributed; the
+        // memoized fleet does one job's work, a few ms, which the
+        // slack alone would decide. Each repeat is kTraceChunks
+        // small fleets per side, alternating untraced and traced:
+        // on a shared host, load shifts a whole 0.5 s run by up to
+        // ~20%, but two adjacent small fleets see the same load.
+        const int chunk_jobs = std::max(1, jobs / kTraceChunks);
         double base_cpu = 1e300, traced_cpu = 1e300;
-        FleetMetrics base_m, traced_m;
+        // Tracing observes; it must not perturb what the fleet
+        // *does* (the fingerprint folds the decision stream).
+        bool perturb_ok = true;
         std::unique_ptr<FleetSim> traced_homo;
         for (int rep = 0; rep < 2; ++rep) {
-            auto sim = makeHomogeneous(jobs, 1, true,
-                                       System::Mobius);
-            FleetRun base = timedRun(*sim);
-            base_cpu = std::min(base_cpu, base.cpu);
-            base_m = base.m;
-            traced_homo = makeHomogeneous(jobs, 1, true,
-                                          System::Mobius, tcfg);
-            FleetRun traced = timedRun(*traced_homo);
-            traced_cpu = std::min(traced_cpu, traced.cpu);
-            traced_m = traced.m;
+            double base = 0.0, traced = 0.0;
+            for (int c = 0; c < kTraceChunks; ++c) {
+                FleetRun b = runHomogeneous(chunk_jobs, 1, false,
+                                            System::Mobius);
+                traced_homo = makeHomogeneous(
+                    chunk_jobs, 1, false, System::Mobius, tcfg);
+                FleetRun t = timedRun(*traced_homo);
+                base += b.cpu;
+                traced += t.cpu;
+                perturb_ok = perturb_ok &&
+                    t.m.fingerprint == b.m.fingerprint;
+            }
+            base_cpu = std::min(base_cpu, base);
+            traced_cpu = std::min(traced_cpu, traced);
         }
         double trace_overhead =
             traced_cpu / std::max(base_cpu, 1e-9) - 1.0;
         bool overhead_ok = traced_cpu <=
             base_cpu * (1.0 + kMaxTraceOverhead) +
                 kTraceOverheadSlack;
-        // Tracing observes; it must not perturb what the fleet
-        // *does* (the fingerprint folds the decision stream).
-        bool perturb_ok =
-            traced_m.fingerprint == base_m.fingerprint;
 
         // Byte-identity of the full report (decision log + job
         // attribution + summary) across thread widths and with the
-        // plan cache off, on the preemption/backfill fleet.
+        // memo off, on the preemption/backfill fleet.
         auto t1 = makeFaulted(fault_jobs, 1, true, tcfg);
         timedRun(*t1);
         auto tn = makeFaulted(fault_jobs, widths.back(), true,
@@ -523,41 +520,34 @@ main(int argc, char **argv)
         json += strfmt(
             ",\n  \"uncached_serial_cpu_seconds\": %.17g",
             uncached_cpu);
-        if (!no_cache) {
-            json += strfmt(
-                ",\n  \"cached_serial_wall_seconds\": %.17g",
-                cached.front().wall);
-            json += strfmt(
-                ",\n  \"cached_serial_cpu_seconds\": %.17g",
-                cached_cpu);
-            json += strfmt(",\n  \"plan_speedup_cpu\": %.17g",
-                           speedup_cpu);
-            json += strfmt(",\n  \"plan_speedup_wall\": %.17g",
-                           speedup_wall);
-            json += strfmt(",\n  \"plan_speedup_floor\": %g",
-                           kMinSpeedup);
-            json += strfmt(",\n  \"plan_hit_rate\": %.17g",
-                           hit_rate);
-            json += strfmt(",\n  \"plan_hit_rate_floor\": %g",
-                           kMinHitRate);
-            json += strfmt(
-                ",\n  \"plan_hits\": %llu,\n  \"plan_misses\": "
-                "%llu",
-                (unsigned long long)cached.front().m.planHits,
-                (unsigned long long)cached.front().m.planMisses);
-            json += ",\n  \"cache_identity_ok\": ";
-            json += ident_ok ? "true" : "false";
-            json += ",\n  \"sims\": [";
-            for (std::size_t i = 0; i < cached.size(); ++i) {
-                json += i ? ",\n    " : "\n    ";
-                json += strfmt(
-                    "{\"threads\":%d,\"wall_seconds\":%.17g,"
-                    "\"jobs_per_sec\":%.17g}",
-                    widths[i], cached[i].wall,
-                    jobs / std::max(cached[i].wall, 1e-9));
-            }
-            json += "\n  ]";
+        json += strfmt(",\n  \"cached_serial_wall_seconds\": %.17g",
+                       cached.front().wall);
+        json += strfmt(",\n  \"cached_serial_cpu_seconds\": %.17g",
+                       cached_cpu);
+        json += strfmt(",\n  \"plan_speedup_cpu\": %.17g",
+                       speedup_cpu);
+        json += strfmt(",\n  \"plan_speedup_wall\": %.17g",
+                       speedup_wall);
+        json += strfmt(",\n  \"plan_speedup_floor\": %g",
+                       kMinSpeedup);
+        json += strfmt(",\n  \"plan_hit_rate\": %.17g", hit_rate);
+        json += strfmt(",\n  \"plan_hit_rate_floor\": %g",
+                       kMinHitRate);
+        json += strfmt(
+            ",\n  \"plan_hits\": %llu,\n  \"plan_misses\": %llu",
+            (unsigned long long)cached.front().m.planHits,
+            (unsigned long long)cached.front().m.planMisses);
+        json += ",\n  \"cache_identity_ok\": ";
+        json += ident_ok ? "true" : "false";
+        json += ",\n  \"sims\": [";
+        for (std::size_t i = 0; i < cached.size(); ++i) {
+            json += i ? ",\n    " : "\n    ";
+            json += strfmt("{\"threads\":%d,\"wall_seconds\":%.17g,"
+                           "\"jobs_per_sec\":%.17g}",
+                           widths[i], cached[i].wall,
+                           jobs / std::max(cached[i].wall, 1e-9));
         }
+        json += "\n  ]";
         json += strfmt(",\n  \"jct_p50\": %.17g,\n  \"jct_p99\": "
                        "%.17g,\n  \"wait_p99\": %.17g",
                        uncached.m.jctP50, uncached.m.jctP99,

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-
 #include <sstream>
+#include <unordered_map>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "obs/critical_path.hh"
 #include "simcore/arrival.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/replica_runner.hh"
@@ -28,6 +29,37 @@ orDefaultServers(std::vector<FleetServerDesc> servers)
         servers.push_back(FleetServerDesc{});
     return servers;
 }
+
+/**
+ * Numbers distinct keys in order of first use: a job's slot is its
+ * key's number, and first[k] is the lowest job id with key k. With
+ * the memo off every job gets a slot of its own.
+ */
+class KeySlots
+{
+  public:
+    explicit KeySlots(bool memo) : memo_(memo) {}
+
+    /** @return the slot of @p key, new for a first use by @p job. */
+    int
+    add(std::size_t job, std::string key)
+    {
+        const int next = static_cast<int>(first.size());
+        if (memo_) {
+            auto [it, fresh] = index_.try_emplace(std::move(key), next);
+            if (!fresh)
+                return it->second;
+        }
+        first.push_back(job);
+        return next;
+    }
+
+    std::vector<std::size_t> first; //!< per slot: its first job
+
+  private:
+    bool memo_;
+    std::unordered_map<std::string, int> index_;
+};
 
 } // namespace
 
@@ -108,10 +140,8 @@ FleetSim::run()
 
     const std::size_t n = jobs_.size();
     records_.assign(n, FleetJobRecord{});
-    std::vector<JobStepResult> results(n);
     const FaultPlan *faults =
         opts_.faults.empty() ? nullptr : &opts_.faults;
-    PlanCache *cache = opts_.planCache ? &planCache_ : nullptr;
 
     const bool tracing = opts_.trace.enabled;
     if (tracing) {
@@ -130,33 +160,85 @@ FleetSim::run()
             std::move(classNames));
     }
 
-    // Phase one: step simulations are pure in the JobSpec, so every
-    // job's step runs up front in one runReplicas() batch, into
-    // per-job slots; a failing step rethrows here, lowest job id
-    // first. When tracing, the step's spans are retained just long
-    // enough to run critical-path attribution — memoized per
-    // jobSimKey (step results are bit-identical per key), so a
-    // homogeneous fleet pays one walk. Only key-identical values
-    // ever race, so the reduction below stays bit-identical at any
-    // thread width.
-    std::vector<AttributionBreakdown> stepAttrib(tracing ? n : 0);
+    // Phase one: plans and steps are pure in the JobSpec, so every
+    // one runs up front. One pass in job-id order gives each job the
+    // slot of its plan key (Mobius jobs), its step key and, under
+    // faults, its fault-free key (the fault seed cannot matter to a
+    // clean run, so that is the plan key plus the system). Then one
+    // runReplicas() batch plans each distinct plan key and a second
+    // simulates each distinct step, each body writing only its own
+    // slot. Slots are numbered by first job, so a failing batch
+    // rethrows the lowest failing job id's error at any width.
+    KeySlots planKeys(opts_.planCache), stepKeys(opts_.planCache),
+        cleanKeys(opts_.planCache);
+    std::vector<int> planOf(n, -1), stepOf(n), cleanOf(n, -1);
+    std::uint64_t mobiusJobs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const JobSpec &spec = jobs_[i];
+        std::string planKey = jobPlanKey(spec);
+        if (spec.system == System::Mobius) {
+            planOf[i] = planKeys.add(i, planKey);
+            ++mobiusJobs;
+        }
+        stepOf[i] = stepKeys.add(i, jobSimKey(spec));
+        if (faults)
+            cleanOf[i] = cleanKeys.add(
+                i, strfmt("%s|sys:%s", planKey.c_str(),
+                          systemName(spec.system)));
+    }
+
+    std::vector<MobiusPlan> plans(planKeys.first.size());
     runReplicas(
-        static_cast<int>(n),
-        [&](int job) {
-            auto i = static_cast<std::size_t>(job);
-            if (!tracing) {
-                results[i] =
-                    simulateJobStep(jobs_[i], cache, faults);
-                return;
-            }
-            TraceRecorder tr;
-            results[i] =
-                simulateJobStep(jobs_[i], cache, faults, &tr);
-            stepAttrib[i] = attribCache_.get(
-                jobSimKey(jobs_[i]),
-                [&] { return criticalBreakdown(tr); });
+        static_cast<int>(plans.size()),
+        [&](int k) {
+            auto p = static_cast<std::size_t>(k);
+            plans[p] = planJob(jobs_[planKeys.first[p]]);
         },
         {opts_.threads});
+
+    // Faulted steps take slots [0, steps), fault-free ones follow.
+    const std::size_t stepCount = stepKeys.first.size();
+    std::vector<JobStepResult> steps(stepCount);
+    std::vector<AttributionBreakdown> stepAttrib(
+        tracing ? stepCount : 0);
+    std::vector<double> cleanStepTime(cleanKeys.first.size());
+    runReplicas(
+        static_cast<int>(stepCount + cleanStepTime.size()),
+        [&](int k) {
+            auto s = static_cast<std::size_t>(k);
+            const bool clean = s >= stepCount;
+            const std::size_t job = clean
+                ? cleanKeys.first[s - stepCount]
+                : stepKeys.first[s];
+            const MobiusPlan *plan = planOf[job] >= 0
+                ? &plans[static_cast<std::size_t>(planOf[job])]
+                : nullptr;
+            if (clean) {
+                cleanStepTime[s - stepCount] =
+                    runJobStep(jobs_[job], plan).stats.stepTime;
+            } else if (!tracing) {
+                steps[s] = runJobStep(jobs_[job], plan, faults);
+            } else {
+                // The step's spans live just long enough for its
+                // critical-path attribution.
+                TraceRecorder tr;
+                steps[s] = runJobStep(jobs_[job], plan, faults, &tr);
+                stepAttrib[s] = criticalBreakdown(tr);
+            }
+        },
+        {opts_.threads});
+
+    for (std::size_t i = 0; i < n; ++i) {
+        FleetJobRecord &rec = records_[i];
+        const JobStepResult &step =
+            steps[static_cast<std::size_t>(stepOf[i])];
+        rec.stepTime = step.stats.stepTime;
+        rec.spanCount = step.spanCount;
+        rec.spanHash = step.spanHash;
+        rec.cleanStepTime = faults
+            ? cleanStepTime[static_cast<std::size_t>(cleanOf[i])]
+            : rec.stepTime;
+    }
 
     // Phase two: the event loop schedules jobs on the finished
     // results, single-threaded.
@@ -276,9 +358,7 @@ FleetSim::run()
                         victim)]);
                     completion[static_cast<std::size_t>(victim)] =
                         kNoEvent;
-                    double step =
-                        results[static_cast<std::size_t>(victim)]
-                            .stats.stepTime;
+                    double step = rec.stepTime;
                     double ran =
                         now -
                         occupiedAt[static_cast<std::size_t>(victim)];
@@ -323,7 +403,7 @@ FleetSim::run()
                         rec.start = now;
                     rec.server = server;
                     occupiedAt[i] = now;
-                    double step = results[i].stats.stepTime;
+                    double step = rec.stepTime;
                     if (step <= 0.0)
                         fatal("job %d simulated a non-positive step "
                               "time (%g s)",
@@ -401,10 +481,12 @@ FleetSim::run()
     m.jobs = n;
     m.completed = completedCount;
     m.sched = scheduler_.stats();
-    PlanCache::Stats ps = planCache_.stats();
-    m.planHits = ps.hits;
-    m.planMisses = ps.misses;
-    m.planHitRate = ps.hitRate();
+    if (opts_.planCache && mobiusJobs > 0) {
+        m.planMisses = planKeys.first.size();
+        m.planHits = mobiusJobs - m.planMisses;
+        m.planHitRate = static_cast<double>(m.planHits) /
+            static_cast<double>(mobiusJobs);
+    }
 
     std::vector<double> jcts, waits;
     jcts.reserve(n);
@@ -419,23 +501,6 @@ FleetSim::run()
         rec.spec = spec;
         rec.arrival = spec.arrival;
         rec.queueDelay = rec.start - rec.arrival;
-        rec.stepTime = results[i].stats.stepTime;
-        rec.spanCount = results[i].spanCount;
-        rec.spanHash = results[i].spanHash;
-        if (faults) {
-            // Goodput needs the fault-free step time; solve it once
-            // per distinct job shape (the fault seed is irrelevant
-            // to a clean run, so key on plan key + system).
-            std::string key =
-                strfmt("%s|sys:%s", jobPlanKey(spec).c_str(),
-                       systemName(spec.system));
-            rec.cleanStepTime = cleanCache_.get(key, [&] {
-                return simulateJobStep(spec, cache, nullptr)
-                    .stats.stepTime;
-            });
-        } else {
-            rec.cleanStepTime = rec.stepTime;
-        }
 
         jcts.push_back(rec.jct());
         waits.push_back(rec.queueDelay);
@@ -475,7 +540,8 @@ FleetSim::run()
             ja.t.queueWait = ja.jct - rec.occupiedSeconds;
             ja.t.preemptionLost =
                 rec.occupiedSeconds - stepsSeconds;
-            const AttributionBreakdown &c = stepAttrib[i];
+            const AttributionBreakdown &c =
+                stepAttrib[static_cast<std::size_t>(stepOf[i])];
             double ctotal = c.total();
             if (ctotal > 0.0) {
                 double scale = stepsSeconds / ctotal;

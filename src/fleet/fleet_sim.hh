@@ -2,34 +2,37 @@
  * @file
  * FleetSim: the datacenter-scale multi-job simulator.
  *
- * run() has two phases. Phase one simulates every job's training
- * step on the single-server simulator (fleet/job.hh) in one
- * runReplicas() batch (simcore/replica_runner.hh); step simulations
- * are pure in the JobSpec, so none depends on scheduling. Phase two
- * drives the job-arrival process (explicit submissions and/or a
- * Poisson generator) through the gang scheduler (scheduler.hh) on
- * one fleet EventQueue — the same deterministic clock the per-step
- * simulator uses, one level up — reading the finished step results.
+ * run() has two phases. Phase one plans and simulates every job's
+ * training step on the single-server simulator (fleet/job.hh) in
+ * runReplicas() batches (simcore/replica_runner.hh); plans and step
+ * simulations are pure in the JobSpec, so none depends on
+ * scheduling. Phase two drives the job-arrival process (explicit
+ * submissions and/or a Poisson generator) through the gang
+ * scheduler (scheduler.hh) on one fleet EventQueue — the same
+ * deterministic clock the per-step simulator uses, one level up —
+ * reading the finished step results.
  *
  * Three perf layers make a 10k-job fleet tractable:
  *
- *  1. PlanCache (plan_cache.hh) — the MIP + cross-mapping solve
- *     runs once per distinct (model, topology, options) key, not
- *     once per job. In a homogeneous mix this removes the dominant
- *     cost entirely (hit rate -> 1).
- *  2. One parallel fan-out — phase one spreads the step
- *     simulations over FleetOptions::threads workers, each writing
- *     its job's slot. All fleet bookkeeping stays on the event-loop
- *     thread, and reductions run in job-id order after the loop —
- *     fleet metrics are bit-identical at any --threads width.
+ *  1. Keyed batches — before anything runs, one pass in job-id
+ *     order gives each job the slot of its jobPlanKey() and of its
+ *     jobSimKey(). The MIP + cross-mapping solve then runs once per
+ *     distinct plan key, and the step simulation (with its
+ *     attribution, and the fault-free step goodput needs) once per
+ *     distinct step. A homogeneous fleet pays for one job.
+ *  2. Parallel fan-out — each batch spreads its keys over
+ *     FleetOptions::threads workers, each writing only its key's
+ *     slot. All fleet bookkeeping stays on the event-loop thread,
+ *     and reductions run in job-id order after the loop — fleet
+ *     metrics are bit-identical at any --threads width.
  *  3. Indexed scheduler state (scheduler.hh) — binary-heap pending
  *     queue, per-class free-server sets: O(n log n) end to end.
  *
  * Determinism contract (gated by tests and bench_fleet --quick):
  * FleetMetrics::fingerprint — an FNV-1a digest over every job's
  * timing bit patterns and trace digest, in job-id order — is
- * bit-identical across thread widths and with the plan cache on or
- * off.
+ * bit-identical across thread widths and with the memo
+ * (FleetOptions::planCache) on or off.
  *
  * Time model: one simulated step per job is *simulated in detail*
  * (fleet/job.hh); a job occupying a server for `steps` training
@@ -49,7 +52,6 @@
 #include "fault/fault_plan.hh"
 #include "fleet/job.hh"
 #include "fleet/scheduler.hh"
-#include "obs/critical_path.hh"
 #include "obs/fleet_trace.hh"
 #include "obs/metrics.hh"
 
@@ -62,7 +64,9 @@ struct FleetOptions
     /** Cluster inventory; empty = one commodity 2+2 server. */
     std::vector<FleetServerDesc> servers;
     int threads = 0;       //!< step-sim workers; 0 = hardware, 1 = serial
-    bool planCache = true; //!< memoize planMobius per distinct key
+    /** Plan and simulate each distinct key once; off = every job
+     *  is its own key (the oracle the memo is checked against). */
+    bool planCache = true;
     bool backfill = false;   //!< scheduler EASY-lite backfill
     bool preemption = false; //!< scheduler priority eviction
     /** Faults injected into every job's step simulation (per-job
@@ -120,6 +124,8 @@ struct FleetMetrics
      *  (1.0 without faults; ZeRO-Infinity-style accounting). */
     double goodput = 0.0;
 
+    /** Memo on: misses = distinct Mobius plan keys, hits = the
+     *  other Mobius jobs. Memo off: both 0. */
     std::uint64_t planHits = 0, planMisses = 0;
     double planHitRate = 0.0;
 
@@ -202,7 +208,7 @@ class FleetSim
      * decision (inputs + one-line explanation) in event order, one
      * attribution record per job, and a trailing summary line —
      * the input tools/fleet_report consumes. Byte-identical at any
-     * --threads width and with the plan cache on or off. Valid
+     * --threads width and with the memo on or off. Valid
      * after run() with tracing on; fatal otherwise.
      */
     std::string reportJsonl() const;
@@ -215,16 +221,8 @@ class FleetSim
     FleetScheduler scheduler_;
     std::vector<JobSpec> jobs_;
     std::vector<FleetJobRecord> records_;
-    PlanCache planCache_;
-    /** Clean-run step time per jobSimKey, for goodput accounting
-     *  when faults are active (solved once per distinct job). */
-    SingleFlightCache<double> cleanCache_;
     /** Timeline recorder; non-null iff opts_.trace.enabled. */
     std::unique_ptr<FleetTrace> trace_;
-    /** One-step attribution per jobSimKey: step results are
-     *  bit-identical per key, so a homogeneous fleet pays one
-     *  critical-path walk, not one per job. */
-    SingleFlightCache<AttributionBreakdown> attribCache_;
     /** Roll-ups built during run() when tracing. */
     FleetAttribution attribution_;
     /** Copy of run()'s reductions, for reportJsonl(). */

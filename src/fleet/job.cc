@@ -1,6 +1,5 @@
 #include "fleet/job.hh"
 
-#include <chrono>
 #include <numeric>
 
 #include "base/logging.hh"
@@ -73,56 +72,66 @@ jobSimKey(const JobSpec &spec)
                   static_cast<unsigned long long>(spec.faultSeed));
 }
 
-JobStepResult
-simulateJobStep(const JobSpec &spec, PlanCache *cache,
-                const FaultPlan *faults, TraceRecorder *trace_out,
-                bool bandwidth_samples)
+MobiusPlan
+planJob(const JobSpec &spec)
 {
-    using clock = std::chrono::steady_clock;
-
     Server server = buildJobServer(spec);
     Workload work(spec.model, server, spec.microbatchSize,
                   spec.numMicrobatches);
+    PlanOptions popts;
+    popts.partition = spec.partition;
+    popts.mapping = spec.mapping;
+    MOBIUS_PROF_ZONE("fleet.plan");
+    return planMobius(server, work.cost(), popts);
+}
 
-    JobStepResult res;
-    const bool mobius = spec.system == System::Mobius;
-    if (mobius) {
-        PlanOptions popts;
-        popts.partition = spec.partition;
-        popts.mapping = spec.mapping;
-        double solve_seconds = 0.0;
-        auto solve = [&] {
-            MOBIUS_PROF_ZONE("fleet.plan_miss");
-            auto t0 = clock::now();
-            MobiusPlan plan = planMobius(server, work.cost(), popts);
-            solve_seconds =
-                std::chrono::duration<double>(clock::now() - t0)
-                    .count();
-            return plan;
-        };
-        if (cache) {
-            bool hit = false;
-            res.plan = cache->get(jobPlanKey(spec), solve, &hit);
-            res.planCacheHit = hit;
-        } else {
-            res.plan = solve();
-        }
-        // solve_seconds stays 0 on a hit (or when another in-flight
-        // get() solved first) — exactly the wall this job did not
-        // pay.
-        res.planSeconds = solve_seconds;
-    }
-
+JobStepResult
+runJobStep(const JobSpec &spec, const MobiusPlan *plan,
+           const FaultPlan *faults, TraceRecorder *trace_out,
+           bool bandwidth_samples)
+{
+    Server server = buildJobServer(spec);
+    Workload work(spec.model, server, spec.microbatchSize,
+                  spec.numMicrobatches);
     StepRunOptions run;
     run.faults = faults;
     run.faultSeed = spec.faultSeed;
     run.traceOut = trace_out;
     run.xfer.bandwidthSamples = bandwidth_samples;
-    StepRunResult step = runStep(spec.system, server, work.cost(),
-                                 mobius ? &res.plan : nullptr, run);
+    StepRunResult step =
+        runStep(spec.system, server, work.cost(), plan, run);
+    JobStepResult res;
     res.stats = std::move(step.stats);
     res.spanCount = step.spanCount;
     res.spanHash = step.spanHash;
+    return res;
+}
+
+const MobiusPlan &
+PlanCache::get(const JobSpec &spec)
+{
+    std::string key = jobPlanKey(spec);
+    auto it = plans_.find(key);
+    if (it != plans_.end()) {
+        ++hits_;
+        return it->second;
+    }
+    return plans_.emplace(std::move(key), planJob(spec)).first->second;
+}
+
+JobStepResult
+simulateJobStep(const JobSpec &spec, PlanCache *cache,
+                const FaultPlan *faults, TraceRecorder *trace_out,
+                bool bandwidth_samples)
+{
+    const bool mobius = spec.system == System::Mobius;
+    MobiusPlan plan;
+    if (mobius)
+        plan = cache ? cache->get(spec) : planJob(spec);
+    JobStepResult res = runJobStep(spec, mobius ? &plan : nullptr,
+                                   faults, trace_out,
+                                   bandwidth_samples);
+    res.plan = std::move(plan);
     return res;
 }
 

@@ -16,18 +16,19 @@
  *
  *  - jobPlanKey()  — every input planMobius() reads, serialised in a
  *    fixed order. Equal keys guarantee equal plans (planning is
- *    deterministic), which is what makes the PlanCache sound.
+ *    deterministic), which is what lets a job reuse another's plan.
  *  - jobSimKey()   — the plan key plus everything else a step
  *    simulation reads (system, fault seed). Equal keys guarantee
- *    bit-identical StepRunResults, which is what lets the fleet
- *    memoize whole simulations for goodput accounting.
+ *    bit-identical step results, which is what lets the fleet
+ *    simulate each distinct step once.
  *
- * simulateJobStep() is the pure function the fleet runs once per
- * job: JobSpec in, plan + step measurements + trace digest out. It
- * depends only on the spec (never on admission time or scheduler
- * state), which is why the fleet can simulate every job before its
- * event loop starts and why results are bit-identical at any thread
- * width.
+ * planJob() and runJobStep() are the two pure functions the fleet
+ * runs per distinct key: the plan of a Mobius job, and one step of a
+ * job with that plan. Neither reads admission time or scheduler
+ * state, which is why the fleet can run them all before its event
+ * loop starts and why results are bit-identical at any thread
+ * width. simulateJobStep() composes them for callers that run one
+ * job at a time, optionally through a PlanCache.
  */
 
 #ifndef MOBIUS_FLEET_JOB_HH
@@ -35,9 +36,9 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "fleet/plan_cache.hh"
 #include "runtime/api.hh"
 
 namespace mobius
@@ -95,27 +96,68 @@ std::string jobPlanKey(const JobSpec &spec);
  */
 std::string jobSimKey(const JobSpec &spec);
 
+/**
+ * Plan @p spec (Mobius jobs): planMobius() on its server and
+ * workload with its partition and mapping options. Pure in
+ * jobPlanKey(): equal keys give identical plans.
+ */
+MobiusPlan planJob(const JobSpec &spec);
+
 /** Everything one simulated step of a job produced. */
 struct JobStepResult
 {
     StepStats stats;      //!< step measurements
-    MobiusPlan plan;      //!< the plan used (Mobius jobs only)
-    bool planCacheHit = false; //!< plan came from the cache
-    double planSeconds = 0.0;  //!< wall spent planning (0 on hit)
+    MobiusPlan plan;      //!< simulateJobStep()'s plan (Mobius jobs)
     std::uint64_t spanCount = 0; //!< trace spans recorded
     std::uint64_t spanHash = 0;  //!< spanFingerprint() of the trace
 };
 
 /**
+ * Simulate one training step of @p spec with @p plan (planJob()'s
+ * result for a Mobius job; null for DeepSpeed), leaving the
+ * result's plan empty. Pure in the spec: equal jobSimKey() (with
+ * equal @p faults) gives bit-identical results on any thread.
+ * @p faults may be null for a clean run. When @p trace_out is
+ * non-null the step's span trace is retained into it (moved
+ * wholesale, see StepRunOptions::traceOut) so callers can run
+ * critical-path attribution on it.
+ * @p bandwidth_samples keeps the step's per-flow bandwidth samples
+ * in stats.traffic (TransferEngineConfig::bandwidthSamples); it
+ * changes nothing else.
+ */
+JobStepResult runJobStep(const JobSpec &spec,
+                         const MobiusPlan *plan,
+                         const FaultPlan *faults = nullptr,
+                         TraceRecorder *trace_out = nullptr,
+                         bool bandwidth_samples = false);
+
+/**
+ * A single-threaded memo of planJob() by jobPlanKey(), for callers
+ * that simulate one job at a time. A hit returns the plan a fresh
+ * solve produces, so a step it drives is span-for-span identical to
+ * an unmemoized one. FleetSim needs none: it groups its jobs by key
+ * before planning.
+ */
+class PlanCache
+{
+  public:
+    /** @return planJob(@p spec), solved on the first call for its
+     *  jobPlanKey() and shared thereafter. */
+    const MobiusPlan &get(const JobSpec &spec);
+
+    std::uint64_t hits() const { return hits_; }
+    /** @return distinct keys solved. */
+    std::uint64_t misses() const { return plans_.size(); }
+
+  private:
+    std::unordered_map<std::string, MobiusPlan> plans_;
+    std::uint64_t hits_ = 0;
+};
+
+/**
  * Plan (through @p cache when non-null) and simulate one training
- * step of @p spec. Pure in the spec: equal jobSimKey() (with equal
- * @p faults) gives bit-identical results, cached or fresh plan,
- * any thread. @p faults may be null for a clean run. When
- * @p trace_out is non-null the step's span trace is retained into
- * it (moved wholesale, see StepRunOptions::traceOut) so callers can
- * run critical-path attribution on it. @p bandwidth_samples keeps
- * the step's per-flow bandwidth samples in stats.traffic
- * (TransferEngineConfig::bandwidthSamples); it changes nothing else.
+ * step of @p spec: runJobStep() on planJob()'s plan, same
+ * arguments, returning that plan too.
  */
 JobStepResult simulateJobStep(const JobSpec &spec,
                               PlanCache *cache = nullptr,

@@ -24,8 +24,8 @@
  *    lowest index first, so failure reporting is deterministic too.
  *
  * The MIP partitioner's parallel stage-count sweep
- * (plan/partition_mip.cc), the fleet simulator's per-job step
- * simulations (fleet/fleet_sim.cc), the benches and the tools share
+ * (plan/partition_mip.cc), the fleet simulator's keyed plan and step
+ * batches (fleet/fleet_sim.cc), the benches and the tools share
  * this one audited implementation.
  */
 

@@ -1,27 +1,28 @@
 /**
  * @file
- * Tests for the fleet simulator stack: the single-flight plan
- * cache (hit vs miss span-for-span identity, deterministic
- * counters), the canonical job keys, scheduler edge cases (empty
- * fleet, simultaneous-arrival tie-breaks, head-of-line blocking vs
- * backfill, priority preemption), and the fleet determinism
- * contract — metrics bit-identical across thread widths and with
- * the plan cache on or off.
+ * Tests for the fleet simulator stack: the plan memo (hit vs miss
+ * span-for-span identity, its counts), the canonical job keys,
+ * scheduler edge cases (empty fleet, simultaneous-arrival
+ * tie-breaks, head-of-line blocking vs backfill, priority
+ * preemption), and the fleet determinism contract — metrics
+ * bit-identical across thread widths and with the memo on or off,
+ * and one plan and one step simulation per distinct key.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/logging.hh"
 #include "fleet/fleet_sim.hh"
 #include "fleet/job.hh"
-#include "fleet/plan_cache.hh"
 #include "fleet/scheduler.hh"
 #include "obs/metrics.hh"
+#include "obs/prof.hh"
 
 namespace mobius
 {
@@ -37,57 +38,6 @@ smallJob()
     spec.groups = {2, 2};
     spec.steps = 1;
     return spec;
-}
-
-TEST(SingleFlightCache, SolvesOncePerKeyAndCountsDeterministically)
-{
-    SingleFlightCache<int> cache;
-    std::atomic<int> solves{0};
-    auto solve = [&] {
-        ++solves;
-        return 42;
-    };
-    bool hit = true;
-    EXPECT_EQ(cache.get("k", solve, &hit), 42);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(cache.get("k", solve, &hit), 42);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(cache.get("other", solve, &hit), 42);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(solves, 2);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().misses, 0u);
-}
-
-TEST(SingleFlightCache, ConcurrentGetsShareOneSolve)
-{
-    SingleFlightCache<int> cache;
-    std::atomic<int> solves{0};
-    const int n = 8;
-    std::vector<std::thread> threads;
-    std::vector<int> got(n, 0);
-    for (int t = 0; t < n; ++t)
-        threads.emplace_back([&, t] {
-            got[static_cast<std::size_t>(t)] = cache.get("key", [&] {
-                ++solves;
-                return 7;
-            });
-        });
-    for (auto &th : threads)
-        th.join();
-    // Single-flight: every caller saw the one solved value, and
-    // misses equal distinct keys no matter the interleaving.
-    EXPECT_EQ(solves, 1);
-    for (int v : got)
-        EXPECT_EQ(v, 7);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(n - 1));
-    EXPECT_DOUBLE_EQ(cache.stats().hitRate(),
-                     static_cast<double>(n - 1) / n);
 }
 
 TEST(JobKeys, PlanKeyCoversPlannerInputsOnly)
@@ -141,10 +91,9 @@ TEST(PlanCacheContract, HitIsSpanForSpanIdenticalToFreshSolve)
     JobSpec spec = smallJob();
     PlanCache cache;
     JobStepResult miss = simulateJobStep(spec, &cache);
-    EXPECT_FALSE(miss.planCacheHit);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
     JobStepResult hit = simulateJobStep(spec, &cache);
-    EXPECT_TRUE(hit.planCacheHit);
-    EXPECT_EQ(hit.planSeconds, 0.0);
     JobStepResult fresh = simulateJobStep(spec, nullptr);
 
     ASSERT_GT(miss.spanCount, 0u);
@@ -153,8 +102,8 @@ TEST(PlanCacheContract, HitIsSpanForSpanIdenticalToFreshSolve)
     EXPECT_EQ(fresh.spanHash, miss.spanHash);
     EXPECT_EQ(hit.stats.stepTime, miss.stats.stepTime);
     EXPECT_EQ(fresh.stats.stepTime, miss.stats.stepTime);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(FleetSim, EmptyFleetReducesToZeroMetrics)
@@ -341,8 +290,8 @@ TEST(FleetSim, MetricsBitIdenticalAcrossThreadWidths)
     EXPECT_EQ(serial.utilization, wide.utilization);
     EXPECT_EQ(serial.sched.preemptions, wide.sched.preemptions);
     EXPECT_GT(serial.sched.preemptions, 0u);
-    // The single-flight cache keeps hit/miss counts deterministic
-    // too: misses always equal distinct plan keys.
+    // Hit/miss counts are deterministic too: misses always equal
+    // distinct plan keys.
     EXPECT_EQ(serial.planMisses, wide.planMisses);
     EXPECT_EQ(serial.planHits, wide.planHits);
 }
@@ -357,6 +306,150 @@ TEST(FleetSim, MetricsBitIdenticalWithPlanCacheOnOrOff)
     EXPECT_EQ(cached.planMisses, 1u); // one distinct plan key
     EXPECT_EQ(uncached.planHits, 0u);
     EXPECT_EQ(uncached.planMisses, 0u);
+}
+
+/**
+ * A faulted, traced fleet whose keys are partly shared: Mobius and
+ * DeepSpeed jobs, commodity and DC classes, some jobs sharing a
+ * fault seed. Two Mobius plan keys (commodity, DC), six step keys
+ * and four fault-free keys (plan key x system) cover its ten jobs.
+ */
+std::unique_ptr<FleetSim>
+keyedFleet(int threads, bool memo)
+{
+    FleetOptions opts;
+    opts.threads = threads;
+    opts.planCache = memo;
+    opts.preemption = true;
+    opts.backfill = true;
+    opts.servers.push_back({"commodity", {2, 2}, false, 2});
+    opts.servers.push_back({"dc", {4}, true, 1});
+    opts.faults.xfailProb = 0.05;
+    opts.faults.retryBudget = 10;
+    opts.faults.retryBackoff = 1e-4;
+    opts.trace.enabled = true;
+    auto fleet = std::make_unique<FleetSim>(opts);
+    struct Job
+    {
+        System system;
+        const char *klass;
+        std::uint64_t seed;
+        int priority;
+    };
+    const System M = System::Mobius, D = System::DeepSpeed;
+    const Job jobs[] = {
+        {M, "commodity", 1, 5}, {M, "commodity", 1, 5},
+        {M, "commodity", 2, 5}, {D, "commodity", 1, 5},
+        {D, "commodity", 1, 0}, {M, "dc", 1, 5},
+        {M, "dc", 1, 5},        {D, "dc", 3, 0},
+        {M, "commodity", 2, 0}, {M, "commodity", 4, 5},
+    };
+    double arrival = 0.0;
+    for (const Job &j : jobs) {
+        JobSpec spec = smallJob();
+        spec.system = j.system;
+        spec.serverClass = j.klass;
+        spec.faultSeed = j.seed;
+        spec.priority = j.priority;
+        spec.steps = 2;
+        spec.arrival = arrival;
+        arrival += 0.2;
+        fleet->submit(spec);
+    }
+    return fleet;
+}
+
+TEST(FleetSim, MemoOnOrOffIsBitIdenticalOnSharedAndDistinctKeys)
+{
+    auto oracle = keyedFleet(1, false);
+    FleetMetrics om = oracle->run();
+    const std::string report = oracle->reportJsonl();
+    ASSERT_EQ(om.completed, 10u);
+    EXPECT_GT(om.sched.preemptions, 0u);
+    EXPECT_EQ(om.planHits, 0u);
+    EXPECT_EQ(om.planMisses, 0u);
+    // Faults bite: some step is slower than its fault-free twin.
+    bool slowed = false;
+    for (const FleetJobRecord &r : oracle->records())
+        slowed = slowed || r.stepTime > r.cleanStepTime;
+    EXPECT_TRUE(slowed);
+
+    for (int threads : {1, 4}) {
+        for (bool memo : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads " << threads << " memo " << memo);
+            auto fleet = keyedFleet(threads, memo);
+            FleetMetrics m = fleet->run();
+            EXPECT_EQ(m.fingerprint, om.fingerprint);
+            EXPECT_EQ(m.decisionFingerprint, om.decisionFingerprint);
+            EXPECT_EQ(m.goodput, om.goodput);
+            EXPECT_EQ(fleet->reportJsonl(), report);
+            const auto &recs = fleet->records();
+            ASSERT_EQ(recs.size(), oracle->records().size());
+            for (std::size_t i = 0; i < recs.size(); ++i) {
+                const FleetJobRecord &a = recs[i];
+                const FleetJobRecord &b = oracle->records()[i];
+                EXPECT_EQ(a.stepTime, b.stepTime) << "job " << i;
+                EXPECT_EQ(a.cleanStepTime, b.cleanStepTime)
+                    << "job " << i;
+                EXPECT_EQ(a.spanHash, b.spanHash) << "job " << i;
+                EXPECT_EQ(a.spanCount, b.spanCount) << "job " << i;
+            }
+            // Seven Mobius jobs on two plan keys.
+            EXPECT_EQ(m.planMisses, memo ? 2u : 0u);
+            EXPECT_EQ(m.planHits, memo ? 5u : 0u);
+        }
+    }
+}
+
+/** keyedFleet's profiler zone counts by path, and its distinct
+ *  plan and step keys. */
+struct ProfiledRun
+{
+    std::map<std::string, std::uint64_t> zones;
+    std::set<std::string> plans, steps;
+};
+
+ProfiledRun
+profiledKeyedFleet(int threads, bool memo)
+{
+    auto fleet = keyedFleet(threads, memo);
+    prof::reset();
+    prof::setEnabled(true);
+    fleet->run();
+    prof::setEnabled(false);
+    ProfiledRun out;
+    for (const prof::ZoneStats &z : prof::snapshot().zones)
+        out.zones[z.path] += z.count;
+    prof::reset();
+    for (const FleetJobRecord &r : fleet->records()) {
+        if (r.spec.system == System::Mobius)
+            out.plans.insert(jobPlanKey(r.spec));
+        out.steps.insert(jobSimKey(r.spec));
+    }
+    return out;
+}
+
+TEST(FleetSim, MemoPlansAndSimulatesEachDistinctKeyOnce)
+{
+    // Every plan and every step runs as one runReplicas() body
+    // (one root simcore.replica zone); a plan also opens fleet.plan.
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        ProfiledRun run = profiledKeyedFleet(threads, true);
+        ASSERT_EQ(run.plans.size(), 2u);
+        ASSERT_EQ(run.steps.size(), 6u);
+        const std::size_t cleans = 4; // 2 classes x 2 systems
+        EXPECT_EQ(run.zones["simcore.replica;fleet.plan"],
+                  run.plans.size());
+        EXPECT_EQ(run.zones["simcore.replica"],
+                  run.plans.size() + run.steps.size() + cleans);
+    }
+    // Memo off, every job is its own key: 7 Mobius plans, and ten
+    // faulted plus ten fault-free steps.
+    ProfiledRun off = profiledKeyedFleet(1, false);
+    EXPECT_EQ(off.zones["simcore.replica;fleet.plan"], 7u);
+    EXPECT_EQ(off.zones["simcore.replica"], 7u + 10u + 10u);
 }
 
 TEST(FleetSim, PoissonSubmissionIsDeterministicPerSeed)
