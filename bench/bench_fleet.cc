@@ -476,11 +476,6 @@ main(int argc, char **argv)
                     "%.3g (<= %g): %s\n",
                     worst_drift, kMaxAttribDrift,
                     attrib_sum_ok ? "ok" : "FAIL");
-        std::printf("  %llu events recorded, %llu truncated\n",
-                    (unsigned long long)t1->fleetTrace()
-                        .eventCount(),
-                    (unsigned long long)t1->fleetTrace()
-                        .truncated());
 
         if (!timeline_out.empty()) {
             std::ofstream tos(timeline_out);
@@ -580,11 +575,6 @@ main(int argc, char **argv)
         json += strfmt(
             ",\n  \"fleet.trace.overhead_ceiling\": %g",
             kMaxTraceOverhead);
-        json += strfmt(
-            ",\n  \"fleet.trace.events\": %llu"
-            ",\n  \"fleet.trace.truncated\": %llu",
-            (unsigned long long)t1->fleetTrace().eventCount(),
-            (unsigned long long)t1->fleetTrace().truncated());
         json += strfmt(
             ",\n  \"fleet.trace.attrib_worst_drift\": %.17g",
             worst_drift);

@@ -56,8 +56,8 @@
 
 #include "base/args.hh"
 #include "bench_util.hh"
+#include "event_queue_reference.hh"
 #include "fault/fault_plan.hh"
-#include "simcore/event_queue_reference.hh"
 #include "simcore/replica_runner.hh"
 
 using namespace mobius;

@@ -35,9 +35,9 @@
 #include "base/logging.hh"
 #include "bench_util.hh"
 #include "hw/server.hh"
+#include "lp_reference.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
-#include "solver/lp_reference.hh"
 
 using namespace mobius;
 

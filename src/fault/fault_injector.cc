@@ -31,12 +31,12 @@ constexpr std::uint64_t kStreamFlap = 2;
 FaultInjector::FaultInjector(
     EventQueue &queue, const Topology &topo, TransferEngine &xfer,
     std::vector<ComputeEngine *> compute, FaultPlan plan,
-    std::uint64_t seed, std::function<void(double)> cpu_throttle,
+    std::uint64_t seed, ComputeEngine *cpu_optimizer,
     std::function<bool()> workload_idle, TraceRecorder *trace,
     MetricsRegistry *metrics)
     : queue_(queue), topo_(topo), xfer_(xfer),
       compute_(std::move(compute)), plan_(std::move(plan)),
-      cpuThrottle_(std::move(cpu_throttle)),
+      cpuOptimizer_(cpu_optimizer),
       workloadIdle_(std::move(workload_idle)), trace_(trace),
       xfailRng_(faultStreamSeed(seed, kStreamXfail)),
       backoffRng_(faultStreamSeed(seed, kStreamBackoff)),
@@ -143,8 +143,8 @@ FaultInjector::applyFactor(const ResourceRef &target, double factor)
         break;
     case ResourceKind::CpuOptimizer:
         cpuFactor_ *= factor;
-        if (cpuThrottle_)
-            cpuThrottle_(cpuFactor_);
+        if (cpuOptimizer_)
+            cpuOptimizer_->setThrottle(cpuFactor_);
         break;
     default:
         for (int l : resourceLinks(target, topo_)) {
@@ -351,14 +351,6 @@ FaultInjector::submitAttempt(TransferRequest req, int attempt,
             });
     };
     return xfer_.submit(std::move(a));
-}
-
-double
-FaultInjector::computeThrottle(int gpu) const
-{
-    if (gpu < 0 || gpu >= static_cast<int>(computeFactor_.size()))
-        return 1.0;
-    return computeFactor_[gpu];
 }
 
 } // namespace mobius

@@ -98,8 +98,8 @@ class FaultInjector
 {
   public:
     /**
-     * @param cpu_throttle applies a throttle factor to the CPU
-     *        optimizer (the injector cannot depend on runtime/).
+     * @param cpu_optimizer the host's CPU-optimizer engine, which
+     *        CPU jitter windows throttle.
      * @param workload_idle true when every engine has drained; the
      *        injector uses it to stop rescheduling its own events.
      */
@@ -107,7 +107,7 @@ class FaultInjector
                   TransferEngine &xfer,
                   std::vector<ComputeEngine *> compute,
                   FaultPlan plan, std::uint64_t seed,
-                  std::function<void(double)> cpu_throttle,
+                  ComputeEngine *cpu_optimizer,
                   std::function<bool()> workload_idle,
                   TraceRecorder *trace = nullptr,
                   MetricsRegistry *metrics = nullptr);
@@ -123,9 +123,6 @@ class FaultInjector
      * successful attempt.
      */
     FlowId submit(TransferRequest req);
-
-    /** Current compute throttle of @p gpu (1 = nominal). */
-    double computeThrottle(int gpu) const;
 
     const FaultCounters &counters() const { return counters_; }
     const FaultPlan &plan() const { return plan_; }
@@ -165,7 +162,7 @@ class FaultInjector
     TransferEngine &xfer_;
     std::vector<ComputeEngine *> compute_;
     FaultPlan plan_;
-    std::function<void(double)> cpuThrottle_;
+    ComputeEngine *cpuOptimizer_;
     std::function<bool()> workloadIdle_;
     TraceRecorder *trace_;
 

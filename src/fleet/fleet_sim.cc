@@ -156,8 +156,7 @@ FleetSim::run()
         for (int k = 0; k < scheduler_.klassCount(); ++k)
             classNames.push_back(scheduler_.klassName(k));
         trace_ = std::make_unique<FleetTrace>(
-            opts_.trace, n, std::move(tracks),
-            std::move(classNames));
+            n, std::move(tracks), std::move(classNames));
     }
 
     // Phase one: plans and steps are pure in the JobSpec, so every
@@ -255,7 +254,7 @@ FleetSim::run()
     // nothing. The hook runs on the single-threaded fleet event
     // loop: the decision log is emitted strictly in event order.
     std::uint64_t decisionFp = kFnvOffset;
-    scheduler_.setDecisionHook([&](const SchedDecision &d) {
+    scheduler_.setDecisionHook([&](const FleetDecision &d) {
         fnv64(decisionFp, static_cast<std::uint64_t>(d.kind));
         fnvDouble(decisionFp, d.time);
         fnv64(decisionFp, static_cast<std::uint64_t>(d.job));
@@ -271,72 +270,8 @@ FleetSim::run()
               static_cast<std::uint64_t>(d.victimPriority));
         fnvDouble(decisionFp, d.victimStart);
         fnv64(decisionFp, d.pending);
-        if (!trace_)
-            return;
-
-        const std::string &klass = scheduler_.klassName(d.klass);
-        FleetDecision fd;
-        fd.time = d.time;
-        fd.job = d.job;
-        fd.server = d.server;
-        fd.priority = d.priority;
-        fd.klass = klass;
-        fd.freeInClass = d.freeInClass;
-        fd.blockedHead = d.blockedHead;
-        if (d.blockedHeadKlass >= 0)
-            fd.blockedHeadKlass =
-                scheduler_.klassName(d.blockedHeadKlass);
-        fd.victim = d.victim;
-        fd.victimPriority = d.victimPriority;
-        fd.victimStart = d.victimStart;
-        fd.pending = d.pending;
-
-        FleetEvent ev;
-        ev.time = d.time;
-        if (d.kind == SchedDecision::Kind::Preempt) {
-            fd.kind = FleetDecision::Kind::Preempt;
-            fd.why = strfmt(
-                "preempted job %d (prio %d, started %.9gs) on "
-                "server %d (%s) for job %d (prio %d): 0 free",
-                d.victim, d.victimPriority, d.victimStart,
-                d.server, klass.c_str(), d.job, d.priority);
-            ev.type = FleetEventType::Preempt;
-            ev.job = d.victim;
-            ev.server = d.server;
-            ev.other = d.job;
-            ev.value = d.victimPriority;
-        } else {
-            if (d.kind == SchedDecision::Kind::Backfill) {
-                fd.kind = FleetDecision::Kind::Backfill;
-                fd.why = strfmt(
-                    "backfilled job %d onto server %d (%s) past "
-                    "blocked head %d: head needs 1x%s, 0 free",
-                    d.job, d.server, klass.c_str(), d.blockedHead,
-                    fd.blockedHeadKlass.c_str());
-            } else {
-                fd.kind = FleetDecision::Kind::Admit;
-                fd.why = strfmt(
-                    "admitted job %d on server %d (%s): %d free",
-                    d.job, d.server, klass.c_str(),
-                    d.freeInClass);
-            }
-            // The hook fires before the admit callback stamps
-            // start, so a non-negative start means this placement
-            // is a post-preemption restart.
-            bool restart =
-                records_[static_cast<std::size_t>(d.job)].start >=
-                0.0;
-            ev.type = restart ? FleetEventType::Resume
-                      : d.kind == SchedDecision::Kind::Backfill
-                          ? FleetEventType::Backfill
-                          : FleetEventType::Admit;
-            ev.job = d.job;
-            ev.server = d.server;
-            ev.other = d.blockedHead;
-            ev.value = d.priority;
-        }
-        trace_->recordDecision(std::move(fd));
-        trace_->recordEvent(ev);
+        if (trace_)
+            trace_->recordDecision(d);
     });
 
     std::function<void(double)> reschedule;
@@ -381,19 +316,6 @@ FleetSim::run()
                     occupiedAt[static_cast<std::size_t>(victim)] =
                         -1.0;
                     ++rec.preemptions;
-                    if (trace_) {
-                        FleetEvent ev;
-                        ev.type = FleetEventType::Dock;
-                        ev.time = now;
-                        ev.job = victim;
-                        ev.server = rec.server;
-                        ev.other = done; // whole steps kept
-                        // Lost partial-step progress, seconds.
-                        ev.value = step > 0.0
-                            ? ran - whole * step
-                            : 0.0;
-                        trace_->recordEvent(ev);
-                    }
                     victims.push_back(victim);
                 },
                 [&](int id, int server) {
@@ -441,12 +363,8 @@ FleetSim::run()
         occupiedAt[i] = -1.0;
         stepsDone[i] = jobs_[i].steps;
         completion[i] = kNoEvent;
-        if (trace_) {
-            trace_->recordEvent({FleetEventType::Finish, now, id,
-                                 rec.server, -1, 0.0});
-            trace_->recordEvent({FleetEventType::ServerFree, now,
-                                 id, rec.server, -1, 0.0});
-        }
+        if (trace_)
+            trace_->recordFinish(id, now);
         scheduler_.release(id);
         ++completedCount;
         reschedule(now);
@@ -459,11 +377,6 @@ FleetSim::run()
             FleetJobReq req;
             req.klass = jobs_[i].serverClass;
             req.priority = jobs_[i].priority;
-            if (trace_)
-                trace_->recordEvent({FleetEventType::Submit,
-                                     queue.now(),
-                                     static_cast<int>(i), -1, -1,
-                                     0.0});
             scheduler_.enqueue(static_cast<int>(i), queue.now(),
                                req);
             reschedule(queue.now());
@@ -564,10 +477,6 @@ FleetSim::run()
     m.decisionFingerprint = decisionFp;
     fnv64(fp, decisionFp);
     m.fingerprint = fp;
-    if (trace_) {
-        m.traceEvents = trace_->eventCount();
-        m.traceTruncated = trace_->truncated();
-    }
     m.jctP50 = exactQuantile(jcts, 0.50);
     m.jctP99 = exactQuantile(jcts, 0.99);
     m.waitP99 = exactQuantile(waits, 0.99);
@@ -609,12 +518,6 @@ FleetSim::run()
         reg.gauge("fleet.makespan").set(m.makespan);
         reg.gauge("fleet.utilization").set(m.utilization);
         reg.gauge("fleet.goodput").set(m.goodput);
-        if (trace_) {
-            reg.counter("fleet.trace.events")
-                .add(static_cast<double>(m.traceEvents));
-            reg.counter("fleet.trace.truncated")
-                .add(static_cast<double>(m.traceTruncated));
-        }
     }
     metrics_ = m;
     return m;
@@ -650,10 +553,8 @@ FleetSim::timelineJson() const
     requireTrace("timelineJson()");
     std::string metadata = strfmt(
         "{\"kind\":\"fleet-timeline\",\"jobs\":%zu,"
-        "\"servers\":%d,\"events\":%llu,\"truncated\":%llu}",
-        jobs_.size(), scheduler_.serverCount(),
-        static_cast<unsigned long long>(trace_->eventCount()),
-        static_cast<unsigned long long>(trace_->truncated()));
+        "\"servers\":%d}",
+        jobs_.size(), scheduler_.serverCount());
     return trace_->toChromeJson(metadata);
 }
 
@@ -667,15 +568,13 @@ FleetSim::reportJsonl() const
         os << fleetJobJson(ja) << "\n";
     os << strfmt(
         "{\"kind\":\"summary\",\"jobs\":%llu,\"completed\":%llu,"
-        "\"makespan\":%.17g,\"events\":%llu,\"truncated\":%llu,"
+        "\"makespan\":%.17g,"
         "\"admissions\":%llu,\"backfills\":%llu,"
         "\"preemptions\":%llu,"
         "\"decision_fingerprint\":\"%016llx\"}\n",
         static_cast<unsigned long long>(metrics_.jobs),
         static_cast<unsigned long long>(metrics_.completed),
         metrics_.makespan,
-        static_cast<unsigned long long>(metrics_.traceEvents),
-        static_cast<unsigned long long>(metrics_.traceTruncated),
         static_cast<unsigned long long>(
             metrics_.sched.admissions),
         static_cast<unsigned long long>(metrics_.sched.backfills),

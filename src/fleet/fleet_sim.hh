@@ -77,8 +77,7 @@ struct FleetOptions
     /**
      * Fleet timeline tracing (obs/fleet_trace.hh): off by default —
      * zero recording work, zero overhead. When trace.enabled, the
-     * run additionally keeps typed per-job events (ring-bounded by
-     * trace.maxEventsPerJob), the scheduler decision log, server
+     * run additionally keeps the scheduler decision log, server
      * occupancy stints, queue/free-server counters, and per-job
      * attribution roll-ups, exposed via fleetTrace() /
      * attribution() / timelineJson() / reportJsonl().
@@ -142,11 +141,6 @@ struct FleetMetrics
      *  in job-id order, folded with decisionFingerprint — the
      *  cross-width bit-identity token. */
     std::uint64_t fingerprint = 0;
-
-    /** Fleet trace events recorded / dropped by ring budgets
-     *  (0 / 0 when tracing is off). */
-    std::uint64_t traceEvents = 0;
-    std::uint64_t traceTruncated = 0;
 };
 
 /** The fleet simulator (see file header). */

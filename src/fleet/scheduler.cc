@@ -155,8 +155,8 @@ FleetScheduler::tryPlace(
         return -1;
     int server = worst->server;
     if (decisionHook_) {
-        SchedDecision d;
-        d.kind = SchedDecision::Kind::Preempt;
+        FleetDecision d;
+        d.kind = FleetDecision::Kind::Preempt;
         d.time = now;
         d.job = job.id;
         d.priority = job.priority;
@@ -217,10 +217,10 @@ FleetScheduler::schedule(
         if (!blocked.empty())
             ++stats_.backfills; // jumped at least one blocked job
         if (decisionHook_) {
-            SchedDecision d;
+            FleetDecision d;
             d.kind = blocked.empty()
-                         ? SchedDecision::Kind::Admit
-                         : SchedDecision::Kind::Backfill;
+                         ? FleetDecision::Kind::Admit
+                         : FleetDecision::Kind::Backfill;
             d.time = now;
             d.job = job.id;
             d.priority = job.priority;

@@ -44,6 +44,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/fleet_trace.hh"
+
 namespace mobius
 {
 
@@ -80,39 +82,6 @@ struct FleetSchedStats
 };
 
 /**
- * One scheduler decision, with the inputs the scheduler saw when it
- * made it. Emitted through FleetScheduler::setDecisionHook strictly
- * in decision order on the fleet event loop (the scheduler is
- * single-threaded), so any log built from these is deterministic at
- * every `--threads` width. Class fields are dense class indices —
- * resolve names with klassName().
- */
-struct SchedDecision
-{
-    /** What was decided. */
-    enum class Kind : std::uint8_t
-    {
-        Admit,    //!< head-of-line FIFO admission
-        Backfill, //!< admission that jumped >= 1 blocked job
-        Preempt,  //!< eviction to make room for the acting job
-    };
-
-    Kind kind = Kind::Admit;
-    double time = 0.0; //!< scheduling instant (fleet seconds)
-    int job = -1;      //!< admitted job, or the preemptor
-    int priority = 0;  //!< the acting job's priority
-    int server = -1;   //!< server granted (admit) / vacated (preempt)
-    int klass = -1;    //!< dense class index the acting job wants
-    int freeInClass = 0;  //!< free machines in klass before the act
-    int blockedHead = -1; //!< earliest blocked job jumped, or -1
-    int blockedHeadKlass = -1; //!< its dense class index, or -1
-    int victim = -1;           //!< evicted job (Preempt), or -1
-    int victimPriority = 0;    //!< the victim's priority
-    double victimStart = 0.0;  //!< when the victim started running
-    std::uint64_t pending = 0; //!< jobs still waiting placement
-};
-
-/**
  * Gang scheduler over whole-server slots (see file header).
  * Single-threaded: driven only from the fleet event loop.
  */
@@ -121,8 +90,8 @@ class FleetScheduler
   public:
     using Options = FleetSchedOptions;
 
-    /** Observer of every admit/backfill/preempt (see SchedDecision). */
-    using DecisionHook = std::function<void(const SchedDecision &)>;
+    /** Observer of every admit/backfill/preempt (see FleetDecision). */
+    using DecisionHook = std::function<void(const FleetDecision &)>;
 
     /** @param servers cluster inventory; must be non-empty with
      *  unique class names and positive counts (fatal otherwise). */

@@ -13,22 +13,6 @@ namespace mobius
 {
 
 const char *
-fleetEventName(FleetEventType type)
-{
-    switch (type) {
-      case FleetEventType::Submit: return "submit";
-      case FleetEventType::Admit: return "admit";
-      case FleetEventType::Backfill: return "backfill";
-      case FleetEventType::Preempt: return "preempt";
-      case FleetEventType::Dock: return "dock";
-      case FleetEventType::Resume: return "resume";
-      case FleetEventType::Finish: return "finish";
-      case FleetEventType::ServerFree: return "server-free";
-    }
-    return "unknown";
-}
-
-const char *
 fleetDecisionName(FleetDecision::Kind kind)
 {
     switch (kind) {
@@ -51,26 +35,6 @@ num(double v)
 }
 
 } // namespace
-
-std::string
-fleetDecisionJson(const FleetDecision &d)
-{
-    std::ostringstream os;
-    os << "{\"kind\":\"decision\",\"type\":\""
-       << fleetDecisionName(d.kind) << "\",\"time\":" << num(d.time)
-       << ",\"job\":" << d.job << ",\"server\":" << d.server
-       << ",\"priority\":" << d.priority << ",\"class\":\""
-       << json::escape(d.klass)
-       << "\",\"free_in_class\":" << d.freeInClass
-       << ",\"pending\":" << d.pending
-       << ",\"blocked_head\":" << d.blockedHead
-       << ",\"blocked_head_class\":\""
-       << json::escape(d.blockedHeadKlass) << "\",\"victim\":"
-       << d.victim << ",\"victim_priority\":" << d.victimPriority
-       << ",\"victim_start\":" << num(d.victimStart)
-       << ",\"why\":\"" << json::escape(d.why) << "\"}";
-    return os.str();
-}
 
 double
 FleetTimeBreakdown::total() const
@@ -263,86 +227,60 @@ fleetAttributionJson(const FleetAttribution &a, int top_k)
     return os.str();
 }
 
-FleetTrace::FleetTrace(const FleetTraceConfig &cfg, std::size_t jobs,
+FleetTrace::FleetTrace(std::size_t jobs,
                        std::vector<std::string> serverTracks,
                        std::vector<std::string> classNames)
-    : cfg_(cfg), serverTracks_(std::move(serverTracks)),
-      classNames_(std::move(classNames)), rings_(jobs),
-      openStint_(jobs, -1), lastStint_(jobs, -1)
+    : serverTracks_(std::move(serverTracks)),
+      classNames_(std::move(classNames)), openStint_(jobs, -1),
+      lastStint_(jobs, -1)
 {
 }
 
-void
-FleetTrace::recordEvent(const FleetEvent &ev)
+std::size_t
+FleetTrace::jobSlot(int job) const
 {
-    if (ev.job < 0 || static_cast<std::size_t>(ev.job) >=
-                          rings_.size())
-        fatal("fleet trace: event for unknown job %d", ev.job);
-    ++eventCount_;
-    JobRing &ring = rings_[ev.job];
-    std::size_t cap = cfg_.maxEventsPerJob > 0
-                          ? static_cast<std::size_t>(
-                                cfg_.maxEventsPerJob)
-                          : 0;
-    if (cap == 0 || ring.events.size() < cap) {
-        ring.events.push_back(ev);
-    } else {
-        // Ring full: overwrite the oldest entry, count the drop —
-        // truncation is reported, never silent.
-        ring.events[ring.next] = ev;
-        ring.next = (ring.next + 1) % cap;
-        ++ring.dropped;
-        ++truncated_;
-    }
-
-    switch (ev.type) {
-      case FleetEventType::Admit:
-      case FleetEventType::Backfill:
-        openStint(ev, false);
-        break;
-      case FleetEventType::Resume:
-        openStint(ev, true);
-        break;
-      case FleetEventType::Preempt:
-        closeStint(ev, true);
-        break;
-      case FleetEventType::Finish:
-        closeStint(ev, false);
-        break;
-      default:
-        break;
-    }
+    if (job < 0 || static_cast<std::size_t>(job) >= openStint_.size())
+        fatal("fleet trace: record for unknown job %d", job);
+    return static_cast<std::size_t>(job);
 }
 
 void
-FleetTrace::openStint(const FleetEvent &ev, bool resumed)
+FleetTrace::recordDecision(const FleetDecision &d)
 {
+    decisions_.push_back(d);
+    if (d.kind == FleetDecision::Kind::Preempt) {
+        closeStint(d.victim, d.time, true);
+        return;
+    }
+    // The hook fires before the admit callback, so the job's latest
+    // stint, if it has one, is the one this placement resumes.
+    const std::size_t job = jobSlot(d.job);
     Stint stint;
-    stint.job = ev.job;
-    stint.server = ev.server;
-    stint.start = ev.time;
-    stint.resumedFrom = resumed ? lastStint_[ev.job] : -1;
+    stint.job = d.job;
+    stint.server = d.server;
+    stint.start = d.time;
+    stint.resumedFrom = lastStint_[job];
     int idx = static_cast<int>(stints_.size());
     stints_.push_back(stint);
-    openStint_[ev.job] = idx;
-    lastStint_[ev.job] = idx;
+    openStint_[job] = idx;
+    lastStint_[job] = idx;
 }
 
 void
-FleetTrace::closeStint(const FleetEvent &ev, bool preempted)
+FleetTrace::recordFinish(int job, double time)
 {
-    int idx = openStint_[ev.job];
+    closeStint(job, time, false);
+}
+
+void
+FleetTrace::closeStint(int job, double time, bool preempted)
+{
+    int &idx = openStint_[jobSlot(job)];
     if (idx < 0)
         return; // preempted before placement — nothing open
-    stints_[idx].end = ev.time;
+    stints_[idx].end = time;
     stints_[idx].preempted = preempted;
-    openStint_[ev.job] = -1;
-}
-
-void
-FleetTrace::recordDecision(FleetDecision d)
-{
-    decisions_.push_back(std::move(d));
+    idx = -1;
 }
 
 void
@@ -364,36 +302,57 @@ FleetTrace::sampleCounters(double time, std::size_t pending,
     samples_.push_back(std::move(sample));
 }
 
-std::vector<FleetEvent>
-FleetTrace::events(int job) const
+const std::string &
+FleetTrace::className(int klass) const
 {
-    if (job < 0 || static_cast<std::size_t>(job) >= rings_.size())
-        return {};
-    const JobRing &ring = rings_[job];
-    std::vector<FleetEvent> out;
-    out.reserve(ring.events.size());
-    // Oldest-first: the ring write index is the oldest retained
-    // entry once the ring has wrapped.
-    for (std::size_t i = 0; i < ring.events.size(); ++i)
-        out.push_back(
-            ring.events[(ring.next + i) % ring.events.size()]);
-    return out;
-}
-
-std::uint64_t
-FleetTrace::truncated(int job) const
-{
-    if (job < 0 || static_cast<std::size_t>(job) >= rings_.size())
-        return 0;
-    return rings_[job].dropped;
+    static const std::string none;
+    return klass >= 0 ? classNames_.at(static_cast<std::size_t>(klass))
+                      : none;
 }
 
 std::string
 FleetTrace::decisionLogJsonl() const
 {
     std::ostringstream os;
-    for (const FleetDecision &d : decisions_)
-        os << fleetDecisionJson(d) << "\n";
+    for (const FleetDecision &d : decisions_) {
+        const std::string &klass = className(d.klass);
+        const std::string &headKlass = className(d.blockedHeadKlass);
+        std::string why;
+        switch (d.kind) {
+          case FleetDecision::Kind::Admit:
+            why = strfmt("admitted job %d on server %d (%s): %d free",
+                         d.job, d.server, klass.c_str(),
+                         d.freeInClass);
+            break;
+          case FleetDecision::Kind::Backfill:
+            why = strfmt("backfilled job %d onto server %d (%s) past "
+                         "blocked head %d: head needs 1x%s, 0 free",
+                         d.job, d.server, klass.c_str(),
+                         d.blockedHead, headKlass.c_str());
+            break;
+          case FleetDecision::Kind::Preempt:
+            why = strfmt("preempted job %d (prio %d, started %.9gs) "
+                         "on server %d (%s) for job %d (prio %d): 0 "
+                         "free",
+                         d.victim, d.victimPriority, d.victimStart,
+                         d.server, klass.c_str(), d.job, d.priority);
+            break;
+        }
+        os << "{\"kind\":\"decision\",\"type\":\""
+           << fleetDecisionName(d.kind) << "\",\"time\":"
+           << num(d.time) << ",\"job\":" << d.job
+           << ",\"server\":" << d.server
+           << ",\"priority\":" << d.priority << ",\"class\":\""
+           << json::escape(klass)
+           << "\",\"free_in_class\":" << d.freeInClass
+           << ",\"pending\":" << d.pending
+           << ",\"blocked_head\":" << d.blockedHead
+           << ",\"blocked_head_class\":\"" << json::escape(headKlass)
+           << "\",\"victim\":" << d.victim
+           << ",\"victim_priority\":" << d.victimPriority
+           << ",\"victim_start\":" << num(d.victimStart)
+           << ",\"why\":\"" << json::escape(why) << "\"}\n";
+    }
     return os.str();
 }
 

@@ -9,22 +9,22 @@
  * to answer *why* job 42 waited 400 seconds or lost its server.
  * This module promotes the fleet to a fully explainable timeline:
  *
- *  - **FleetTrace** records typed per-job events (submit, admit,
- *    backfill, preempt, dock, resume, finish, server-free) stamped
- *    by the fleet event loop, plus server-occupancy stints and
- *    counter samples (pending-queue depth, running jobs, free
+ *  - **FleetDecision** is one scheduler decision (admit / backfill
+ *    / preempt) with the inputs the scheduler saw. FleetScheduler
+ *    emits it and FleetTrace stores it as is; class names and the
+ *    one-line human explanation are resolved only when the log is
+ *    exported as JSONL, one object per line, strictly in event
+ *    order on the single-threaded fleet event loop, so the bytes
+ *    are identical at any `--threads` width and with the plan
+ *    cache on or off.
+ *
+ *  - **FleetTrace** keeps that decision log, the server-occupancy
+ *    stints the decisions open and close (plus each job's finish),
+ *    and counter samples (pending-queue depth, running jobs, free
  *    servers per class). It exports a Chrome trace — one track per
  *    server, occupancy spans named after their job, flow arrows
  *    from each preempted stint to its resume, and "ph":"C" counter
  *    tracks — by reusing the PR 1/3 TraceRecorder plumbing.
- *
- *  - **FleetDecision** is one structured scheduler decision (admit
- *    / backfill / preempt) with the inputs the scheduler saw and a
- *    one-line human explanation. The decision log serialises as
- *    JSONL, one object per line, emitted strictly in event order
- *    on the single-threaded fleet event loop, so the bytes are
- *    identical at any `--threads` width and with the plan cache on
- *    or off.
  *
  *  - **FleetAttribution** aggregates per-job time breakdowns
  *    (queue-wait / compute / transfer / contention / optimizer /
@@ -36,10 +36,7 @@
  *    Every job's categories sum to its JCT to ~1e-13; the fleet
  *    bench gates the invariant at 1e-9.
  *
- * Retention is bounded: each job keeps at most
- * FleetTraceConfig::maxEventsPerJob events in a ring (oldest
- * dropped first); drops are counted, never silent. Occupancy
- * stints and decisions are O(admissions), which the scheduler
+ * Everything retained is O(admissions), which the scheduler
  * already bounds.
  */
 
@@ -59,75 +56,43 @@ struct FleetTraceConfig
 {
     /** Master switch; off = zero recording work in the fleet. */
     bool enabled = false;
-    /** Ring budget: events retained per job (oldest dropped first,
-     *  drops counted); <= 0 = unbounded. */
-    int maxEventsPerJob = 64;
 };
 
-/** What happened to a job at one instant of fleet time. */
-enum class FleetEventType : std::uint8_t
-{
-    Submit,     //!< job entered the pending queue
-    Admit,      //!< first placement, in FIFO order
-    Backfill,   //!< first placement that jumped a blocked head
-    Preempt,    //!< evicted by a higher-priority arrival
-    Dock,       //!< progress docked to whole steps after eviction
-    Resume,     //!< re-placement after a preemption
-    Finish,     //!< ran its last step
-    ServerFree, //!< its server returned to the free pool
-};
-
-/** @return the lowercase wire name of @p type (e.g. "backfill"). */
-const char *fleetEventName(FleetEventType type);
-
-/** One typed, timestamped fleet event. */
-struct FleetEvent
-{
-    FleetEventType type = FleetEventType::Submit;
-    double time = 0.0; //!< fleet seconds
-    int job = -1;      //!< subject job
-    int server = -1;   //!< server involved, -1 = none (Submit)
-    /** Companion id: preemptor (Preempt), blocked head jumped
-     *  (Backfill), whole steps kept (Dock); -1/0 otherwise. */
-    int other = -1;
-    /** Extra scalar: seconds of lost progress (Dock), the job's
-     *  priority (Admit/Backfill/Resume), the victim's priority
-     *  (Preempt); 0 otherwise. */
-    double value = 0.0;
-};
-
-/** One scheduler decision with its inputs and explanation. */
+/**
+ * One scheduler decision, with the inputs the scheduler saw when it
+ * made it. FleetScheduler emits these through its decision hook
+ * strictly in decision order on the fleet event loop (the scheduler
+ * is single-threaded), so any log built from them is deterministic
+ * at every `--threads` width. Class fields are dense class indices;
+ * FleetTrace resolves their names at export.
+ */
 struct FleetDecision
 {
-    /** The decision taxonomy mirrors SchedDecision::Kind. */
+    /** What was decided. */
     enum class Kind : std::uint8_t
     {
         Admit,    //!< head-of-line FIFO admission
-        Backfill, //!< admission that jumped a blocked head
-        Preempt,  //!< priority eviction to make room
+        Backfill, //!< admission that jumped >= 1 blocked job
+        Preempt,  //!< eviction to make room for the acting job
     };
 
     Kind kind = Kind::Admit;
-    double time = 0.0;  //!< fleet seconds
-    int job = -1;       //!< admitted job, or the preemptor
-    int server = -1;    //!< server granted / being vacated
-    int priority = 0;   //!< the acting job's priority
-    std::string klass;  //!< server class requested
-    int freeInClass = 0;   //!< free machines in klass before the act
-    int blockedHead = -1;  //!< earliest blocked job jumped, or -1
-    std::string blockedHeadKlass; //!< its class ("" when none)
-    int victim = -1;          //!< evicted job (Preempt), or -1
-    int victimPriority = 0;   //!< its priority
-    double victimStart = 0.0; //!< when the victim's stint began
-    std::uint64_t pending = 0; //!< jobs still waiting behind this one
-    std::string why; //!< one-line human explanation
+    double time = 0.0; //!< scheduling instant (fleet seconds)
+    int job = -1;      //!< admitted job, or the preemptor
+    int priority = 0;  //!< the acting job's priority
+    int server = -1;   //!< server granted (admit) / vacated (preempt)
+    int klass = -1;    //!< dense class index the acting job wants
+    int freeInClass = 0;  //!< free machines in klass before the act
+    int blockedHead = -1; //!< earliest blocked job jumped, or -1
+    int blockedHeadKlass = -1; //!< its dense class index, or -1
+    int victim = -1;           //!< evicted job (Preempt), or -1
+    int victimPriority = 0;    //!< the victim's priority
+    double victimStart = 0.0;  //!< when the victim started running
+    std::uint64_t pending = 0; //!< jobs still waiting placement
 };
 
 /** @return the lowercase wire name of @p kind (e.g. "preempt"). */
 const char *fleetDecisionName(FleetDecision::Kind kind);
-
-/** Render @p d as one JSONL decision record (no trailing \n). */
-std::string fleetDecisionJson(const FleetDecision &d);
 
 /**
  * Seconds of one grouping cell (a job, a server class, a priority
@@ -205,37 +170,32 @@ std::string fleetAttributionJson(const FleetAttribution &a,
 
 /**
  * The fleet timeline recorder (see file header). Driven only from
- * the fleet event loop; events must arrive in nondecreasing time
- * order per server so occupancy stints nest correctly.
+ * the fleet event loop, in nondecreasing time order, so occupancy
+ * stints nest correctly.
  */
 class FleetTrace
 {
   public:
     /**
-     * @param cfg           retention knobs (cfg.enabled is the
-     *                      caller's concern; the recorder records
-     *                      whatever it is handed)
      * @param jobs          dense job-id space [0, jobs)
      * @param serverTracks  Chrome track name per global server
      *                      index (e.g. "server3.commodity")
      * @param classNames    server class names, dense class index
-     *                      order (counter-track naming)
+     *                      order (decision log and counter tracks)
      */
-    FleetTrace(const FleetTraceConfig &cfg, std::size_t jobs,
-               std::vector<std::string> serverTracks,
+    FleetTrace(std::size_t jobs, std::vector<std::string> serverTracks,
                std::vector<std::string> classNames);
 
     /**
-     * Record one typed event into @p ev.job's ring (oldest entry
-     * dropped and counted once the ring is full). Admit / Backfill
-     * / Resume open an occupancy stint on ev.server; Preempt and
-     * Finish close it (a Resume stint links back to the preempted
-     * stint, which Chrome export renders as a flow arrow).
+     * Append @p d to the decision log. An admit or backfill opens
+     * the job's occupancy stint on d.server, linked to its previous
+     * stint when this placement is a resume (Chrome export renders
+     * the link as a flow arrow); a preempt closes the victim's.
      */
-    void recordEvent(const FleetEvent &ev);
+    void recordDecision(const FleetDecision &d);
 
-    /** Append one decision to the log (event order = call order). */
-    void recordDecision(FleetDecision d);
+    /** @p job ran its last step at @p time: close its stint. */
+    void recordFinish(int job, double time);
 
     /**
      * Sample the scheduler gauges after an event-loop action.
@@ -249,18 +209,6 @@ class FleetTrace
                         std::size_t running,
                         const std::vector<int> &freePerClass);
 
-    /** Events retained for @p job, oldest first. */
-    std::vector<FleetEvent> events(int job) const;
-
-    /** Total events recorded (including later-dropped ones). */
-    std::uint64_t eventCount() const { return eventCount_; }
-
-    /** Events dropped by ring budgets, across all jobs. */
-    std::uint64_t truncated() const { return truncated_; }
-
-    /** Events dropped from @p job's ring. */
-    std::uint64_t truncated(int job) const;
-
     /** The decision log, in event order. */
     const std::vector<FleetDecision> &
     decisions() const
@@ -268,10 +216,13 @@ class FleetTrace
         return decisions_;
     }
 
-    /** Completed server-occupancy stints recorded so far. */
+    /** Server-occupancy stints recorded so far. */
     std::size_t stintCount() const { return stints_.size(); }
 
-    /** The decision log as JSONL (one object per line). */
+    /**
+     * The decision log as JSONL, one object per line: class names
+     * resolved and a one-line explanation ("why") per decision.
+     */
     std::string decisionLogJsonl() const;
 
     /**
@@ -297,14 +248,6 @@ class FleetTrace
         bool preempted = false; //!< closed by eviction, not finish
     };
 
-    /** Ring of one job's retained events. */
-    struct JobRing
-    {
-        std::vector<FleetEvent> events; //!< ring storage
-        std::size_t next = 0;           //!< write index once full
-        std::uint64_t dropped = 0;      //!< evicted entries
-    };
-
     /** One counter sample (a row of every gauge at one instant). */
     struct CounterSample
     {
@@ -314,20 +257,19 @@ class FleetTrace
         std::vector<int> freePerClass;
     };
 
-    void openStint(const FleetEvent &ev, bool resumed);
-    void closeStint(const FleetEvent &ev, bool preempted);
+    /** @return @p job as an index; fatal() outside [0, jobs). */
+    std::size_t jobSlot(int job) const;
+    void closeStint(int job, double time, bool preempted);
+    /** @return class name of dense index @p klass ("" when < 0). */
+    const std::string &className(int klass) const;
 
-    FleetTraceConfig cfg_;
     std::vector<std::string> serverTracks_;
     std::vector<std::string> classNames_;
-    std::vector<JobRing> rings_;   //!< per-job retained events
     std::vector<FleetDecision> decisions_;
     std::vector<Stint> stints_;    //!< completed + open stints
     std::vector<int> openStint_;   //!< job -> open stint index or -1
     std::vector<int> lastStint_;   //!< job -> latest stint index
     std::vector<CounterSample> samples_;
-    std::uint64_t eventCount_ = 0;
-    std::uint64_t truncated_ = 0;
 };
 
 } // namespace mobius

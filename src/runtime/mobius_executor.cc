@@ -17,8 +17,6 @@ constexpr int kPrioCheckpointUpload = 2; //!< checkpoint reloads
 constexpr int kPrioWeightBase = 10;      //!< + stage execution order
 constexpr int kPrioGradFlush = 2000;     //!< gradient flushes to DRAM
 constexpr int kPrioCheckpointOffload = 3000; //!< checkpoint offloads
-/** Added to a throttled GPU's weight loads (see pump()). */
-constexpr int kStragglerPrioPenalty = 500;
 
 } // namespace
 
@@ -220,19 +218,6 @@ MobiusExecutor::pump(int gpu)
             req.bytes = bytes;
             req.kind = TrafficKind::Parameter;
             req.priority = kPrioWeightBase + e.order;
-            // Straggler-aware prefetch (fault injection): a
-            // throttled GPU computes slowly, so its stage loads are
-            // not the bottleneck, and they are demoted. A priority
-            // only orders one copy engine's queue, and links are
-            // shared max-min fairly whatever the priority, so this
-            // reorders only the throttled GPU's own H2D queue. That
-            // rarely matters: it changed one trace in each of two
-            // sweeps of faulted steps (1 of 26,160 and 1 of 34,560),
-            // both straggler plus `xfail` runs; in the one test_fault
-            // pins, a retried demoted chunk sorts behind a fresh one.
-            if (ctx_.faults() &&
-                ctx_.faults()->computeThrottle(gpu) < 1.0)
-                req.priority += kStragglerPrioPenalty;
             req.rateCap = cfg_.weightSourceRateCap;
             req.label = strfmt("S%d.%s", e.stage,
                                e.phase == Phase::Fwd ? "fwd"
@@ -562,7 +547,7 @@ MobiusExecutor::finishBwdStage(int stage)
             std::uint64_t params = 0;
             for (int i = r.lo; i < r.hi; ++i)
                 params += cost_.model().layers[i].paramCount;
-            ctx_.cpuOptimizer().apply(
+            ctx_.applyOptimizer(
                 params, strfmt("adam S%d", stage_idx),
                 {ctx_.xfer().lastSpanId()}, stage_idx);
             pump(gpu);

@@ -13,9 +13,7 @@
  * activation gradients travel between adjacent stages' GPUs (staged
  * through DRAM on commodity boxes); input checkpoints are offloaded
  * after forward and uploaded before backward; gradients are flushed
- * to DRAM when a stage's backward completes. Under fault injection,
- * weight loads bound for a GPU the injector is throttling are
- * demoted behind that GPU's other H2D loads (see pump()).
+ * to DRAM when a stage's backward completes.
  */
 
 #ifndef MOBIUS_RUNTIME_MOBIUS_EXECUTOR_HH

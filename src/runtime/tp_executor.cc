@@ -208,7 +208,7 @@ TensorParallelExecutor::onPiece(int gpu, int slot)
             int lyr = layer;
             flush.onComplete = [this, lyr, gpu] {
                 if (gpu == 0) {
-                    ctx_.cpuOptimizer().apply(
+                    ctx_.applyOptimizer(
                         cost_.model().layers[lyr].paramCount,
                         strfmt("adam l%d", lyr),
                         {ctx_.xfer().lastSpanId()}, lyr);

@@ -304,7 +304,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
         int lyr = layer;
         grad.onComplete = [this, lyr] {
             if (++gradLanded_[lyr] == ctx_.numGpus()) {
-                ctx_.cpuOptimizer().apply(
+                ctx_.applyOptimizer(
                     cost_.model().layers[lyr].paramCount,
                     strfmt("adam l%d", lyr),
                     {ctx_.xfer().lastSpanId()}, lyr);

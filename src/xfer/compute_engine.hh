@@ -1,9 +1,11 @@
 /**
  * @file
- * Per-GPU compute engine: kernels (layer forward/backward executions)
- * run one at a time, FIFO, each for a precomputed duration. Runs
- * concurrently with the GPU's copy engines, which is what lets Mobius
- * overlap stage prefetch with computation.
+ * Serial compute engine: kernels (layer forward/backward executions)
+ * run one at a time, FIFO, each for a precomputed duration. One per
+ * GPU runs concurrently with the GPU's copy engines, which is what
+ * lets Mobius overlap stage prefetch with computation; one more on
+ * the host is the CPU optimizer (ZeRO-Offload-style Adam, §3.1),
+ * whose updates overlap the step's remaining GPU work.
  */
 
 #ifndef MOBIUS_XFER_COMPUTE_ENGINE_HH
@@ -22,10 +24,22 @@
 namespace mobius
 {
 
-/** Serial kernel executor for one GPU. */
+/** Serial kernel executor for one GPU or the host CPU. */
 class ComputeEngine
 {
   public:
+    /**
+     * A host-side engine (the CPU optimizer): GPU -1, no usage
+     * tracker, no metrics handles; its spans go on @p track with
+     * category @p category.
+     */
+    ComputeEngine(EventQueue &queue, TraceRecorder *trace,
+                  std::string track, std::string category)
+        : queue_(queue), usage_(nullptr), gpu_(-1), trace_(trace),
+          track_(std::move(track)),
+          computeCategory_(std::move(category))
+    {}
+
     /**
      * An idle engine for GPU @p gpu with optional telemetry sinks.
      * @p speed_factor is the what-if perturbation hook: every
@@ -120,7 +134,7 @@ class ComputeEngine
      */
     SpanId lastSpanId() const { return lastSpan_; }
 
-    /** The GPU index this engine models. */
+    /** The GPU index this engine models (-1 on the host). */
     int gpu() const { return gpu_; }
 
     /** Total kernel-seconds retired. */
@@ -222,8 +236,8 @@ class ComputeEngine
     UsageTracker *usage_;
     int gpu_;
     TraceRecorder *trace_;
-    TraceName track_; //!< "gpuN.compute", the spans' track
-    TraceName computeCategory_{"compute"};
+    TraceName track_; //!< the spans' track, e.g. "gpuN.compute"
+    TraceName computeCategory_{"compute"}; //!< kernel span category
     TraceName faultCategory_{"fault"};
     double speedFactor_ = 1.0;
     double throttle_ = 1.0;

@@ -1,4 +1,4 @@
-#include "simcore/event_queue_reference.hh"
+#include "event_queue_reference.hh"
 
 #include <algorithm>
 

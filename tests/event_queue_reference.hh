@@ -1,9 +1,9 @@
 /**
  * @file
  * The pre-rewrite `std::map`-backed event queue, frozen verbatim as a
- * reference oracle (the `src/solver/lp_reference.hh` pattern).
+ * reference oracle (test-only, the `lp_reference.hh` pattern).
  *
- * The production EventQueue (event_queue.hh) is an indexed binary
+ * The production EventQueue (simcore/event_queue.hh) is an indexed binary
  * heap; this class keeps the original red-black-tree implementation
  * alive so that
  *
@@ -19,8 +19,8 @@
  * implementation.
  */
 
-#ifndef MOBIUS_SIMCORE_EVENT_QUEUE_REFERENCE_HH
-#define MOBIUS_SIMCORE_EVENT_QUEUE_REFERENCE_HH
+#ifndef MOBIUS_TESTS_EVENT_QUEUE_REFERENCE_HH
+#define MOBIUS_TESTS_EVENT_QUEUE_REFERENCE_HH
 
 #include <cstdint>
 #include <functional>
@@ -115,4 +115,4 @@ class ReferenceEventQueue
 
 } // namespace mobius
 
-#endif // MOBIUS_SIMCORE_EVENT_QUEUE_REFERENCE_HH
+#endif // MOBIUS_TESTS_EVENT_QUEUE_REFERENCE_HH

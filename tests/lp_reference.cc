@@ -1,4 +1,4 @@
-#include "solver/lp_reference.hh"
+#include "lp_reference.hh"
 
 #include <cmath>
 

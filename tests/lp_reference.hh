@@ -1,13 +1,13 @@
 /**
  * @file
  * The original dense two-phase tableau simplex, kept as a slow
- * reference oracle.
+ * reference oracle (test-only).
  *
  * This is the pre-optimisation LP solver: Bland's rule throughout,
  * every finite upper bound lowered into an explicit Le row, free
  * variables split into positive/negative parts, and artificial
  * columns suppressed after phase 1 with a big-M objective penalty.
- * The production solver (lp.hh) replaced all of that with a
+ * The production solver (solver/lp.hh) replaced all of that with a
  * bounded-variable simplex; this copy exists so that
  *
  *  - randomized tests can cross-check the new solver's objectives
@@ -19,8 +19,8 @@
  * (that is the point of keeping it).
  */
 
-#ifndef MOBIUS_SOLVER_LP_REFERENCE_HH
-#define MOBIUS_SOLVER_LP_REFERENCE_HH
+#ifndef MOBIUS_TESTS_LP_REFERENCE_HH
+#define MOBIUS_TESTS_LP_REFERENCE_HH
 
 #include "solver/lp.hh"
 
@@ -43,4 +43,4 @@ LpSolution solveLpReference(const LpProblem &problem,
 
 } // namespace mobius
 
-#endif // MOBIUS_SOLVER_LP_REFERENCE_HH
+#endif // MOBIUS_TESTS_LP_REFERENCE_HH

@@ -2,11 +2,11 @@
  * @file
  * Tests for fleet observability (obs/fleet_trace.hh + the FleetSim
  * integration): the decision-log golden sequences on the PR 7
- * backfill and preemption scenarios, per-job event rings with
- * counted (never silent) truncation, byte-identity of the report
- * JSONL and Chrome timeline across thread widths and plan-cache
- * settings, per-job attribution summing to the JCT, and the
- * fatal-without-tracing accessor contract.
+ * backfill and preemption scenarios, a byte golden of the whole
+ * report JSONL, byte-identity of the report JSONL and Chrome
+ * timeline across thread widths and plan-cache settings, per-job
+ * attribution summing to the JCT, and the fatal-without-tracing
+ * accessor contract.
  */
 
 #include <gtest/gtest.h>
@@ -38,13 +38,12 @@ smallJob()
     return spec;
 }
 
-/** Tracing config with an effectively unbounded per-job ring. */
+/** Tracing switched on. */
 FleetTraceConfig
-tracing(int max_events_per_job = 0)
+tracing()
 {
     FleetTraceConfig cfg;
     cfg.enabled = true;
-    cfg.maxEventsPerJob = max_events_per_job;
     return cfg;
 }
 
@@ -151,10 +150,7 @@ TEST(FleetTrace, DecisionLogGoldenOnPreemption)
     EXPECT_EQ(ds[1].victimPriority, 5);
     EXPECT_DOUBLE_EQ(ds[1].victimStart, 0.0);
     EXPECT_EQ(ds[1].freeInClass, 0);
-    EXPECT_EQ(ds[1].klass, "commodity");
-    EXPECT_NE(ds[1].why.find("preempted job 0"), std::string::npos);
-    EXPECT_NE(ds[1].why.find("for job 1 (prio 0)"),
-              std::string::npos);
+    EXPECT_EQ(ds[1].klass, 0); // "commodity", the only class
 
     EXPECT_EQ(ds[2].kind, FleetDecision::Kind::Admit);
     EXPECT_EQ(ds[2].job, 1);
@@ -164,35 +160,14 @@ TEST(FleetTrace, DecisionLogGoldenOnPreemption)
     EXPECT_EQ(ds[3].job, 0); // the resume placement
     EXPECT_DOUBLE_EQ(ds[3].time, 0.25 + step);
 
-    // The victim's full event story, oldest first.
-    std::vector<FleetEvent> ev = fleet->fleetTrace().events(0);
-    ASSERT_EQ(ev.size(), 7u);
-    EXPECT_EQ(ev[0].type, FleetEventType::Submit);
-    EXPECT_EQ(ev[1].type, FleetEventType::Admit);
-    EXPECT_DOUBLE_EQ(ev[1].value, 5.0); // its priority
-    EXPECT_EQ(ev[2].type, FleetEventType::Preempt);
-    EXPECT_DOUBLE_EQ(ev[2].time, 0.25);
-    EXPECT_EQ(ev[2].other, 1); // the preemptor
-    EXPECT_EQ(ev[3].type, FleetEventType::Dock);
-    EXPECT_EQ(ev[3].other, 0); // zero whole steps kept
-    EXPECT_DOUBLE_EQ(ev[3].value, 0.25); // seconds docked away
-    EXPECT_EQ(ev[4].type, FleetEventType::Resume);
-    EXPECT_DOUBLE_EQ(ev[4].time, 0.25 + step);
-    EXPECT_EQ(ev[5].type, FleetEventType::Finish);
-    EXPECT_EQ(ev[6].type, FleetEventType::ServerFree);
-
-    // And the preemptor's: it never waits, never resumes.
-    ev = fleet->fleetTrace().events(1);
-    ASSERT_EQ(ev.size(), 4u);
-    EXPECT_EQ(ev[0].type, FleetEventType::Submit);
-    EXPECT_EQ(ev[1].type, FleetEventType::Admit);
-    EXPECT_EQ(ev[2].type, FleetEventType::Finish);
-    EXPECT_EQ(ev[3].type, FleetEventType::ServerFree);
+    // The export names the class and explains the eviction.
+    std::string log = fleet->fleetTrace().decisionLogJsonl();
+    EXPECT_NE(log.find("\"class\":\"commodity\""), std::string::npos);
+    EXPECT_NE(log.find("preempted job 0"), std::string::npos);
+    EXPECT_NE(log.find("for job 1 (prio 0)"), std::string::npos);
 
     // Two stints for the victim plus one for the preemptor.
     EXPECT_EQ(fleet->fleetTrace().stintCount(), 3u);
-    EXPECT_EQ(m.traceEvents, 11u);
-    EXPECT_EQ(m.traceTruncated, 0u);
 }
 
 TEST(FleetTrace, DecisionLogGoldenOnBackfill)
@@ -212,53 +187,92 @@ TEST(FleetTrace, DecisionLogGoldenOnBackfill)
     EXPECT_DOUBLE_EQ(ds[1].time, 0.6);
     EXPECT_EQ(ds[1].job, 2);
     EXPECT_EQ(ds[1].server, 1);
-    EXPECT_EQ(ds[1].klass, "dc");
+    EXPECT_EQ(ds[1].klass, 1); // "dc"
     EXPECT_EQ(ds[1].freeInClass, 1);
     EXPECT_EQ(ds[1].blockedHead, 1);
-    EXPECT_EQ(ds[1].blockedHeadKlass, "commodity");
+    EXPECT_EQ(ds[1].blockedHeadKlass, 0); // "commodity"
     EXPECT_EQ(ds[1].pending, 1u); // job 1 still waiting
-    EXPECT_EQ(ds[1].why,
-              "backfilled job 2 onto server 1 (dc) past blocked "
-              "head 1: head needs 1xcommodity, 0 free");
 
     EXPECT_EQ(ds[2].kind, FleetDecision::Kind::Admit);
     EXPECT_EQ(ds[2].job, 1); // unblocked when job 0 finishes
 
-    // The backfilled job's placement event carries the jumped head.
-    std::vector<FleetEvent> ev = fleet->fleetTrace().events(2);
-    ASSERT_GE(ev.size(), 2u);
-    EXPECT_EQ(ev[1].type, FleetEventType::Backfill);
-    EXPECT_EQ(ev[1].other, 1);
-
-    // The JSONL log serialises one decision per line, wire-named.
+    // The JSONL log serialises one decision per line, wire-named,
+    // with class names resolved and the jump explained.
     std::string log = fleet->fleetTrace().decisionLogJsonl();
     EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 3);
     EXPECT_NE(log.find("\"type\":\"backfill\""), std::string::npos);
     EXPECT_NE(log.find("\"blocked_head\":1"), std::string::npos);
+    EXPECT_NE(log.find("\"class\":\"dc\""), std::string::npos);
+    EXPECT_NE(log.find("\"blocked_head_class\":\"commodity\""),
+              std::string::npos);
+    EXPECT_NE(log.find("\"why\":\"backfilled job 2 onto server 1 (dc) "
+                       "past blocked head 1: head needs 1xcommodity, "
+                       "0 free\""),
+              std::string::npos);
 }
 
-TEST(FleetTrace, RingBudgetTruncatesOldestAndCountsDrops)
+TEST(FleetTrace, ReportJsonlGoldenOnPreemption)
 {
-    auto bounded = preemptionFleet(tracing(2));
-    FleetMetrics m = bounded->run();
-
-    // Recording still counts every event; only retention shrinks.
-    EXPECT_EQ(m.traceEvents, 11u);
-    // Job 0 emitted 7 events and kept 2; job 1 emitted 4, kept 2.
-    EXPECT_EQ(bounded->fleetTrace().truncated(0), 5u);
-    EXPECT_EQ(bounded->fleetTrace().truncated(1), 2u);
-    EXPECT_EQ(m.traceTruncated, 7u);
-    EXPECT_EQ(bounded->fleetTrace().truncated(), 7u);
-
-    // The ring keeps the *newest* events, oldest first.
-    std::vector<FleetEvent> ev = bounded->fleetTrace().events(0);
-    ASSERT_EQ(ev.size(), 2u);
-    EXPECT_EQ(ev[0].type, FleetEventType::Finish);
-    EXPECT_EQ(ev[1].type, FleetEventType::ServerFree);
-
-    // Truncation must not perturb the run itself.
-    auto unbounded = preemptionFleet(tracing());
-    EXPECT_EQ(unbounded->run().fingerprint, m.fingerprint);
+    // The whole report, byte for byte: class names and the "why"
+    // text are resolved at export from the scheduler's own record.
+    auto fleet = preemptionFleet(tracing());
+    fleet->run();
+    const std::string want =
+        "{\"kind\":\"decision\",\"type\":\"admit\",\"time\":0,"
+        "\"job\":0,\"server\":0,\"priority\":5,"
+        "\"class\":\"commodity\",\"free_in_class\":1,\"pending\":0,"
+        "\"blocked_head\":-1,\"blocked_head_class\":\"\","
+        "\"victim\":-1,\"victim_priority\":0,\"victim_start\":0,"
+        "\"why\":\"admitted job 0 on server 0 (commodity): "
+        "1 free\"}\n"
+        "{\"kind\":\"decision\",\"type\":\"preempt\",\"time\":0.25,"
+        "\"job\":1,\"server\":0,\"priority\":0,"
+        "\"class\":\"commodity\",\"free_in_class\":0,\"pending\":0,"
+        "\"blocked_head\":-1,\"blocked_head_class\":\"\","
+        "\"victim\":0,\"victim_priority\":5,\"victim_start\":0,"
+        "\"why\":\"preempted job 0 (prio 5, started 0s) on "
+        "server 0 (commodity) for job 1 (prio 0): 0 free\"}\n"
+        "{\"kind\":\"decision\",\"type\":\"admit\",\"time\":0.25,"
+        "\"job\":1,\"server\":0,\"priority\":0,"
+        "\"class\":\"commodity\",\"free_in_class\":0,\"pending\":0,"
+        "\"blocked_head\":-1,\"blocked_head_class\":\"\","
+        "\"victim\":-1,\"victim_priority\":0,\"victim_start\":0,"
+        "\"why\":\"admitted job 1 on server 0 (commodity): "
+        "0 free\"}\n"
+        "{\"kind\":\"decision\",\"type\":\"admit\","
+        "\"time\":1.2524775105771371,\"job\":0,\"server\":0,"
+        "\"priority\":5,\"class\":\"commodity\","
+        "\"free_in_class\":1,\"pending\":0,\"blocked_head\":-1,"
+        "\"blocked_head_class\":\"\",\"victim\":-1,"
+        "\"victim_priority\":0,\"victim_start\":0,"
+        "\"why\":\"admitted job 0 on server 0 (commodity): "
+        "1 free\"}\n"
+        "{\"kind\":\"job\",\"job\":0,\"name\":\"job0\","
+        "\"class\":\"commodity\",\"priority\":5,"
+        "\"jct\":4.2599100423085483,\"preemptions\":1,"
+        "\"dominant\":\"compute\",\"breakdown\":{\"jobs\":1,"
+        "\"total\":4.2599100423085483,"
+        "\"queue_wait\":1.0024775105771369,"
+        "\"compute\":1.9448917189119954,"
+        "\"transfer\":0.2047687328244272,"
+        "\"contention\":0.85165207999499204,\"optimizer\":0,"
+        "\"fault\":0,\"bubble\":0.0061199999999966212,\"other\":0,"
+        "\"preemption_lost\":0.25}}\n"
+        "{\"kind\":\"job\",\"job\":1,\"name\":\"job1\","
+        "\"class\":\"commodity\",\"priority\":0,"
+        "\"jct\":1.0024775105771371,\"preemptions\":0,"
+        "\"dominant\":\"compute\",\"breakdown\":{\"jobs\":1,"
+        "\"total\":1.0024775105771371,\"queue_wait\":0,"
+        "\"compute\":0.64829723963733177,"
+        "\"transfer\":0.068256244274809072,"
+        "\"contention\":0.28388402666499735,\"optimizer\":0,"
+        "\"fault\":0,\"bubble\":0.0020399999999988739,\"other\":0,"
+        "\"preemption_lost\":0}}\n"
+        "{\"kind\":\"summary\",\"jobs\":2,\"completed\":2,"
+        "\"makespan\":4.2599100423085483,\"admissions\":3,"
+        "\"backfills\":0,\"preemptions\":1,"
+        "\"decision_fingerprint\":\"e1ff8661ed1c5800\"}\n";
+    EXPECT_EQ(fleet->reportJsonl(), want);
 }
 
 TEST(FleetTrace, ReportBytesIdenticalAcrossThreadsAndCache)
@@ -420,9 +434,7 @@ TEST(FleetTrace, BreakdownDominantAndDecisionWireNames)
     EXPECT_STREQ(t.dominant(), "queue-wait");
     EXPECT_DOUBLE_EQ(t.total(), 5.0);
 
-    EXPECT_STREQ(fleetEventName(FleetEventType::ServerFree),
-                 "server-free");
-    EXPECT_STREQ(fleetEventName(FleetEventType::Backfill),
+    EXPECT_STREQ(fleetDecisionName(FleetDecision::Kind::Backfill),
                  "backfill");
     EXPECT_STREQ(fleetDecisionName(FleetDecision::Kind::Preempt),
                  "preempt");

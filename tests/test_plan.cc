@@ -18,6 +18,7 @@
 #include "base/rng.hh"
 #include "hw/server.hh"
 #include "mapping_reference.hh"
+#include "partition_reference.hh"
 #include "pipeline_cost_reference.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"

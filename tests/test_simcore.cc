@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "event_queue_reference.hh"
 #include "simcore/arrival.hh"
 #include "simcore/event_queue.hh"
-#include "simcore/event_queue_reference.hh"
 
 namespace mobius
 {

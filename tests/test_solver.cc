@@ -12,11 +12,11 @@
 
 #include "base/rng.hh"
 #include "hw/server.hh"
+#include "lp_reference.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
 #include "plan/pipeline_cost.hh"
 #include "solver/lp.hh"
-#include "solver/lp_reference.hh"
 #include "solver/mip.hh"
 
 namespace mobius

@@ -17,15 +17,17 @@
  *   {"kind":"job", ...}       one job's attribution record (JCT,
  *                             per-category seconds, dominant
  *                             category);
- *   {"kind":"summary", ...}   fleet totals and the decision-stream
+ *   {"kind":"summary", ...}   fleet totals (jobs, completed,
+ *                             makespan, admissions / backfills /
+ *                             preemptions) and the decision-stream
  *                             fingerprint.
  *
  * The tool rebuilds the fleet-wide "where did fleet time go"
  * roll-up from the job records (per class, per priority, TOTAL row)
- * and prints it with a Top-K worst-JCT drill-down naming each
- * straggler's dominant category; `--json` emits the same roll-up as
- * one JSON object. Exit status 1 on unreadable input or a log with
- * no job records.
+ * and prints it, under a header line echoing the summary's totals,
+ * with a Top-K worst-JCT drill-down naming each straggler's dominant
+ * category; `--json` emits the same roll-up as one JSON object.
+ * Exit status 1 on unreadable input or a log with no job records.
  *
  * Options:
  *   --in FILE   report JSONL to read (required)
@@ -150,7 +152,7 @@ main(int argc, char **argv)
             std::printf(
                 "fleet: %d jobs, %d completed, makespan %.3fs, "
                 "%d admissions / %d backfills / %d preemptions, "
-                "%d events (%d truncated), decision fp %s\n\n",
+                "decision fp %s\n\n",
                 static_cast<int>(summary.numberOr("jobs", 0)),
                 static_cast<int>(summary.numberOr("completed", 0)),
                 summary.numberOr("makespan", 0.0),
@@ -158,8 +160,6 @@ main(int argc, char **argv)
                 static_cast<int>(summary.numberOr("backfills", 0)),
                 static_cast<int>(
                     summary.numberOr("preemptions", 0)),
-                static_cast<int>(summary.numberOr("events", 0)),
-                static_cast<int>(summary.numberOr("truncated", 0)),
                 summary.stringOr("decision_fingerprint", "?")
                     .c_str());
         std::printf("%s",
