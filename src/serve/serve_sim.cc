@@ -578,8 +578,15 @@ struct ServeSim::Impl
             req.priority = kPrioWeightBase + k;
             req.label = "shard s" + std::to_string(k);
             req.stage = k;
-            req.onComplete = [this, k, g, piece, gpus] {
+            // Capture no more than std::function stores inline, and
+            // recompute the rest: the plan is fixed while an
+            // iteration runs, and this one cannot end before every
+            // shard lands.
+            req.onComplete = [this, k, g] {
                 onGatherPiece(k);
+                const int gpus = ctx.numGpus();
+                const Bytes piece = std::max<Bytes>(
+                    1, stage(k).weightBytes / static_cast<Bytes>(gpus));
                 for (int p = 0; p < gpus; ++p) {
                     if (p == g)
                         continue;

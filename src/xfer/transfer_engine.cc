@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "base/logging.hh"
 #include "obs/prof.hh"
@@ -113,6 +114,13 @@ TransferEngine::buildRoutes()
             r.poolCount = static_cast<std::uint32_t>(hops.size());
             bool all_peer = !hops.empty();
             for (const auto &h : hops) {
+                // A lone flow's rate is its route's bottleneck only
+                // if it counts once in each pool's share.
+                if (std::find(routePools_.begin() + r.poolOff,
+                              routePools_.end(),
+                              h.poolId()) != routePools_.end())
+                    panic("route %d -> %d crosses pool %d twice", s, d,
+                          h.poolId());
                 routePools_.push_back(h.poolId());
                 all_peer = all_peer && topo_.link(h.link).peer;
             }
@@ -151,6 +159,19 @@ TransferEngine::buildRoutes()
                                     ".d2h");
         }
     }
+    refreshBottlenecks();
+}
+
+void
+TransferEngine::refreshBottlenecks()
+{
+    for (Route &r : routes_) {
+        r.bottleneck = std::numeric_limits<double>::infinity();
+        for (int pool : poolsOf(r))
+            r.bottleneck = std::min(
+                r.bottleneck,
+                poolCapacity_[static_cast<std::size_t>(pool)]);
+    }
 }
 
 TransferEngine::Flow &
@@ -177,6 +198,7 @@ TransferEngine::setLinkCapacityFactor(int link, double factor)
         poolCapacity_[pool] = basePoolCapacity_[pool] * factor;
         seeds[d] = static_cast<int>(pool);
     }
+    refreshBottlenecks();
     updateRates(seeds, 0);
 }
 
@@ -304,7 +326,7 @@ TransferEngine::beginSetup(Flow &flow)
     }
     for (int i = 0; i < route.numEngines; ++i) {
         auto &eng = engines_[route.engines[i]];
-        eng.waiting.pop_front();
+        eng.waiting.erase(eng.waiting.begin());
         eng.current = flow.id;
     }
     if (usage_) {
@@ -328,9 +350,12 @@ TransferEngine::addToPools(const Flow &flow)
 void
 TransferEngine::removeFromPools(const Flow &flow)
 {
+    // Swap-and-pop: the order of a pool's users reaches no output
+    // (updateRates()).
     for (int pool : poolsOf(routeOf(flow))) {
         auto &users = poolUsers_[static_cast<std::size_t>(pool)];
-        users.erase(std::find(users.begin(), users.end(), flow.id));
+        *std::find(users.begin(), users.end(), flow.id) = users.back();
+        users.pop_back();
     }
     --movingCount_;
 }
@@ -356,11 +381,11 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                             FlowId seed_flow)
 {
     MOBIUS_PROF_ZONE("xfer.update_rates");
-    // Walk each connected component of moving flows reachable from
+    // Find each connected component of moving flows reachable from
     // the seeds through shared pools: the seed flow's first, then one
-    // from each seed pool no earlier walk reached. compEnds_ records
-    // where each component's flows and pools end. Epoch stamps make
-    // the walk allocation-free.
+    // from each seed pool no earlier component reached. compEnds_
+    // records where each component's flows and pools end. Epoch
+    // stamps make the search allocation-free.
     ++walkEpoch_;
     compFlows_.clear();
     compPools_.clear();
@@ -380,6 +405,22 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                 visitPool(pool);
         }
     };
+    // A flow that is the only user of every pool on its route is a
+    // component by itself: stamp it and its pools, and record it
+    // without scanning pool users. Its pools stay out of compPools_,
+    // since no waterfill reads them.
+    auto closeAlone = [this](Flow &f) {
+        for (int pool : poolsOf(routeOf(f))) {
+            if (poolUsers_[static_cast<std::size_t>(pool)].size() != 1)
+                return false;
+        }
+        f.mark = walkEpoch_;
+        for (int pool : poolsOf(routeOf(f)))
+            poolMark_[static_cast<std::size_t>(pool)] = walkEpoch_;
+        compFlows_.push_back(f.id);
+        compEnds_.push_back({compFlows_.size(), compPools_.size()});
+        return true;
+    };
     auto walk = [this, &visitFlow](std::size_t first_pool) {
         for (std::size_t i = first_pool; i < compPools_.size(); ++i) {
             auto &users =
@@ -390,12 +431,18 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
         compEnds_.push_back({compFlows_.size(), compPools_.size()});
     };
     if (seed_flow != 0) {
-        visitFlow(flowAt(seed_flow));
-        walk(0);
+        Flow &f = flowAt(seed_flow);
+        if (!closeAlone(f)) {
+            visitFlow(f);
+            walk(0);
+        }
     }
     for (int pool : seed_pools) {
         std::size_t p = static_cast<std::size_t>(pool);
-        if (poolMark_[p] == walkEpoch_ || poolUsers_[p].empty())
+        const auto &users = poolUsers_[p];
+        if (poolMark_[p] == walkEpoch_ || users.empty())
+            continue;
+        if (users.size() == 1 && closeAlone(flowAt(users[0])))
             continue;
         const std::size_t first = compPools_.size();
         visitPool(pool);
@@ -421,12 +468,11 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
         return;
 
     // Integrate progress of every component flow since its last
-    // update. Untouched flows keep integrating at their unchanged
-    // rate; their scheduled completion stays exact.
-    fsViews_.resize(compFlows_.size());
-    fsRates_.resize(compFlows_.size());
-    for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        Flow &f = flowAt(compFlows_[i]);
+    // update, then re-rate its component. Untouched flows keep
+    // integrating at their unchanged rate; their scheduled completion
+    // stays exact.
+    auto integrate = [this](FlowId fid) -> Flow & {
+        Flow &f = flowAt(fid);
         double dt = queue_.now() - f.lastUpdate;
         if (dt > 0 && f.rate > 0) {
             double moved = f.rate * dt;
@@ -436,24 +482,39 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
                 f.remaining -= static_cast<Bytes>(moved);
         }
         f.lastUpdate = queue_.now();
-        fsViews_[i].pools = poolsOf(routeOf(f));
-        fsViews_[i].rateCap = f.req.rateCap;
-    }
-
-    // Waterfill each component in walk order; inside one the rates
-    // do not depend on flow or pool order (fair_share.hh).
+        return f;
+    };
+    // Components are solved one by one; inside one the rates do not
+    // depend on flow or pool order (fair_share.hh).
     FairShareStats fsStats;
-    const std::span<const FairShareFlowView> views = fsViews_;
-    const std::span<double> rates = fsRates_;
     const std::span<const int> pools = compPools_;
     std::size_t flowBegin = 0;
     std::size_t poolBegin = 0;
     for (const CompEnd &end : compEnds_) {
         const std::size_t n = end.flows - flowBegin;
-        waterfillComponent(views.subspan(flowBegin, n),
-                           pools.subspan(poolBegin, end.pools - poolBegin),
-                           poolCapacity_, rates.subspan(flowBegin, n),
-                           fsWork_, mRecomputes_ ? &fsStats : nullptr);
+        if (n == 1) {
+            // A one-flow waterfill's single round raises the flow to
+            // the least of its pools' capacities and its cap.
+            Flow &f = integrate(compFlows_[flowBegin]);
+            f.rate = cappedBottleneck(f);
+            if (std::isinf(f.rate))
+                panic("max-min fairness: unconstrained flow");
+            ++fsStats.rounds;
+        } else {
+            fsViews_.resize(n);
+            fsRates_.resize(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Flow &f = integrate(compFlows_[flowBegin + i]);
+                fsViews_[i].pools = poolsOf(routeOf(f));
+                fsViews_[i].rateCap = f.req.rateCap;
+            }
+            waterfillComponent(
+                fsViews_, pools.subspan(poolBegin, end.pools - poolBegin),
+                poolCapacity_, fsRates_, fsWork_,
+                mRecomputes_ ? &fsStats : nullptr);
+            for (std::size_t i = 0; i < n; ++i)
+                flowAt(compFlows_[flowBegin + i]).rate = fsRates_[i];
+        }
         flowBegin = end.flows;
         poolBegin = end.pools;
     }
@@ -461,8 +522,6 @@ TransferEngine::updateRates(std::span<const int> seed_pools,
         mRecomputes_->add();
         mFairShareRounds_->record(fsStats.rounds);
     }
-    for (std::size_t i = 0; i < compFlows_.size(); ++i)
-        flowAt(compFlows_[i]).rate = fsRates_[i];
 
     // Reschedule completions in submission order, as a full
     // recompute would: equal-time events fire in schedule order. A
@@ -547,13 +606,7 @@ TransferEngine::finish(FlowId id)
     // route (and the flow's own cap, if any). Finishing below it
     // means fair sharing stalled this flow; the shortfall is the
     // span's contention stretch in critical-path attribution.
-    double bottleneck = flow.req.rateCap > 0.0
-        ? flow.req.rateCap
-        : std::numeric_limits<double>::infinity();
-    for (int pool : pools)
-        bottleneck = std::min(
-            bottleneck,
-            poolCapacity_[static_cast<std::size_t>(pool)]);
+    const double bottleneck = cappedBottleneck(flow);
 
     if (mCompleted_) {
         (flow.req.willFail ? mFailed_ : mCompleted_)->add();
@@ -616,8 +669,10 @@ TransferEngine::finish(FlowId id)
         ? std::move(flow.req.onFail)
         : std::move(flow.req.onComplete);
     // Free the slot (and whatever the request still holds) before
-    // anything below can submit into it.
-    flow = Flow{};
+    // anything below can submit into it: end the flow's lifetime and
+    // start a default one in place.
+    std::destroy_at(&flow);
+    std::construct_at(&flow);
     freeSlots_.push_back(static_cast<std::uint32_t>(id & kSlotMask));
 
     updateRates(pools, 0);

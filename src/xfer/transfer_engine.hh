@@ -22,25 +22,32 @@
  * flow set (a flow starts moving, finishes, or a link's capacity is
  * rescaled) can only move the rates of flows that share a pool with
  * the change — directly or transitively. The engine keeps a
- * pool -> moving-flows index and walks each connected component the
+ * pool -> moving-flows index and finds each connected component the
  * change touches on its own: the started flow's, or one per seed
  * pool (the finished flow's, or both directions of a rescaled link)
- * that still carries moving flows and no earlier walk reached. It
- * then waterfills each component with waterfillComponent()
- * (fair_share.hh), which initialises only that component's pools,
- * so an update costs O(the components it re-solves), not O(pools).
- * Untouched flows keep their rate, their progress integral, and
- * their already-scheduled completion event. A component's rates
- * depend only on its own flows, in any order, so the incremental
- * rates are bit-identical to what a full recomputation would
- * produce; TransferEngineConfig::fairShareCrossCheck re-runs the
- * full solve (maxMinFairRates) after every update and panics on
- * any divergence. Completions are rescheduled in ascending FlowId
- * order across all the re-solved components, as a full recompute
- * would. A re-solved flow whose completion is already pending moves
- * it with EventQueue::reschedule(), which keeps the event's callback
- * and sifts its heap entry once; the result is what cancelling it
- * and scheduling a new one gives, seq and id included.
+ * that still carries moving flows and no earlier component reached.
+ * A flow that is the only user of every pool on its route (the
+ * started flow, or a seed pool's sole user) is a component by
+ * itself and is closed at once; any other component is walked
+ * through the index. A one-flow component's rate is its route's
+ * bottleneck capped by its rateCap: exactly the bits a one-flow
+ * waterfill returns after its single round, counted as one round.
+ * Components of two or more flows are waterfilled with
+ * waterfillComponent() (fair_share.hh), which initialises only that
+ * component's pools, so an update costs O(the components it
+ * re-solves), not O(pools). Untouched flows keep their rate, their
+ * progress integral, and their already-scheduled completion event.
+ * A component's rates depend only on its own flows, in any order,
+ * so the incremental rates are bit-identical to what a full
+ * recomputation would produce;
+ * TransferEngineConfig::fairShareCrossCheck re-runs the full solve
+ * (maxMinFairRates) after every update and panics on any
+ * divergence. Completions are rescheduled in ascending FlowId order
+ * across all the re-solved components, as a full recompute would. A
+ * re-solved flow whose completion is already pending moves it with
+ * EventQueue::reschedule(), which keeps the event's callback and
+ * sifts its heap entry once; the result is what cancelling it and
+ * scheduling a new one gives, seq and id included.
  *
  * **No rebuilding or rescanning per flow.** The per-flow path reuses
  * what it can compute once and looks only at the state a change can
@@ -49,10 +56,18 @@
  *  - routes: each (src, dst) endpoint pair's pools, copy engines,
  *    comm GPUs, peer-only flag and trace track are computed once at
  *    construction into a (G+1)^2 table (DRAM plus G GPUs per side);
- *    a flow names its route by index;
+ *    a flow names its route by index. Each route also keeps its
+ *    uncontended bottleneck, refreshed when a link is rescaled, so
+ *    neither a lone flow's rate nor finish()'s stall check scans
+ *    the route's pools;
  *  - flows live in a slot table with a free list. A FlowId is
  *    `seq << 32 | slot`, so ids sort in submission order, and a
  *    lookup checks the slot still holds that id;
+ *  - pool user lists and copy-engine queues are short vectors (about
+ *    one entry each on the benchmark workloads): a pool drops a
+ *    finished flow by swap-and-pop, since list order reaches no
+ *    output, and an engine keeps its waiters in (priority, id)
+ *    order;
  *  - the waterfill reads views of the route table's pool lists and
  *    writes into a FairShareWorkspace the engine keeps;
  *  - copy-engine wake-up: only the engines a submit or finish
@@ -73,8 +88,8 @@
 #ifndef MOBIUS_XFER_TRANSFER_ENGINE_HH
 #define MOBIUS_XFER_TRANSFER_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
@@ -221,12 +236,16 @@ class TransferEngine
 
     /**
      * What the engine needs about one (src, dst) endpoint pair,
-     * computed once at construction (see routeIndex()).
+     * computed once at construction (see routeIndex()). A route
+     * lists each pool at most once.
      */
     struct Route
     {
         std::uint32_t poolOff = 0;   //!< first pool in routePools_
         std::uint32_t poolCount = 0; //!< capacity pools on the route
+        /** Uncontended rate: the minimum current capacity over the
+         *  route's pools (infinite when it has none). */
+        double bottleneck = 0.0;
         int engines[2] = {-1, -1};   //!< copy-engine ids required
         int numEngines = 0;
         int commGpus[2] = {-1, -1};  //!< GPUs for usage tracking
@@ -257,10 +276,14 @@ class TransferEngine
         FlowId id = 0;
     };
 
+    /**
+     * One copy engine. Its queue rarely holds more than a few
+     * waiters, so a sorted vector beats a per-priority structure.
+     */
     struct CopyEngine
     {
         FlowId current = 0;               //!< 0 = idle
-        std::deque<Waiter> waiting;       //!< kept (priority, id)-sorted
+        std::vector<Waiter> waiting;      //!< kept (priority, id)-sorted
     };
 
     /** Copy-engine id for a GPU and direction (false=H2D, true=D2H). */
@@ -286,6 +309,8 @@ class TransferEngine
     int routeIndex(Endpoint src, Endpoint dst) const;
     /** Fill routes_ and routePools_ for every endpoint pair. */
     void buildRoutes();
+    /** Recompute every route's bottleneck from poolCapacity_. */
+    void refreshBottlenecks();
 
     /** The route @p flow takes. */
     const Route &
@@ -299,6 +324,19 @@ class TransferEngine
     poolsOf(const Route &route) const
     {
         return {routePools_.data() + route.poolOff, route.poolCount};
+    }
+
+    /**
+     * @p flow's uncontended rate: its route's bottleneck, capped by
+     * its own rateCap. It is also the rate of a flow that shares no
+     * pool with another.
+     */
+    double
+    cappedBottleneck(const Flow &flow) const
+    {
+        const double b = routeOf(flow).bottleneck;
+        return flow.req.rateCap > 0.0 ? std::min(b, flow.req.rateCap)
+                                      : b;
     }
 
     /** The live flow @p id; panics when its slot was reused. */
@@ -322,11 +360,12 @@ class TransferEngine
     void removeFromPools(const Flow &flow);
 
     /**
-     * React to an active-set change: walk the connected components
+     * React to an active-set change: find the connected components
      * of moving flows reachable from @p seed_flow (when nonzero) and
-     * @p seed_pools, integrate their progress, waterfill each
-     * component, and reschedule their completion events. Every other
-     * moving flow is left untouched.
+     * @p seed_pools, integrate their progress, re-rate each component
+     * (a one-flow component from its capped bottleneck, any other by
+     * waterfilling), and reschedule their completion events. Every
+     * other moving flow is left untouched.
      */
     void updateRates(std::span<const int> seed_pools, FlowId seed_flow);
 

@@ -2,12 +2,15 @@
  * @file
  * Unit tests for the transfer engine: copy-engine serialisation,
  * priorities, staging through DRAM, contention, stats/usage
- * tracking, seeded random mixes and multi-component re-solves
- * pinned to span fingerprints, and allocation-free rate re-solves.
+ * tracking, lone flows against the full solve, seeded random mixes
+ * and multi-component re-solves pinned to span fingerprints and
+ * solve counts, and allocation-free rate re-solves.
  */
 
+#include <algorithm>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -615,6 +618,113 @@ TEST(TransferEngineMix, SpanFingerprintsMatchPinned)
     }
 }
 
+TEST(TransferEngineMix, ActivityTotalsMatchPinned)
+{
+    // The rate solves the 18 mixes count, summed, recorded with the
+    // engine that walked every component through the pool index: a
+    // lone flow closed without a walk is still one solve touching one
+    // flow, and every other moving flow is still skipped.
+    FairShareActivity total;
+    for (const PinnedMix &m : kPinnedMixes) {
+        FairShareActivity a;
+        randomMixFingerprint(mixServer(m.server), m.seed, false, &a);
+        total.solves += a.solves;
+        total.flowsTouched += a.flowsTouched;
+        total.flowsSkipped += a.flowsSkipped;
+        total.multiComponentSolves += a.multiComponentSolves;
+    }
+    EXPECT_EQ(total.solves, 2014u);
+    EXPECT_EQ(total.flowsTouched, 3290u);
+    EXPECT_EQ(total.flowsSkipped, 3029u);
+    EXPECT_EQ(total.multiComponentSolves, 62u);
+}
+
+/**
+ * One flow on every route of @p server, one after another, under the
+ * fair-share cross-check, which panics unless each stored rate equals
+ * maxMinFairRates()'s. Each flow has @p rate_cap (0 = none). With
+ * @p link >= 0, that link drops to 0.45 of its capacity while each
+ * flow moves and is restored before the flow lands. @return the
+ * engine's fair-share activity.
+ */
+FairShareActivity
+runLoneFlows(const Server &server, double rate_cap, int link)
+{
+    EventQueue q;
+    TransferEngineConfig c;
+    c.fairShareCrossCheck = true;
+    TransferEngine eng(q, server.topo, nullptr, c);
+    const int g = server.topo.numGpus();
+    auto endpoint = [](int i) {
+        return i == 0 ? Endpoint::dram() : Endpoint::gpuAt(i - 1);
+    };
+    for (int s = 0; s <= g; ++s) {
+        for (int d = 0; d <= g; ++d) {
+            if (s == d)
+                continue;
+            TransferRequest req;
+            req.src = endpoint(s);
+            req.dst = endpoint(d);
+            req.bytes = 256 * MiB;
+            req.rateCap = rate_cap;
+            bool done = false;
+            req.onComplete = [&done] { done = true; };
+            eng.submit(std::move(req));
+            if (link >= 0) {
+                q.scheduleAfter(1e-3, [&eng, link] {
+                    eng.setLinkCapacityFactor(link, 0.45);
+                });
+                q.scheduleAfter(2e-3, [&eng, link] {
+                    eng.setLinkCapacityFactor(link, 1.0);
+                });
+            }
+            q.run();
+            EXPECT_TRUE(done) << s << " -> " << d;
+        }
+    }
+    EXPECT_TRUE(eng.idle());
+    return eng.fairShareActivity();
+}
+
+TEST(TransferEngineLone, OneFlowPerRouteMatchesFullSolve)
+{
+    // A flow alone on its pools takes its route's bottleneck, capped
+    // by its rateCap, without a waterfill. Check it on every route of
+    // each mix server: uncapped, with a cap below the route's
+    // bottleneck (but above a degraded one) and with one above it,
+    // then with each link degraded and restored mid-flight, which
+    // refreshes the route bottlenecks.
+    for (const char *name : {"2+2", "4+4", "1+3", "nvlink"}) {
+        const Server server = mixServer(name);
+        const Topology &topo = server.topo;
+        double lo = topo.link(0).capacity;
+        double hi = lo;
+        for (int l = 0; l < topo.numLinks(); ++l) {
+            lo = std::min(lo, topo.link(l).capacity);
+            hi = std::max(hi, topo.link(l).capacity);
+        }
+        const int g = topo.numGpus();
+        const std::uint64_t routes =
+            static_cast<std::uint64_t>((g + 1) * g);
+        for (double cap : {0.0, 0.75 * lo, 2.0 * hi}) {
+            FairShareActivity a = runLoneFlows(server, cap, -1);
+            // Each route's flow is re-rated once, when it starts.
+            EXPECT_EQ(a.flowsTouched, routes) << name << " cap " << cap;
+            EXPECT_EQ(a.crossChecks, routes) << name << " cap " << cap;
+            EXPECT_EQ(a.flowsSkipped, 0u) << name << " cap " << cap;
+            for (int l = 0; l < topo.numLinks(); ++l) {
+                a = runLoneFlows(server, cap, l);
+                // Plus twice for each route through the link.
+                EXPECT_GT(a.flowsTouched, routes)
+                    << name << " cap " << cap << " link " << l;
+                EXPECT_EQ(a.crossChecks, a.flowsTouched)
+                    << name << " cap " << cap << " link " << l;
+                EXPECT_EQ(a.multiComponentSolves, 0u);
+            }
+        }
+    }
+}
+
 TEST(TransferEngineMix, CrossCheckedRunsMatch)
 {
     // Every incremental re-solve in the mixes equals a full solve,
@@ -632,11 +742,16 @@ TEST(TransferEngineMix, CrossCheckedRunsMatch)
     EXPECT_GT(multi, 0u);
 }
 
-/** A cross-checked, traced engine on a Topo 2+2 box. */
+/** A cross-checked, traced engine on a commodity box (Topo 2+2 by
+ *  default). */
 struct CheckedEngine
 {
+    explicit CheckedEngine(const std::vector<int> &groups = {2, 2})
+        : server(makeCommodityServer(groups))
+    {}
+
     EventQueue q;
-    Server server = makeCommodityServer({2, 2});
+    Server server;
     TraceRecorder trace;
     TransferEngine eng{q, server.topo, nullptr, config(), &trace};
 
@@ -667,8 +782,8 @@ TEST(TransferEngineComponents, FinishSplittingAComponentResolvesBoth)
     // A staged gpu0 -> gpu3 copy shares rc0's D2H pool with a
     // download from gpu1 and rc1's H2D pool with an upload to gpu2,
     // joining all three in one component. It is the smallest, so its
-    // finish leaves the other two in two disjoint components, and
-    // one update waterfills both.
+    // finish leaves the other two alone on their pools, and one
+    // update re-rates both.
     CheckedEngine e;
     e.submit(Endpoint::gpuAt(1), Endpoint::dram(), 256 * MiB);
     e.submit(Endpoint::dram(), Endpoint::gpuAt(2), 192 * MiB);
@@ -686,6 +801,33 @@ TEST(TransferEngineComponents, FinishSplittingAComponentResolvesBoth)
     EXPECT_EQ(e.trace.spanCount(), 3u);
     // Recorded with the engine that solved the union in one call.
     EXPECT_EQ(spanFingerprint(e.trace), 0x25c626ab387b617full);
+}
+
+TEST(TransferEngineComponents, FinishLeavingALoneFlowAndAPair)
+{
+    // On Topo 4+4 a staged gpu0 -> gpu4 copy shares rc0's D2H pool
+    // with a download from gpu1, and rc1's H2D pool with uploads to
+    // gpu5 and gpu6. It is the smallest, so its finish leaves the
+    // download alone on its pools and the two uploads sharing rc1's:
+    // one update re-rates a lone flow and waterfills a pair.
+    CheckedEngine e({4, 4});
+    e.submit(Endpoint::gpuAt(1), Endpoint::dram(), 256 * MiB);
+    e.submit(Endpoint::dram(), Endpoint::gpuAt(5), 192 * MiB);
+    e.submit(Endpoint::dram(), Endpoint::gpuAt(6), 160 * MiB);
+    FairShareActivity joined;
+    FairShareActivity split;
+    e.q.schedule(1e-3, [&] { joined = e.eng.fairShareActivity(); });
+    e.submit(Endpoint::gpuAt(0), Endpoint::gpuAt(4), 32 * MiB,
+             [&] { split = e.eng.fairShareActivity(); });
+    e.q.run();
+    EXPECT_EQ(split.solves - joined.solves, 1u);
+    EXPECT_EQ(split.multiComponentSolves - joined.multiComponentSolves,
+              1u);
+    EXPECT_EQ(split.flowsTouched - joined.flowsTouched, 3u);
+    EXPECT_GT(split.crossChecks, 0u);
+    EXPECT_EQ(e.trace.spanCount(), 4u);
+    // Recorded with the engine that waterfilled every component.
+    EXPECT_EQ(spanFingerprint(e.trace), 0x6f97a74efed1785full);
 }
 
 TEST(TransferEngineComponents, RescaleOfLinkCarryingTwoComponents)
